@@ -28,8 +28,6 @@ from .embed import (
 from .errors import DataError, FormatError
 from .ingest import (
     CellAnnotation,
-    SplitSummary,
-    SummaryRow,
     attach_annotations,
     read_cell_annotations,
     read_dense_csv,
@@ -37,7 +35,6 @@ from .ingest import (
     read_matrix_market,
     split_annotations,
     split_by_method_replicate,
-    summarize_dimensions,
     write_cell_annotations,
     write_dense_csv,
     write_gene_annotations,
@@ -47,6 +44,7 @@ from .matrix import CountMatrix, ExpressionMatrix, GeneStats, from_dense, vstack
 from .preprocess import (
     FilterConfig,
     FilterTrace,
+    filter_genes,
     filter_low_cv,
     filter_sparse_genes,
     preprocess_pipeline,
@@ -59,12 +57,9 @@ from .qc import (
     cumulative_detection,
     detection_stats,
     dropout_rate,
-    method_sensitivity_table,
 )
 from .report import (
-    PipelineResult,
     SplitResult,
-    emit_plots,
     emit_tables,
     read_config_comment,
     read_table,
@@ -92,11 +87,8 @@ __all__ = [
     "FormatError",
     "GeneStats",
     "PcaModel",
-    "PipelineResult",
     "SilhouetteReport",
     "SplitResult",
-    "SplitSummary",
-    "SummaryRow",
     "SynthConfig",
     "adjusted_rand_index",
     "attach_annotations",
@@ -104,8 +96,8 @@ __all__ = [
     "cut_dendrogram",
     "detection_stats",
     "dropout_rate",
-    "emit_plots",
     "emit_tables",
+    "filter_genes",
     "filter_low_cv",
     "filter_sparse_genes",
     "from_dense",
@@ -114,7 +106,6 @@ __all__ = [
     "joint_probabilities",
     "kl_divergence",
     "kmeans",
-    "method_sensitivity_table",
     "pairwise_distances",
     "pca_fit_transform",
     "preprocess_pipeline",
@@ -129,7 +120,6 @@ __all__ = [
     "silhouette",
     "split_annotations",
     "split_by_method_replicate",
-    "summarize_dimensions",
     "tsne",
     "vstack_cells",
     "write_cell_annotations",

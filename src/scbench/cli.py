@@ -3,7 +3,10 @@
 Subcommands run single stages (split, qc, filter, normalize, embed, cluster,
 evaluate, report, synth) or the whole chain (pipeline). Stage commands accept
 the same inputs as pipeline and recompute the prefix they need, so every
-artifact is a pure function of (input files, flags, seed).
+artifact is a pure function of (input files, flags, seed). Each stage command
+is one row of STAGES: its depth decides its flags, the keys of its
+`# config:` comment and how far `_compute_split` goes; its emitter then
+writes the artifacts.
 
 Exit codes: 0 success, 1 data/IO errors (JSON envelope on stderr), 2 usage.
 On-disk matrices are genes x cells; pass --transpose when a file already has
@@ -13,6 +16,7 @@ depend on its value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -46,19 +50,12 @@ from .ingest import (
     write_matrix_market,
 )
 from .matrix import default_cell_ids, default_gene_ids
-from .preprocess import (
-    FilterConfig,
-    filter_low_cv,
-    filter_sparse_genes,
-    preprocess_pipeline,
-)
+from .preprocess import FilterConfig, filter_genes, preprocess_pipeline
 from .qc import cumulative_detection, detection_stats, dropout_rate
 from .report import (
-    PipelineResult,
     SplitResult,
     emit_cluster_table,
     emit_embedding_tables,
-    emit_plots,
     emit_qc_tables,
     emit_silhouette_table,
     emit_tables,
@@ -105,13 +102,6 @@ def _load_inputs(args):
     )
 
 
-def _splits(args):
-    m, annotations = _load_inputs(args)
-    mats = split_by_method_replicate(m, annotations)
-    anns = split_annotations(annotations)
-    return [(key, mats[key], anns[key]) for key in mats]
-
-
 def _parallel_map(fn, items):
     if len(items) <= 1:
         return [fn(it) for it in items]
@@ -153,15 +143,19 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
         "method": method,
         "replicate": replicate,
         "matrix": sub,
+        "annotations": annotations,
     }
     if depth in ("qc", "full"):
         fields["dropout"] = dropout_rate(sub)
         fields["detection"] = detection_stats(sub)
         fields["cumulative"] = cumulative_detection(sub, seed=args.seed)
-    if depth == "qc":
+    if depth in ("split", "qc"):
         return SplitResult(**fields)
 
     cfg = FilterConfig(args.zero_threshold, args.cv_fraction)
+    if depth == "filter":
+        fields["filtered"], fields["trace"] = filter_genes(sub, cfg)
+        return SplitResult(**fields)
     normalized, trace = preprocess_pipeline(
         sub, cfg, normalize_axis=args.normalize_axis, log1p=args.log1p
     )
@@ -195,72 +189,51 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
 
 
 def _stage_splits(args, depth: str) -> list[SplitResult]:
-    items = _splits(args)
+    m, annotations = _load_inputs(args)
+    mats = split_by_method_replicate(m, annotations)
+    anns = split_annotations(annotations)
     return _parallel_map(
-        lambda it: _compute_split(args, it[0], it[1], it[2], depth), items
+        lambda key: _compute_split(args, key, mats[key], anns[key], depth), list(mats)
     )
 
 
-# ---------------------------------------------------------------- subcommands
+# ------------------------------------------------------------------ emitters
+# Each takes (splits, outdir, config) and runs after the per-split pool. They
+# reach the writers through this module's globals at call time, so a tracer
+# that swaps those names (perfbench/spans.py) times every call.
 
 
-def _run_split(args) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    comment = canonical_json(_resolved_config(args, INPUT_KEYS + SEED_KEYS))
-    rows = []
-    for (method, replicate), sub, anns in _splits(args):
-        stem = f"{_safe(method)}_{_safe(replicate)}"
-        write_matrix_market(sub.transpose(), outdir / f"matrix_{stem}.mtx")
-        write_cell_annotations(anns, outdir / f"cells_{stem}.csv")
-        rows.append(
-            [args.sample, method, replicate, str(sub.n_cells), str(sub.n_genes)]
-        )
+def _stem(s: SplitResult) -> str:
+    return f"{_safe(s.method)}_{_safe(s.replicate)}"
+
+
+def _emit_split(splits, outdir, config) -> None:
+    for s in splits:
+        write_matrix_market(s.matrix.transpose(), outdir / f"matrix_{_stem(s)}.mtx")
+        write_cell_annotations(s.annotations, outdir / f"cells_{_stem(s)}.csv")
     write_csv(
         outdir / "split_summary.csv",
-        comment,
+        canonical_json(config),
         ["sample", "method", "replicate", "n_cells", "n_genes"],
-        rows,
+        [
+            [s.sample, s.method, s.replicate, str(s.matrix.n_cells), str(s.matrix.n_genes)]
+            for s in splits
+        ],
     )
-    return 0
 
 
-def _run_qc(args) -> int:
-    comment = canonical_json(_resolved_config(args, INPUT_KEYS + SEED_KEYS))
-    splits = _stage_splits(args, "qc")
-    emit_qc_tables(splits, args.output_dir, comment)
-    return 0
+def _emit_qc(splits, outdir, config) -> None:
+    emit_qc_tables(splits, outdir, canonical_json(config))
 
 
-def _run_filter(args) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    comment = canonical_json(
-        _resolved_config(args, INPUT_KEYS + FILTER_KEYS + SEED_KEYS)
-    )
-    cfg = FilterConfig(args.zero_threshold, args.cv_fraction)
-    rows = []
-    for (method, replicate), sub, anns in _splits(args):
-        kept, t1 = filter_sparse_genes(sub, cfg)
-        kept, t2 = filter_low_cv(kept, cfg)
-        stem = f"{_safe(method)}_{_safe(replicate)}"
-        write_matrix_market(kept.transpose(), outdir / f"filtered_{stem}.mtx")
-        write_cell_annotations(anns, outdir / f"cells_{stem}.csv")
-        write_gene_annotations(kept.gene_ids, outdir / f"genes_{stem}.csv")
-        rows.append(
-            [
-                args.sample,
-                method,
-                replicate,
-                str(t1.genes_in),
-                str(t1.removed_by_sparsity),
-                str(t2.removed_by_cv),
-                str(t2.genes_out),
-            ]
-        )
+def _emit_filter(splits, outdir, config) -> None:
+    for s in splits:
+        write_matrix_market(s.filtered.transpose(), outdir / f"filtered_{_stem(s)}.mtx")
+        write_cell_annotations(s.annotations, outdir / f"cells_{_stem(s)}.csv")
+        write_gene_annotations(s.filtered.gene_ids, outdir / f"genes_{_stem(s)}.csv")
     write_csv(
         outdir / "filter_summary.csv",
-        comment,
+        canonical_json(config),
         [
             "sample",
             "method",
@@ -270,52 +243,37 @@ def _run_filter(args) -> int:
             "removed_by_cv",
             "genes_out",
         ],
-        rows,
+        [
+            [
+                s.sample,
+                s.method,
+                s.replicate,
+                str(s.trace.genes_in),
+                str(s.trace.removed_by_sparsity),
+                str(s.trace.removed_by_cv),
+                str(s.trace.genes_out),
+            ]
+            for s in splits
+        ],
     )
-    return 0
 
 
-def _run_normalize(args) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    comment = canonical_json(
-        _resolved_config(args, INPUT_KEYS + FILTER_KEYS + SEED_KEYS)
-    )
-    for s in _stage_splits(args, "normalize"):
-        stem = f"{_safe(s.method)}_{_safe(s.replicate)}"
-        write_dense_csv(s.normalized, outdir / f"normalized_{stem}.csv", comment)
-    return 0
-
-
-def _run_embed(args) -> int:
-    comment = canonical_json(
-        _resolved_config(args, INPUT_KEYS + FILTER_KEYS + EMBED_KEYS + SEED_KEYS)
-    )
-    splits = _stage_splits(args, "embed")
-    emit_embedding_tables(splits, args.output_dir, comment)
-    return 0
-
-
-def _run_cluster(args) -> int:
-    comment = canonical_json(
-        _resolved_config(
-            args, INPUT_KEYS + FILTER_KEYS + EMBED_KEYS + CLUSTER_KEYS + SEED_KEYS
-        )
-    )
-    splits = _stage_splits(args, "full")
-    emit_cluster_table(splits, args.output_dir, comment)
-    return 0
-
-
-def _run_evaluate(args) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    config = _resolved_config(
-        args, INPUT_KEYS + FILTER_KEYS + EMBED_KEYS + CLUSTER_KEYS + SEED_KEYS
-    )
+def _emit_normalize(splits, outdir, config) -> None:
     comment = canonical_json(config)
-    splits = _stage_splits(args, "full")
-    emit_silhouette_table(splits, outdir, comment)
+    for s in splits:
+        write_dense_csv(s.normalized, outdir / f"normalized_{_stem(s)}.csv", comment)
+
+
+def _emit_embed(splits, outdir, config) -> None:
+    emit_embedding_tables(splits, outdir, canonical_json(config))
+
+
+def _emit_cluster(splits, outdir, config) -> None:
+    emit_cluster_table(splits, outdir, canonical_json(config))
+
+
+def _emit_evaluate(splits, outdir, config) -> None:
+    emit_silhouette_table(splits, outdir, canonical_json(config))
     entries = []
     for s in splits:
         entry = {
@@ -330,6 +288,39 @@ def _run_evaluate(args) -> int:
     with open(outdir / "metrics.json", "w") as fh:
         fh.write(canonical_json({"config": config, "splits": entries}))
         fh.write("\n")
+
+
+def _emit_pipeline(splits, outdir, config) -> None:
+    emit_tables(splits, outdir, config)
+    write_summary(splits, outdir, config)
+    rebuild_plots_from_tables(outdir, outdir)
+
+
+# (name, help, depth, emitter) of each stage command, in command-list order
+STAGES = (
+    ("split", "split a matrix into per-(method, replicate) files", "split", _emit_split),
+    ("qc", "dropout, detection, and cumulative-detection tables", "qc", _emit_qc),
+    ("filter", "apply the sparsity and CV gene filters", "filter", _emit_filter),
+    ("normalize", "filter then quantile-normalize each split", "normalize",
+     _emit_normalize),
+    ("embed", "PCA and t-SNE embeddings of each normalized split", "embed", _emit_embed),
+    ("cluster", "cluster each split's t-SNE embedding", "full", _emit_cluster),
+    ("evaluate", "silhouette table and (with truth labels) adjusted Rand index",
+     "full", _emit_evaluate),
+    ("pipeline", "run every stage and write all tables, summary, and figures",
+     "full", _emit_pipeline),
+)
+# how many of FLAG_GROUPS a stage command at each depth takes
+DEPTH_GROUPS = {"split": 1, "qc": 1, "filter": 2, "normalize": 2, "embed": 3, "full": 4}
+
+
+def _run_stage(depth: str, emit, args) -> int:
+    keys = sum((k for _, k in FLAG_GROUPS[: DEPTH_GROUPS[depth]]), ()) + SEED_KEYS
+    config = _resolved_config(args, keys)
+    splits = _stage_splits(args, depth)
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    emit(splits, outdir, config)
     return 0
 
 
@@ -356,18 +347,6 @@ def _run_synth(args) -> int:
     write_matrix_market(m.transpose(), outdir / "matrix.mtx")
     write_cell_annotations(annotations, outdir / "cells.csv")
     write_gene_annotations(m.gene_ids, outdir / "genes.csv")
-    return 0
-
-
-def _run_pipeline(args) -> int:
-    config = _resolved_config(
-        args, INPUT_KEYS + FILTER_KEYS + EMBED_KEYS + CLUSTER_KEYS + SEED_KEYS
-    )
-    splits = _stage_splits(args, "full")
-    result = PipelineResult(args.sample, config, splits)
-    emit_tables(result, args.output_dir)
-    write_summary(result, args.output_dir)
-    emit_plots(result, args.output_dir, seed=args.seed)
     return 0
 
 
@@ -419,6 +398,15 @@ def _add_common_flags(p, output_required=True):
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
+# (flag adder, config keys) in help order; a stage command takes a prefix
+FLAG_GROUPS = (
+    (_add_input_flags, INPUT_KEYS),
+    (_add_filter_flags, FILTER_KEYS),
+    (_add_embed_flags, EMBED_KEYS),
+    (_add_cluster_flags, CLUSTER_KEYS),
+)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="scbench",
@@ -428,68 +416,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     table = {}
 
-    def command(name, func, help_, flags):
+    def stage_command(name, help_, depth, emit):
         p = sub.add_parser(name, help=help_)
-        for add in flags:
+        for add, _ in FLAG_GROUPS[: DEPTH_GROUPS[depth]]:
             add(p)
-        p.set_defaults(func=func)
+        _add_common_flags(p)
+        p.set_defaults(func=functools.partial(_run_stage, depth, emit))
         table[name] = p
-        return p
 
-    command(
-        "split",
-        _run_split,
-        "split a matrix into per-(method, replicate) files",
-        (_add_input_flags, _add_common_flags),
-    )
-    command(
-        "qc",
-        _run_qc,
-        "dropout, detection, and cumulative-detection tables",
-        (_add_input_flags, _add_common_flags),
-    )
-    command(
-        "filter",
-        _run_filter,
-        "apply the sparsity and CV gene filters",
-        (_add_input_flags, _add_filter_flags, _add_common_flags),
-    )
-    command(
-        "normalize",
-        _run_normalize,
-        "filter then quantile-normalize each split",
-        (_add_input_flags, _add_filter_flags, _add_common_flags),
-    )
-    command(
-        "embed",
-        _run_embed,
-        "PCA and t-SNE embeddings of each normalized split",
-        (_add_input_flags, _add_filter_flags, _add_embed_flags, _add_common_flags),
-    )
-    command(
-        "cluster",
-        _run_cluster,
-        "cluster each split's t-SNE embedding",
-        (
-            _add_input_flags,
-            _add_filter_flags,
-            _add_embed_flags,
-            _add_cluster_flags,
-            _add_common_flags,
-        ),
-    )
-    command(
-        "evaluate",
-        _run_evaluate,
-        "silhouette table and (with truth labels) adjusted Rand index",
-        (
-            _add_input_flags,
-            _add_filter_flags,
-            _add_embed_flags,
-            _add_cluster_flags,
-            _add_common_flags,
-        ),
-    )
+    # report and synth are listed between evaluate and pipeline
+    for stage in STAGES[:-1]:
+        stage_command(*stage)
+
     p = sub.add_parser("report", help="redraw SVG figures from emitted tables")
     p.add_argument("--input-dir", required=True, help="directory holding the CSV tables")
     p.add_argument("--output-dir", "-o", help="defaults to --input-dir")
@@ -513,18 +451,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_run_synth)
     table["synth"] = p
 
-    command(
-        "pipeline",
-        _run_pipeline,
-        "run every stage and write all tables, summary, and figures",
-        (
-            _add_input_flags,
-            _add_filter_flags,
-            _add_embed_flags,
-            _add_cluster_flags,
-            _add_common_flags,
-        ),
-    )
+    stage_command(*STAGES[-1])
     return parser, table
 
 

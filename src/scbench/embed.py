@@ -223,11 +223,14 @@ def _student_t_weights(y: np.ndarray) -> np.ndarray:
     return num
 
 
-def joint_probabilities(x, perplexity: float) -> np.ndarray:
-    """Symmetrized t-SNE input affinities; sums to 1 over all ordered pairs."""
+def joint_probabilities(x, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized t-SNE input affinities and each point's achieved perplexity.
+
+    The affinities sum to 1 over all ordered pairs.
+    """
     points = _as_points(x)
-    cond, _ = _conditional_probabilities(_squared_distances(points), perplexity)
-    return (cond + cond.T) / (2.0 * points.shape[0])
+    cond, achieved = _conditional_probabilities(_squared_distances(points), perplexity)
+    return (cond + cond.T) / (2.0 * points.shape[0]), achieved
 
 
 def kl_divergence(p: np.ndarray, embedding: Embedding) -> float:
@@ -260,9 +263,10 @@ def tsne(
 ) -> Embedding:
     """Exact t-SNE embedding, deterministic for a given seed.
 
-    Inputs wider than pca_dim features are PCA-reduced first (pass None to
-    skip). Momentum is 0.5 during the early-exaggeration phase and 0.8 after;
-    per-coordinate gain factors follow the standard 0.2 up / 0.8 down rule.
+    Inputs wider than pca_dim features are PCA-reduced first, to at most
+    n - 1 dimensions (pass None to skip). Momentum is 0.5 during the
+    early-exaggeration phase and 0.8 after; per-coordinate gain factors
+    follow the standard 0.2 up / 0.8 down rule.
 
     learning_rate "auto" resolves to max(n / (4 * exaggeration), 50), the
     n / exaggeration rule of Belkina et al. 2019 and Kobak & Berens 2019
@@ -276,6 +280,8 @@ def tsne(
     to 1 and halves the learning rate for the rest of the run. kl_trace then
     repeats the previous KL at that index, so it never rises after the
     exaggeration phase. diagnostics["rejected_steps"] counts the rejections.
+    The returned coordinates are the last iterate evaluated, so
+    diagnostics["final_kl"] (= kl_trace[-1]) is their KL.
     """
     points = _as_points(x)
     n = points.shape[0]
@@ -301,10 +307,11 @@ def tsne(
         raise DataError(f"unknown init {init!r}")
 
     if pca_dim is not None and points.shape[1] > pca_dim:
-        reduced, _ = pca_fit_transform(points, min(pca_dim, n, points.shape[1]))
+        # centred points have rank at most n - 1
+        reduced, _ = pca_fit_transform(points, min(pca_dim, n - 1))
         points = reduced.coordinates
 
-    p_joint_, achieved = _p_and_calibration(points, perplexity)
+    p_joint_, achieved = joint_probabilities(points, perplexity)
 
     rng = seeded_rng(seed, 0)
     if init == "pca" and points.shape[1] >= 1:
@@ -353,6 +360,8 @@ def tsne(
             step *= 0.5
             rejected += 1
         kl_trace[t] = kl
+        if t == iters - 1:
+            break
         y_prev, grad_prev = y, grad
 
         flip = (update * grad) < 0.0
@@ -381,11 +390,3 @@ def tsne(
         "rejected_steps": rejected,
     }
     return Embedding(y, "tsne", params, seed, diagnostics)
-
-
-def _p_and_calibration(points: np.ndarray, perplexity: float):
-    cond, achieved = _conditional_probabilities(
-        _squared_distances(points), perplexity
-    )
-    n = points.shape[0]
-    return (cond + cond.T) / (2.0 * n), achieved

@@ -27,21 +27,6 @@ class CellAnnotation:
     cell_type: str | None = None
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    sample: str
-    method: str
-    replicate: str
-    n_cells: int
-    n_genes: int
-    n_genes_after_filter: int | None = None
-
-
-@dataclass(frozen=True)
-class SplitSummary:
-    rows: tuple[SummaryRow, ...]
-
-
 def _open_text(path):
     with open(path, "rb") as fh:
         magic = fh.read(2)
@@ -277,26 +262,6 @@ def split_by_method_replicate(
         cell_mask[groups[key]] = True
         out[key] = m.submatrix(cell_mask, gene_mask)
     return out
-
-
-def summarize_dimensions(
-    splits: dict[tuple[str, str], CountMatrix],
-    post_filter_dims: dict[tuple[str, str], int] | None = None,
-    sample: str = "",
-) -> SplitSummary:
-    """One row per split, sorted by (method, replicate)."""
-    if not splits:
-        raise DataError("empty split map")
-    rows = []
-    for method, replicate in sorted(splits):
-        sub = splits[(method, replicate)]
-        after = None
-        if post_filter_dims is not None:
-            after = post_filter_dims.get((method, replicate))
-        rows.append(
-            SummaryRow(sample, method, replicate, sub.n_cells, sub.n_genes, after)
-        )
-    return SplitSummary(tuple(rows))
 
 
 def split_annotations(

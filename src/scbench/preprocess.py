@@ -132,22 +132,13 @@ def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMa
     return x.with_values(out)
 
 
-def preprocess_pipeline(
-    m: CountMatrix,
-    cfg: FilterConfig | None = None,
-    normalize_axis: str = "cells",
-    log1p: bool = False,
-) -> tuple[ExpressionMatrix, FilterTrace]:
-    """Sparsity filter, CV filter, densify, then quantile normalize."""
+def filter_genes(
+    m: CountMatrix, cfg: FilterConfig | None = None
+) -> tuple[CountMatrix, FilterTrace]:
+    """Sparsity filter then CV filter; the trace covers both."""
     cfg = cfg or FilterConfig()
     after_sparse, trace_sparse = filter_sparse_genes(m, cfg)
     after_cv, trace_cv = filter_low_cv(after_sparse, cfg)
-    if after_cv.n_genes == 0:
-        raise DataError("all genes removed by filtering; nothing to normalize")
-    dense = after_cv.to_dense()
-    if log1p:
-        dense = dense.with_values(np.log1p(dense.values))
-    normalized = quantile_normalize(dense, axis=normalize_axis)
     trace = FilterTrace(
         genes_in=m.n_genes,
         removed_by_sparsity=trace_sparse.removed_by_sparsity,
@@ -156,4 +147,20 @@ def preprocess_pipeline(
         removed_sparse_ids=trace_sparse.removed_sparse_ids,
         removed_cv_ids=trace_cv.removed_cv_ids,
     )
-    return normalized, trace
+    return after_cv, trace
+
+
+def preprocess_pipeline(
+    m: CountMatrix,
+    cfg: FilterConfig | None = None,
+    normalize_axis: str = "cells",
+    log1p: bool = False,
+) -> tuple[ExpressionMatrix, FilterTrace]:
+    """filter_genes, densify, then quantile normalize."""
+    kept, trace = filter_genes(m, cfg)
+    if kept.n_genes == 0:
+        raise DataError("all genes removed by filtering; nothing to normalize")
+    dense = kept.to_dense()
+    if log1p:
+        dense = dense.with_values(np.log1p(dense.values))
+    return quantile_normalize(dense, axis=normalize_axis), trace

@@ -49,14 +49,6 @@ class CumulativeCurve:
     seed: int
 
 
-@dataclass(frozen=True)
-class SensitivityRow:
-    method: str
-    replicate: str
-    median_detected: float
-    overall_dropout: float
-
-
 def dropout_rate(m: CountMatrix) -> DropoutReport:
     if m.n_cells < 1 or m.n_genes < 1:
         raise DataError("dropout rate needs a non-degenerate matrix")
@@ -124,21 +116,3 @@ def cumulative_detection(
         len(orders),
         seed,
     )
-
-
-def method_sensitivity_table(
-    splits: dict[tuple[str, str], CountMatrix],
-) -> list[SensitivityRow]:
-    """Join dropout and median detection per (method, replicate), sorted by key."""
-    rows = []
-    for method, replicate in sorted(splits):
-        sub = splits[(method, replicate)]
-        rows.append(
-            SensitivityRow(
-                method,
-                replicate,
-                detection_stats(sub).median,
-                dropout_rate(sub).overall_rate,
-            )
-        )
-    return rows

@@ -18,6 +18,7 @@ from ._util import canonical_json, fmt_float
 from .cluster import ClusterResult, SilhouetteReport
 from .embed import Embedding
 from .errors import DataError
+from .ingest import CellAnnotation
 from .matrix import CountMatrix, ExpressionMatrix
 from .preprocess import FilterTrace
 from .qc import CumulativeCurve, DetectionStats, DropoutReport
@@ -29,18 +30,20 @@ class SplitResult:
     """What the pipeline computed for one (method, replicate) split.
 
     Stage subcommands fill only the fields up to their stage; the full
-    pipeline fills everything. Emitters touch only the fields their tables
-    need.
+    pipeline fills everything but `filtered`, which only the filter stage
+    keeps. Emitters touch only the fields their tables need.
     """
 
     sample: str
     method: str
     replicate: str
     matrix: CountMatrix
+    annotations: list[CellAnnotation] | None = None
     dropout: DropoutReport | None = None
     detection: DetectionStats | None = None
     cumulative: CumulativeCurve | None = None
     trace: FilterTrace | None = None
+    filtered: CountMatrix | None = None
     normalized: ExpressionMatrix | None = None
     pca: Embedding | None = None
     tsne: Embedding | None = None
@@ -48,20 +51,6 @@ class SplitResult:
     labels: np.ndarray | None = None
     silhouettes: SilhouetteReport | None = None
     ari: float | None = None
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.method, self.replicate)
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    sample: str
-    config: dict
-    splits: list[SplitResult]
-
-    def config_comment(self) -> str:
-        return canonical_json(self.config)
 
 
 def write_csv(path: Path, comment: str, header: list[str], rows) -> None:
@@ -232,24 +221,24 @@ def emit_silhouette_table(splits: list[SplitResult], outdir, comment: str) -> Pa
     return path
 
 
-def emit_tables(result: PipelineResult, outdir) -> list[Path]:
+def emit_tables(splits: list[SplitResult], outdir, config: dict) -> list[Path]:
     """Write the seven CSV tables; returns the paths written."""
-    comment = result.config_comment()
+    comment = canonical_json(config)
     return (
-        emit_qc_tables(result.splits, outdir, comment)
-        + emit_embedding_tables(result.splits, outdir, comment)
+        emit_qc_tables(splits, outdir, comment)
+        + emit_embedding_tables(splits, outdir, comment)
         + [
-            emit_cluster_table(result.splits, outdir, comment),
-            emit_silhouette_table(result.splits, outdir, comment),
+            emit_cluster_table(splits, outdir, comment),
+            emit_silhouette_table(splits, outdir, comment),
         ]
     )
 
 
-def write_summary(result: PipelineResult, outdir) -> Path:
+def write_summary(splits: list[SplitResult], outdir, config: dict) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    splits = []
-    for s in result.splits:
+    entries = []
+    for s in splits:
         entry = {
             "sample": s.sample,
             "method": s.method,
@@ -263,8 +252,8 @@ def write_summary(result: PipelineResult, outdir) -> Path:
         }
         if s.ari is not None:
             entry["ari"] = s.ari
-        splits.append(entry)
-    payload = {"config": result.config, "splits": splits}
+        entries.append(entry)
+    payload = {"config": config, "splits": entries}
     path = outdir / "summary.json"
     with open(path, "w") as fh:
         fh.write(canonical_json(payload))
@@ -273,10 +262,13 @@ def write_summary(result: PipelineResult, outdir) -> Path:
 
 
 def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
-    """Redraw the six SVG figures from a directory of emitted CSV tables.
+    """Draw the six SVG figures from a directory of emitted CSV tables.
 
-    Uses the config embedded in the tables (including the jitter seed), so
-    the output is byte-identical to the figures the original run wrote.
+    `pipeline` draws its figures this way from the tables it has just
+    written, and `report` redraws them later. The config embedded in the
+    tables (including the jitter seed) decides every byte, so both give the
+    same files. A table that lacks a column the figures need, or an
+    embedding split with no rows in clusters.csv, raises DataError.
     """
     indir = Path(indir)
     outdir = Path(outdir)
@@ -286,13 +278,22 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     seed = int(config.get("seed", 0))
     paths = []
 
+    def table(name, *columns):
+        header, rows = read_table(indir / name)
+        for column in ("method", "replicate") + columns:
+            if column not in header:
+                raise DataError(f"{name} has no {column!r} column")
+        return rows
+
     def grouped(rows):
         out = {}
         for r in rows:
             out.setdefault((r["method"], r["replicate"]), []).append(r)
         return out
 
-    _, det = read_table(indir / "detection.csv")
+    det = table("detection.csv", "genes_detected")
+    if not det:
+        raise DataError("no splits to plot")
     groups = [
         (f"{m}/{r}", np.array([float(row["genes_detected"]) for row in rows]))
         for (m, r), rows in grouped(det).items()
@@ -303,7 +304,7 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     paths.append(outdir / "detection_box.svg")
     paths[-1].write_text(text)
 
-    _, cum = read_table(indir / "cumulative.csv")
+    cum = table("cumulative.csv", "n_cells", "mean_genes_detected")
     series = [
         (
             f"{m}/{r}",
@@ -322,15 +323,16 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     paths.append(outdir / "cumulative.svg")
     paths[-1].write_text(text)
 
-    _, clu = read_table(indir / "clusters.csv")
-    labels_by_split = grouped(clu)
-    for fname, table in (
+    labels_by_split = grouped(table("clusters.csv", "cell_id", "cluster"))
+    for fname, name in (
         ("embedding_pca.svg", "embedding_pca.csv"),
         ("embedding_tsne.svg", "embedding_tsne.csv"),
     ):
-        _, emb = read_table(indir / table)
+        emb = table(name, "cell_id", "dim1", "dim2")
         points, group_idx, labels = [], [], []
         for (m, r), rows in grouped(emb).items():
+            if (m, r) not in labels_by_split:
+                raise DataError(f"clusters.csv has no rows for split {m}/{r} of {name}")
             crows = labels_by_split[(m, r)]
             if [x["cell_id"] for x in crows] != [x["cell_id"] for x in rows]:
                 raise DataError("clusters.csv and embedding tables disagree on cells")
@@ -355,7 +357,7 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
         paths.append(outdir / fname)
         paths[-1].write_text(text)
 
-    _, dro = read_table(indir / "dropout.csv")
+    dro = table("dropout.csv", "overall_dropout")
     bars = [
         (f"{row['method']}/{row['replicate']}", float(row["overall_dropout"]))
         for row in dro
@@ -364,7 +366,7 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     paths.append(outdir / "dropout.svg")
     paths[-1].write_text(text)
 
-    _, sil = read_table(indir / "silhouette.csv")
+    sil = table("silhouette.csv", "cluster", "mean_silhouette")
     bars = [
         (
             f"{row['method']}/{row['replicate']} c{row['cluster']}",
@@ -373,80 +375,6 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
         for row in sil
         if row["cluster"] != "all"
     ]
-    text = svg.bar_chart(
-        bars, "mean silhouette by cluster", "mean silhouette", comment=comment
-    )
-    paths.append(outdir / "silhouette.svg")
-    paths[-1].write_text(text)
-    return paths
-
-
-def emit_plots(result: PipelineResult, outdir, seed: int = 0) -> list[Path]:
-    """Write the six SVG figures; returns the paths written."""
-    if not result.splits:
-        raise DataError("no splits to plot")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    comment = result.config_comment()
-    paths = []
-
-    def name(s: SplitResult) -> str:
-        return f"{s.method}/{s.replicate}"
-
-    groups = [
-        (name(s), s.detection.per_cell_detected.astype(np.float64))
-        for s in result.splits
-    ]
-    text = svg.boxplot_chart(
-        groups, "genes detected per cell", "genes detected", seed=seed, comment=comment
-    )
-    paths.append(outdir / "detection_box.svg")
-    paths[-1].write_text(text)
-
-    series = [
-        (name(s), s.cumulative.x.astype(np.float64), s.cumulative.y)
-        for s in result.splits
-    ]
-    text = svg.line_chart(
-        series,
-        "cumulative gene detection",
-        "cells",
-        "mean genes detected",
-        comment=comment,
-    )
-    paths.append(outdir / "cumulative.svg")
-    paths[-1].write_text(text)
-
-    for fname, which in (("embedding_pca.svg", "pca"), ("embedding_tsne.svg", "tsne")):
-        points, group_idx, labels = [], [], []
-        for s in result.splits:
-            emb = getattr(s, which)
-            for c in sorted(set(int(v) for v in s.labels)):
-                sel = s.labels == c
-                points.append(emb.coordinates[sel, :2])
-                group_idx.append(np.full(int(sel.sum()), len(labels)))
-                labels.append(f"{name(s)} c{c}")
-        text = svg.scatter_chart(
-            np.vstack(points),
-            np.concatenate(group_idx),
-            labels,
-            f"{which} embedding",
-            "dim1",
-            "dim2",
-            comment=comment,
-        )
-        paths.append(outdir / fname)
-        paths[-1].write_text(text)
-
-    bars = [(name(s), s.dropout.overall_rate) for s in result.splits]
-    text = svg.bar_chart(bars, "overall dropout rate", "dropout rate", comment=comment)
-    paths.append(outdir / "dropout.svg")
-    paths[-1].write_text(text)
-
-    bars = []
-    for s in result.splits:
-        for c in sorted(s.silhouettes.per_cluster_mean):
-            bars.append((f"{name(s)} c{c}", s.silhouettes.per_cluster_mean[c]))
     text = svg.bar_chart(
         bars, "mean silhouette by cluster", "mean silhouette", comment=comment
     )

@@ -103,13 +103,58 @@ def test_pipeline_rerun_is_byte_identical(data_dir, pipeline_dir, tmp_path):
         assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
-def test_data_errors_report_json_envelope(capsys, tmp_path):
+def test_data_errors_report_json_envelope(capsys, tmp_path, pipeline_dir):
     rc = cli_main(["qc", "--matrix", str(tmp_path / "absent.mtx"),
                    "-o", str(tmp_path)])
     assert rc == 1
     envelope = json.loads(capsys.readouterr().err)
     assert set(envelope) == {"error", "message"}
     assert "absent.mtx" in envelope["message"]
+
+    # tables that disagree with each other
+    tables = tmp_path / "tables"
+    shutil.copytree(pipeline_dir, tables)
+    text = (tables / "embedding_tsne.csv").read_text()
+    (tables / "embedding_tsne.csv").write_text(text.replace(",dim1,", ",x1,", 1))
+    assert cli_main(["report", "--input-dir", str(tables)]) == 1
+    envelope = json.loads(capsys.readouterr().err)
+    assert envelope == {
+        "error": "DataError",
+        "message": "embedding_tsne.csv has no 'dim1' column",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("split", []),
+        ("qc", []),
+        ("filter", []),
+        ("normalize", []),
+        ("embed", SPEED[:4]),
+        ("cluster", SPEED),
+        ("evaluate", SPEED),
+    ],
+)
+def test_stage_rerun_is_byte_identical(data_dir, tmp_path, command, flags):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert cli_main([command, *input_args(data_dir), *flags, "-o", str(out)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_pipeline_runs_on_a_split_of_at_most_50_cells(tmp_path):
+    # 45 cells and more than 50 genes after filtering: t-SNE pre-reduces
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli_main(["synth", "--cells-per-cluster", "15", "--n-genes", "100",
+                     "--dropout-prob", "0.4", "--seed", "7", "-o", str(data)]) == 0
+    assert cli_main(["pipeline", *input_args(data), *SPEED, "-o", str(out)]) == 0
+    (entry,) = json.loads((out / "summary.json").read_text())["splits"]
+    assert entry["n_cells"] == 45
+    assert entry["n_genes_after_filter"] > 50
 
 
 def test_qc_stage_writes_qc_tables_only(data_dir, tmp_path):

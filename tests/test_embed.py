@@ -190,6 +190,14 @@ def test_tsne_safeguard_keeps_kl_tail_monotone():
     assert emb.diagnostics["final_kl"] < fixed.diagnostics["final_kl"]
 
 
+def test_tsne_returns_the_iterate_whose_kl_it_reports():
+    # at most 50 features, so tsne works on x itself
+    x = seeded_points(2, 80, 20)
+    emb = tsne(x, perplexity=10, seed=2, iters=300)
+    p, _ = joint_probabilities(x, 10)
+    assert math.isclose(kl_divergence(p, emb), emb.diagnostics["final_kl"], rel_tol=1e-12)
+
+
 def test_tsne_rejects_infeasible_perplexity():
     x = seeded_points(14, 10, 4)
     with pytest.raises(DataError, match="infeasible"):
@@ -232,6 +240,9 @@ def test_tsne_prereduces_wide_input():
     assert emb.coordinates.shape == (30, 2)
     again = tsne(x, perplexity=8, seed=0, iters=40, pca_dim=20)
     assert np.array_equal(emb.coordinates, again.coordinates)
+    # no more points than pca_dim: reduced to n - 1, the rank of centred points
+    small = tsne(seeded_points(17, 20, 100), perplexity=5, iters=20)
+    assert small.coordinates.shape == (20, 2)
 
 
 def test_kl_divergence_zero_when_q_matches_p():
@@ -268,8 +279,9 @@ def test_kl_divergence_validates_table():
 
 def test_joint_probabilities_form():
     x = seeded_points(21, 25, 6)
-    p = joint_probabilities(x, perplexity=7)
+    p, achieved = joint_probabilities(x, perplexity=7)
     assert p.shape == (25, 25)
+    assert np.abs(achieved - 7).max() <= 1e-4
     assert np.array_equal(p, p.T)
     assert np.abs(np.diagonal(p)).max() == 0.0
     assert (p >= 0).all()

@@ -15,7 +15,6 @@ from scbench import (
     read_gene_annotations,
     read_matrix_market,
     split_by_method_replicate,
-    summarize_dimensions,
     write_cell_annotations,
     write_dense_csv,
     write_gene_annotations,
@@ -280,49 +279,6 @@ def test_split_membership_matches_annotation_filter():
         assert list(sub.cell_ids) == expected
     with pytest.raises(DataError, match="do not match"):
         split_by_method_replicate(m, anns[:-1])
-
-
-def test_summarize_dimensions_sorted_rows():
-    m = random_matrix(35, 6, 3)
-    anns = [
-        CellAnnotation(m.cell_ids[i], meth, "r1")
-        for i, meth in enumerate(["b", "b", "a", "a", "a", "c"])
-    ]
-    splits = split_by_method_replicate(m, anns)
-    summary = summarize_dimensions(splits, sample="s")
-    assert [(r.method, r.n_cells) for r in summary.rows] == [
-        ("a", 3),
-        ("b", 2),
-        ("c", 1),
-    ]
-    assert all(r.n_genes_after_filter is None for r in summary.rows)
-    filtered = summarize_dimensions(splits, {("a", "r1"): 2}, sample="s")
-    assert filtered.rows[0].n_genes_after_filter == 2
-
-
-def test_summarize_plate_vs_droplet_cell_counts():
-    from scbench.synth import SynthConfig, generate
-
-    plate, _, plate_ann = generate(
-        SynthConfig(n_clusters=1, cells_per_cluster=20, n_genes=50, seed=1),
-        method="plate",
-    )
-    droplet, _, droplet_ann = generate(
-        SynthConfig(n_clusters=1, cells_per_cluster=80, n_genes=50, seed=2),
-        method="droplet",
-    )
-    from scbench.matrix import vstack_cells
-
-    merged = vstack_cells([plate, droplet])
-    splits = split_by_method_replicate(merged, plate_ann + droplet_ann)
-    summary = summarize_dimensions(splits)
-    by_method = {r.method: r.n_cells for r in summary.rows}
-    assert by_method["plate"] < by_method["droplet"]
-
-
-def test_summarize_rejects_empty_map():
-    with pytest.raises(DataError, match="empty"):
-        summarize_dimensions({})
 
 
 def test_dense_csv_round_trip(tmp_path):

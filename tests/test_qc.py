@@ -13,7 +13,6 @@ from scbench import (
     detection_stats,
     dropout_rate,
     from_dense,
-    method_sensitivity_table,
     vstack_cells,
 )
 
@@ -152,41 +151,3 @@ def test_cumulative_rejects_bad_budget():
     m = random_matrix(61, 3, 3)
     with pytest.raises(DataError):
         cumulative_detection(m, n_permutations=0)
-
-
-def test_sensitivity_table_one_row_per_split():
-    splits = {
-        (f"m{i}", f"r{j}"): random_matrix(10 * i + j, 8, 12)
-        for i in range(2)
-        for j in range(2)
-    }
-    rows = method_sensitivity_table(splits)
-    assert len(rows) == 4
-    assert [(r.method, r.replicate) for r in rows] == sorted(splits)
-    for r in rows:
-        sub = splits[(r.method, r.replicate)]
-        assert r.overall_dropout == dropout_rate(sub).overall_rate
-        assert r.median_detected == detection_stats(sub).median
-
-
-def test_sensitivity_table_separates_deep_from_sparse_profiles():
-    from scbench.synth import SynthConfig, generate
-
-    plate, _, _ = generate(
-        SynthConfig(n_clusters=1, cells_per_cluster=60, n_genes=120,
-                    dropout_prob=0.3, seed=5)
-    )
-    droplet, _, _ = generate(
-        SynthConfig(n_clusters=1, cells_per_cluster=60, n_genes=120,
-                    dropout_prob=0.8, seed=6)
-    )
-    rows = method_sensitivity_table(
-        {("plate", "r1"): plate, ("droplet", "r1"): droplet}
-    )
-    by_method = {r.method: r for r in rows}
-    assert by_method["plate"].overall_dropout < by_method["droplet"].overall_dropout
-    assert by_method["plate"].median_detected > by_method["droplet"].median_detected
-
-
-def test_sensitivity_table_empty_input():
-    assert method_sensitivity_table({}) == []

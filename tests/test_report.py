@@ -6,14 +6,12 @@ import pytest
 
 from scbench import (
     DataError,
-    PipelineResult,
     SplitResult,
     SynthConfig,
     adjusted_rand_index,
     cumulative_detection,
     detection_stats,
     dropout_rate,
-    emit_plots,
     emit_tables,
     generate,
     kmeans,
@@ -77,14 +75,15 @@ def build_split(method, replicate, seed, with_truth):
     )
 
 
+CONFIG = {"sample": "s", "seed": 3, "k": 3}
+
+
 @pytest.fixture(scope="module")
-def result():
-    splits = [
+def splits():
+    return [
         build_split("plate", "r1", 10, True),
         build_split("droplet", "r1", 11, False),
     ]
-    config = {"sample": "s", "seed": 3, "k": 3}
-    return PipelineResult("s", config, splits)
 
 
 def read_bytes(path):
@@ -108,15 +107,15 @@ def test_read_config_comment_requires_leading_comment(tmp_path):
         read_config_comment(path)
 
 
-def test_emit_tables_writes_expected_files(result, tmp_path):
-    paths = emit_tables(result, tmp_path)
+def test_emit_tables_writes_expected_files(splits, tmp_path):
+    paths = emit_tables(splits, tmp_path, CONFIG)
     assert [p.name for p in paths] == TABLES
     for p in paths:
-        assert read_config_comment(p) == result.config
+        assert read_config_comment(p) == CONFIG
 
 
-def test_dropout_table_schema(result, tmp_path):
-    emit_tables(result, tmp_path)
+def test_dropout_table_schema(splits, tmp_path):
+    emit_tables(splits, tmp_path, CONFIG)
     header, rows = read_table(tmp_path / "dropout.csv")
     assert header == [
         "sample", "method", "replicate", "overall_dropout",
@@ -125,14 +124,14 @@ def test_dropout_table_schema(result, tmp_path):
     assert [(r["method"], r["replicate"]) for r in rows] == [
         ("plate", "r1"), ("droplet", "r1"),
     ]
-    for row, s in zip(rows, result.splits):
+    for row, s in zip(rows, splits):
         assert float(row["overall_dropout"]) == s.dropout.overall_rate
         assert float(row["median_genes_detected"]) == s.detection.median
 
 
-def test_per_cell_tables_have_one_row_per_cell(result, tmp_path):
-    emit_tables(result, tmp_path)
-    n_cells = sum(s.matrix.n_cells for s in result.splits)
+def test_per_cell_tables_have_one_row_per_cell(splits, tmp_path):
+    emit_tables(splits, tmp_path, CONFIG)
+    n_cells = sum(s.matrix.n_cells for s in splits)
     for name in ("detection.csv", "clusters.csv"):
         _, rows = read_table(tmp_path / name)
         assert len(rows) == n_cells
@@ -142,48 +141,49 @@ def test_per_cell_tables_have_one_row_per_cell(result, tmp_path):
         assert len(rows) == n_cells
 
 
-def test_embedding_table_round_trips_coordinates(result, tmp_path):
-    emit_tables(result, tmp_path)
+def test_embedding_table_round_trips_coordinates(splits, tmp_path):
+    emit_tables(splits, tmp_path, CONFIG)
     _, rows = read_table(tmp_path / "embedding_tsne.csv")
     got = np.array([[float(r["dim1"]), float(r["dim2"])] for r in rows])
-    expected = np.vstack([s.tsne.coordinates for s in result.splits])
+    expected = np.vstack([s.tsne.coordinates for s in splits])
     assert np.array_equal(got, expected)
 
 
-def test_silhouette_table_has_overall_and_per_cluster_rows(result, tmp_path):
-    emit_tables(result, tmp_path)
+def test_silhouette_table_has_overall_and_per_cluster_rows(splits, tmp_path):
+    emit_tables(splits, tmp_path, CONFIG)
     _, rows = read_table(tmp_path / "silhouette.csv")
-    for s in result.splits:
+    for s in splits:
         mine = [r for r in rows if r["method"] == s.method]
         assert [r["cluster"] for r in mine] == ["all", "0", "1", "2"]
         assert float(mine[0]["mean_silhouette"]) == s.silhouettes.mean
         assert sum(int(r["n_points"]) for r in mine[1:]) == int(mine[0]["n_points"])
 
 
-def test_summary_json_contents(result, tmp_path):
-    path = write_summary(result, tmp_path)
+def test_summary_json_contents(splits, tmp_path):
+    path = write_summary(splits, tmp_path, CONFIG)
     payload = json.loads(path.read_text())
-    assert payload["config"] == result.config
+    assert payload["config"] == CONFIG
     assert len(payload["splits"]) == 2
     first, second = payload["splits"]
     assert "ari" in first and "ari" not in second
-    assert first["n_cells"] == result.splits[0].matrix.n_cells
-    assert first["n_genes_after_filter"] == result.splits[0].trace.genes_out
-    assert first["silhouette_mean"] == result.splits[0].silhouettes.mean
+    assert first["n_cells"] == splits[0].matrix.n_cells
+    assert first["n_genes_after_filter"] == splits[0].trace.genes_out
+    assert first["silhouette_mean"] == splits[0].silhouettes.mean
 
 
-def test_emitted_artifacts_are_byte_identical_across_runs(result, tmp_path):
+def test_emitted_artifacts_are_byte_identical_across_runs(splits, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
-        emit_tables(result, d)
-        write_summary(result, d)
-        emit_plots(result, d, seed=3)
+        emit_tables(splits, d, CONFIG)
+        write_summary(splits, d, CONFIG)
+        rebuild_plots_from_tables(d, d)
     for name in TABLES + FIGURES + ["summary.json"]:
         assert read_bytes(a / name) == read_bytes(b / name), name
 
 
-def test_emit_plots_writes_six_figures(result, tmp_path):
-    paths = emit_plots(result, tmp_path, seed=3)
+def test_rebuild_writes_six_figures(splits, tmp_path):
+    emit_tables(splits, tmp_path, CONFIG)
+    paths = rebuild_plots_from_tables(tmp_path, tmp_path)
     assert [p.name for p in paths] == FIGURES
     for p in paths:
         text = p.read_text()
@@ -192,38 +192,52 @@ def test_emit_plots_writes_six_figures(result, tmp_path):
         assert "<!-- config: " in text
 
 
-def test_emit_plots_requires_splits(result, tmp_path):
-    empty = PipelineResult("s", result.config, [])
+def test_rebuild_requires_splits(tmp_path):
+    emit_tables([], tmp_path, CONFIG)
     with pytest.raises(DataError, match="no splits"):
-        emit_plots(empty, tmp_path)
+        rebuild_plots_from_tables(tmp_path, tmp_path)
 
 
-def test_emit_tables_with_no_splits_writes_headers_only(result, tmp_path):
-    empty = PipelineResult("s", result.config, [])
-    paths = emit_tables(empty, tmp_path)
+def test_emit_tables_with_no_splits_writes_headers_only(tmp_path):
+    paths = emit_tables([], tmp_path, CONFIG)
     for p in paths:
         _, rows = read_table(p)
         assert rows == []
 
 
-def test_rebuilt_figures_match_original_bytes(result, tmp_path):
+def test_rebuilt_figures_match_original_bytes(splits, tmp_path):
+    # pipeline draws in place; report redraws into another directory
     src, dst = tmp_path / "src", tmp_path / "dst"
-    emit_tables(result, src)
-    originals = emit_plots(result, src, seed=3)
+    emit_tables(splits, src, CONFIG)
+    originals = rebuild_plots_from_tables(src, src)
     rebuilt = rebuild_plots_from_tables(src, dst)
     assert [p.name for p in rebuilt] == [p.name for p in originals]
     for orig, new in zip(originals, rebuilt):
         assert read_bytes(orig) == read_bytes(new), orig.name
 
 
-def test_rebuild_rejects_mismatched_tables(result, tmp_path):
+def test_rebuild_rejects_mismatched_tables(splits, tmp_path):
     src = tmp_path / "src"
-    emit_tables(result, src)
+    emit_tables(splits, src, CONFIG)
     clusters = (src / "clusters.csv").read_text().splitlines()
     # swap two data rows so cell order no longer matches the embedding table
-    clusters[2], clusters[3] = clusters[3], clusters[2]
-    (src / "clusters.csv").write_text("\n".join(clusters) + "\n")
+    swapped = list(clusters)
+    swapped[2], swapped[3] = swapped[3], swapped[2]
+    (src / "clusters.csv").write_text("\n".join(swapped) + "\n")
     with pytest.raises(DataError, match="disagree"):
+        rebuild_plots_from_tables(src, tmp_path / "dst")
+
+    # one split's rows missing from clusters.csv
+    kept = [ln for ln in clusters if ",droplet,r1," not in ln]
+    (src / "clusters.csv").write_text("\n".join(kept) + "\n")
+    with pytest.raises(DataError, match="clusters.csv has no rows for split droplet/r1"):
+        rebuild_plots_from_tables(src, tmp_path / "dst")
+
+    # a coordinate column renamed
+    emit_tables(splits, src, CONFIG)
+    tsne_table = (src / "embedding_tsne.csv").read_text()
+    (src / "embedding_tsne.csv").write_text(tsne_table.replace(",dim1,", ",x1,", 1))
+    with pytest.raises(DataError, match="embedding_tsne.csv has no 'dim1' column"):
         rebuild_plots_from_tables(src, tmp_path / "dst")
 
 
