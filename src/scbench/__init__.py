@@ -33,7 +33,6 @@ from .ingest import (
     read_dense_csv,
     read_gene_annotations,
     read_matrix_market,
-    split_annotations,
     split_by_method_replicate,
     write_cell_annotations,
     write_dense_csv,
@@ -118,7 +117,6 @@ __all__ = [
     "read_table",
     "rebuild_plots_from_tables",
     "silhouette",
-    "split_annotations",
     "split_by_method_replicate",
     "tsne",
     "vstack_cells",

@@ -23,11 +23,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from ._util import canonical_json, worker_count
 from .cluster import (
     adjusted_rand_index,
+    check_linkage,
     cut_dendrogram,
     hierarchical,
     kmeans,
@@ -42,7 +41,6 @@ from .ingest import (
     read_cell_annotations,
     read_gene_annotations,
     read_matrix_market,
-    split_annotations,
     split_by_method_replicate,
     write_cell_annotations,
     write_dense_csv,
@@ -113,21 +111,6 @@ def _metric_name(args) -> str:
     return args.metric.replace("-", "_")
 
 
-def _cluster_points(coords: np.ndarray, args):
-    if args.cluster_method == "kmeans":
-        res = kmeans(coords, args.k, seed=args.seed, restarts=args.restarts)
-        return res.labels, res
-    dend = hierarchical(coords, linkage=args.linkage, metric=_metric_name(args))
-    return cut_dendrogram(dend, args.k), None
-
-
-def _silhouettes(coords: np.ndarray, labels: np.ndarray, args):
-    metric = _metric_name(args)
-    if metric == "euclidean":
-        return silhouette(coords, labels)
-    return silhouette(labels=labels, distances=pairwise_distances(coords, metric))
-
-
 def _truth_labels(annotations) -> list[str] | None:
     types = [a.cell_type for a in annotations]
     if any(t is None for t in types):
@@ -136,7 +119,10 @@ def _truth_labels(annotations) -> list[str] | None:
 
 
 def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
-    """Run the per-split chain up to `depth`; later fields stay None."""
+    """Run the per-split chain up to `depth`; later fields stay None.
+
+    The QC tables are computed only at the depths whose artifacts hold them.
+    """
     method, replicate = key
     fields = {
         "sample": args.sample,
@@ -145,7 +131,7 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
         "matrix": sub,
         "annotations": annotations,
     }
-    if depth in ("qc", "full"):
+    if depth in ("qc", "pipeline"):
         fields["dropout"] = dropout_rate(sub)
         fields["detection"] = detection_stats(sub)
         fields["cumulative"] = cumulative_detection(sub, seed=args.seed)
@@ -178,10 +164,17 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     if depth == "embed":
         return SplitResult(**fields)
 
-    labels, clusters = _cluster_points(tsne_emb.coordinates, args)
+    # one distance matrix per split, shared by hclust and the silhouettes
+    coords = tsne_emb.coordinates
+    metric = _metric_name(args)
+    d = pairwise_distances(coords, metric)
+    if args.cluster_method == "kmeans":
+        labels = kmeans(coords, args.k, seed=args.seed, restarts=args.restarts).labels
+    else:
+        dend = hierarchical(distances=d, linkage=args.linkage, metric=metric)
+        labels = cut_dendrogram(dend, args.k)
     fields["labels"] = labels
-    fields["clusters"] = clusters
-    fields["silhouettes"] = _silhouettes(tsne_emb.coordinates, labels, args)
+    fields["silhouettes"] = silhouette(labels=labels, distances=d)
     truth = _truth_labels(annotations)
     if truth is not None:
         fields["ari"] = adjusted_rand_index(truth, labels)
@@ -190,10 +183,9 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
 
 def _stage_splits(args, depth: str) -> list[SplitResult]:
     m, annotations = _load_inputs(args)
-    mats = split_by_method_replicate(m, annotations)
-    anns = split_annotations(annotations)
+    groups = split_by_method_replicate(m, annotations)
     return _parallel_map(
-        lambda key: _compute_split(args, key, mats[key], anns[key], depth), list(mats)
+        lambda key: _compute_split(args, key, *groups[key], depth), list(groups)
     )
 
 
@@ -304,19 +296,23 @@ STAGES = (
     ("normalize", "filter then quantile-normalize each split", "normalize",
      _emit_normalize),
     ("embed", "PCA and t-SNE embeddings of each normalized split", "embed", _emit_embed),
-    ("cluster", "cluster each split's t-SNE embedding", "full", _emit_cluster),
+    ("cluster", "cluster each split's t-SNE embedding", "cluster", _emit_cluster),
     ("evaluate", "silhouette table and (with truth labels) adjusted Rand index",
-     "full", _emit_evaluate),
+     "cluster", _emit_evaluate),
     ("pipeline", "run every stage and write all tables, summary, and figures",
-     "full", _emit_pipeline),
+     "pipeline", _emit_pipeline),
 )
 # how many of FLAG_GROUPS a stage command at each depth takes
-DEPTH_GROUPS = {"split": 1, "qc": 1, "filter": 2, "normalize": 2, "embed": 3, "full": 4}
+DEPTH_GROUPS = {
+    "split": 1, "qc": 1, "filter": 2, "normalize": 2, "embed": 3, "cluster": 4, "pipeline": 4,
+}
 
 
 def _run_stage(depth: str, emit, args) -> int:
     keys = sum((k for _, k in FLAG_GROUPS[: DEPTH_GROUPS[depth]]), ()) + SEED_KEYS
     config = _resolved_config(args, keys)
+    if depth in ("cluster", "pipeline") and args.cluster_method == "hclust":
+        check_linkage(args.linkage, _metric_name(args))
     splits = _stage_splits(args, depth)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

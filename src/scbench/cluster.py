@@ -221,6 +221,14 @@ class Dendrogram:
         return np.array([m.height for m in self.merges])
 
 
+def check_linkage(linkage: str, metric: str) -> None:
+    """Raise DataError unless `linkage` is known and fits `metric`."""
+    if linkage not in LINKAGES:
+        raise DataError(f"unknown linkage {linkage!r}")
+    if linkage == "ward" and metric != "euclidean":
+        raise DataError("ward linkage requires the euclidean metric")
+
+
 def hierarchical(
     x=None,
     linkage: str = "average",
@@ -233,11 +241,14 @@ def hierarchical(
     merging A and B costs 2|A||B|/(|A|+|B|) times the squared distance between
     their centroids. Distance ties are broken by the smallest (node_a, node_b)
     pair; merge t creates node n_leaves + t.
+
+    All merging happens in one working copy of the distances (squared for
+    ward); `distances` itself is never modified. The copy holds inf on its
+    diagonal and on the row and column of every slot merged away, so the
+    smallest entry is always a live pair and the update can run on whole rows:
+    a retired slot stays at inf under every linkage's update.
     """
-    if linkage not in LINKAGES:
-        raise DataError(f"unknown linkage {linkage!r}")
-    if linkage == "ward" and metric != "euclidean":
-        raise DataError("ward linkage requires the euclidean metric")
+    check_linkage(linkage, metric)
     if distances is None:
         if x is None:
             raise DataError("need points or a distance matrix")
@@ -249,20 +260,15 @@ def hierarchical(
     n = d.shape[0]
     if n < 2:
         raise DataError("clustering needs at least 2 points")
-    if linkage == "ward":
-        work = d * d
-    else:
-        work = d.copy()
+    work = d * d if linkage == "ward" else d.copy()
+    np.fill_diagonal(work, np.inf)
 
-    alive = np.ones(n, dtype=bool)
     slot_node = np.arange(n)
     slot_size = np.ones(n, dtype=np.int64)
     merges = []
     for t in range(n - 1):
-        masked = np.where(alive[:, None] & alive[None, :], work, np.inf)
-        np.fill_diagonal(masked, np.inf)
-        dist = masked.min()
-        cand = np.argwhere(masked == dist)
+        dist = work.min()
+        cand = np.argwhere(work == dist)
         # each tied pair appears in both orders; normalizing by node id and
         # taking the minimum applies the (node_a, node_b) tie-break
         i, j = min(
@@ -273,9 +279,7 @@ def hierarchical(
         si, sj = int(slot_size[i]), int(slot_size[j])
         height = float(dist)
 
-        others = alive.copy()
-        others[i] = others[j] = False
-        dik, djk = work[i, others], work[j, others]
+        dik, djk = work[i], work[j]
         if linkage == "single":
             new = np.minimum(dik, djk)
         elif linkage == "complete":
@@ -283,16 +287,16 @@ def hierarchical(
         elif linkage == "average":
             new = (si * dik + sj * djk) / (si + sj)
         else:  # ward, on squared distances
-            sk = slot_size[others]
-            new = ((si + sk) * dik + (sj + sk) * djk - sk * work[i, j]) / (
-                si + sj + sk
-            )
-        work[i, others] = new
-        work[others, i] = new
+            sk = slot_size
+            new = ((si + sk) * dik + (sj + sk) * djk - sk * dist) / (si + sj + sk)
+        new[i] = new[j] = np.inf
+        work[i] = new
+        work[:, i] = new
+        work[j] = np.inf
+        work[:, j] = np.inf
 
         slot_size[i] = si + sj
         slot_node[i] = n + t
-        alive[j] = False
         merges.append(Merge(a, b, height, si + sj))
     return Dendrogram(tuple(merges), linkage, metric, n)
 

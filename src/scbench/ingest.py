@@ -246,8 +246,12 @@ def attach_annotations(
 
 def split_by_method_replicate(
     m: CountMatrix, annotations: Sequence[CellAnnotation]
-) -> dict[tuple[str, str], CountMatrix]:
-    """Partition cells into one sub-matrix per (method, replicate); genes are kept."""
+) -> dict[tuple[str, str], tuple[CountMatrix, list[CellAnnotation]]]:
+    """Partition cells by (method, replicate), in sorted key order.
+
+    Each split gets its sub-matrix (all genes kept) and its annotations, both
+    in matrix row order.
+    """
     if len(annotations) != m.n_cells:
         raise DataError(
             f"annotation rows ({len(annotations)}) do not match matrix cells ({m.n_cells})"
@@ -255,23 +259,13 @@ def split_by_method_replicate(
     groups: dict[tuple[str, str], list[int]] = {}
     for i, a in enumerate(annotations):
         groups.setdefault((a.method, a.replicate), []).append(i)
-    out: dict[tuple[str, str], CountMatrix] = {}
+    out = {}
     gene_mask = np.ones(m.n_genes, dtype=bool)
     for key in sorted(groups):
         cell_mask = np.zeros(m.n_cells, dtype=bool)
         cell_mask[groups[key]] = True
-        out[key] = m.submatrix(cell_mask, gene_mask)
+        out[key] = (m.submatrix(cell_mask, gene_mask), [annotations[i] for i in groups[key]])
     return out
-
-
-def split_annotations(
-    annotations: Sequence[CellAnnotation],
-) -> dict[tuple[str, str], list[CellAnnotation]]:
-    """Group annotations by (method, replicate) in the split order."""
-    groups: dict[tuple[str, str], list[CellAnnotation]] = {}
-    for a in annotations:
-        groups.setdefault((a.method, a.replicate), []).append(a)
-    return {key: groups[key] for key in sorted(groups)}
 
 
 def write_dense_csv(em, path, comment: str | None = None) -> None:

@@ -53,12 +53,10 @@ def filter_sparse_genes(
     cfg = cfg or FilterConfig()
     if m.n_cells < 1:
         raise DataError("sparsity filter needs at least one cell")
+    # zeros / n <= num / den  <=>  zeros <= floor(num * n / den), in Python ints
     threshold = _as_fraction(cfg.zero_fraction_threshold)
-    nonzero = m.gene_nonzero_count()
-    keep = np.array(
-        [Fraction(m.n_cells - int(nz), m.n_cells) <= threshold for nz in nonzero],
-        dtype=bool,
-    )
+    max_zeros = threshold.numerator * m.n_cells // threshold.denominator
+    keep = (m.n_cells - m.gene_nonzero_count()) <= max_zeros
     removed_ids = tuple(g for g, k in zip(m.gene_ids, keep) if not k)
     out = m.submatrix(np.ones(m.n_cells, dtype=bool), keep)
     trace = FilterTrace(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import canonical_json, fmt_float
-from .cluster import ClusterResult, SilhouetteReport
+from .cluster import SilhouetteReport
 from .embed import Embedding
 from .errors import DataError
 from .ingest import CellAnnotation
@@ -47,7 +47,6 @@ class SplitResult:
     normalized: ExpressionMatrix | None = None
     pca: Embedding | None = None
     tsne: Embedding | None = None
-    clusters: ClusterResult | None = None
     labels: np.ndarray | None = None
     silhouettes: SilhouetteReport | None = None
     ari: float | None = None
@@ -267,8 +266,9 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     `pipeline` draws its figures this way from the tables it has just
     written, and `report` redraws them later. The config embedded in the
     tables (including the jitter seed) decides every byte, so both give the
-    same files. A table that lacks a column the figures need, or an
-    embedding split with no rows in clusters.csv, raises DataError.
+    same files. A table that lacks a column the figures need, or that names
+    another set of (method, replicate) splits than detection.csv, raises
+    DataError.
     """
     indir = Path(indir)
     outdir = Path(outdir)
@@ -277,12 +277,19 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     comment = canonical_json(config)
     seed = int(config.get("seed", 0))
     paths = []
+    splits = None  # the split set of detection.csv, once read
 
     def table(name, *columns):
         header, rows = read_table(indir / name)
         for column in ("method", "replicate") + columns:
             if column not in header:
                 raise DataError(f"{name} has no {column!r} column")
+        found = {(r["method"], r["replicate"]) for r in rows}
+        if splits is not None and found != splits:
+            m, r = min(found ^ splits)
+            if (m, r) in splits:
+                raise DataError(f"{name} has no rows for split {m}/{r}")
+            raise DataError(f"{name} has split {m}/{r}, which detection.csv lacks")
         return rows
 
     def grouped(rows):
@@ -294,6 +301,7 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     det = table("detection.csv", "genes_detected")
     if not det:
         raise DataError("no splits to plot")
+    splits = set(grouped(det))
     groups = [
         (f"{m}/{r}", np.array([float(row["genes_detected"]) for row in rows]))
         for (m, r), rows in grouped(det).items()
@@ -331,8 +339,6 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
         emb = table(name, "cell_id", "dim1", "dim2")
         points, group_idx, labels = [], [], []
         for (m, r), rows in grouped(emb).items():
-            if (m, r) not in labels_by_split:
-                raise DataError(f"clusters.csv has no rows for split {m}/{r} of {name}")
             crows = labels_by_split[(m, r)]
             if [x["cell_id"] for x in crows] != [x["cell_id"] for x in rows]:
                 raise DataError("clusters.csv and embedding tables disagree on cells")

@@ -134,6 +134,8 @@ def test_data_errors_report_json_envelope(capsys, tmp_path, pipeline_dir):
         ("embed", SPEED[:4]),
         ("cluster", SPEED),
         ("evaluate", SPEED),
+        ("evaluate", [*SPEED[:4], "--cluster-method", "hclust", "--linkage", "ward",
+                      "--k", "4"]),
     ],
 )
 def test_stage_rerun_is_byte_identical(data_dir, tmp_path, command, flags):
@@ -144,6 +146,59 @@ def test_stage_rerun_is_byte_identical(data_dir, tmp_path, command, flags):
     assert names and names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_ward_with_correlation_fails_before_any_stage_runs(
+    data_dir, tmp_path, capsys, monkeypatch
+):
+    def no_tsne(*args, **kwargs):
+        raise AssertionError("t-SNE ran before the linkage check")
+
+    monkeypatch.setattr(scbench.cli, "tsne", no_tsne)
+    rc = cli_main(["cluster", *input_args(data_dir), "--cluster-method", "hclust",
+                   "--metric", "one-minus-correlation", "-o", str(tmp_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError",
+        "message": "ward linkage requires the euclidean metric",
+    }
+
+
+def test_cluster_and_evaluate_skip_qc(data_dir, tmp_path, monkeypatch):
+    def no_qc(*args, **kwargs):
+        raise AssertionError("QC ran for a command that writes no QC table")
+
+    monkeypatch.setattr(scbench.cli, "cumulative_detection", no_qc)
+    for command in ("cluster", "evaluate"):
+        out = tmp_path / command
+        assert cli_main([command, *input_args(data_dir), *SPEED, "-o", str(out)]) == 0
+
+
+def test_one_distance_matrix_per_split(data_dir, tmp_path, monkeypatch):
+    # two splits: the same cells as replicates r1 and r2
+    anns = read_cell_annotations(data_dir / "cells.csv")
+    cells = tmp_path / "cells.csv"
+    write_cell_annotations(
+        [CellAnnotation(a.cell_id, a.method, f"r{1 + i % 2}", a.cell_type)
+         for i, a in enumerate(anns)],
+        cells,
+    )
+    calls = []
+    original = scbench.cluster.pairwise_distances
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scbench.cli, "pairwise_distances", counted)
+    monkeypatch.setattr(scbench.cluster, "pairwise_distances", counted)
+    rc = cli_main(["evaluate", "--matrix", str(data_dir / "matrix.mtx"),
+                   "--cells", str(cells), *SPEED, "--cluster-method", "hclust",
+                   "-o", str(tmp_path / "out")])
+    assert rc == 0
+    _, rows = read_table(tmp_path / "out" / "silhouette.csv")
+    assert {r["replicate"] for r in rows} == {"r1", "r2"}
+    assert len(calls) == 2
 
 
 def test_pipeline_runs_on_a_split_of_at_most_50_cells(tmp_path):

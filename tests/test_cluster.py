@@ -153,6 +153,14 @@ def test_hierarchical_tie_break_on_unit_square():
 
 
 def test_hierarchical_matches_naive_oracle():
+    def check(x, linkage, metric="euclidean"):
+        dend = hierarchical(x, linkage=linkage, metric=metric)
+        expected = naive_agglomerate(x, linkage, metric)
+        got = [(m.node_a, m.node_b) for m in dend.merges]
+        assert got == [(a, b) for a, b, _ in expected]
+        heights = np.array([h for _, _, h in expected])
+        assert np.abs(dend.heights() - heights).max() <= 1e-9
+
     rng = np.random.default_rng(20)
     for trial in range(3):
         x = rng.normal(size=(12, 4))
@@ -160,19 +168,22 @@ def test_hierarchical_matches_naive_oracle():
             metrics = ("euclidean",) if linkage == "ward" else (
                 "euclidean", "one_minus_correlation")
             for metric in metrics:
-                dend = hierarchical(x, linkage=linkage, metric=metric)
-                expected = naive_agglomerate(x, linkage, metric)
-                got = [(m.node_a, m.node_b) for m in dend.merges]
-                assert got == [(a, b) for a, b, _ in expected]
-                heights = np.array([h for _, _, h in expected])
-                assert np.abs(dend.heights() - heights).max() <= 1e-9
+                check(x, linkage, metric)
+    # integer grids tie many distances; average and ward round differently
+    # from the oracle at such ties, so only single and complete take them
+    for trial in range(3):
+        x = rng.integers(0, 3, size=(12, 2)).astype(float)
+        for linkage in ("single", "complete"):
+            check(x, linkage)
 
 
 def test_hierarchical_accepts_precomputed_distances():
     x = blob(21, 14, 4)
     d = pairwise_distances(x, "euclidean")
+    before = d.copy()
     from_points = hierarchical(x, linkage="average")
     from_dists = hierarchical(distances=d, linkage="average")
+    assert np.array_equal(d, before)
     assert [
         (m.node_a, m.node_b) for m in from_points.merges
     ] == [(m.node_a, m.node_b) for m in from_dists.merges]

@@ -246,10 +246,11 @@ def test_split_partitions_cells():
     ]
     splits = split_by_method_replicate(m, anns)
     assert len(splits) == 4
-    assert sum(s.n_cells for s in splits.values()) == 10
-    assert all(s.n_genes == 6 for s in splits.values())
-    assert sum(s.nnz for s in splits.values()) == m.nnz
-    seen = [cid for s in splits.values() for cid in s.cell_ids]
+    subs = [sub for sub, _ in splits.values()]
+    assert sum(s.n_cells for s in subs) == 10
+    assert all(s.n_genes == 6 for s in subs)
+    assert sum(s.nnz for s in subs) == m.nnz
+    seen = [cid for s in subs for cid in s.cell_ids]
     assert sorted(seen) == sorted(m.cell_ids)
 
 
@@ -258,7 +259,8 @@ def test_split_single_group_is_identity():
     anns = [CellAnnotation(cid, "only", "r1") for cid in m.cell_ids]
     splits = split_by_method_replicate(m, anns)
     assert list(splits) == [("only", "r1")]
-    assert splits[("only", "r1")].equals(m)
+    sub, sub_anns = splits[("only", "r1")]
+    assert sub.equals(m) and sub_anns == anns
 
 
 def test_split_membership_matches_annotation_filter():
@@ -274,9 +276,11 @@ def test_split_membership_matches_annotation_filter():
         for i in range(n)
     ]
     splits = split_by_method_replicate(m, anns)
-    for key, sub in splits.items():
-        expected = [a.cell_id for a in anns if (a.method, a.replicate) == key]
-        assert list(sub.cell_ids) == expected
+    assert list(splits) == sorted(splits)
+    for key, (sub, sub_anns) in splits.items():
+        expected = [a for a in anns if (a.method, a.replicate) == key]
+        assert sub_anns == expected
+        assert list(sub.cell_ids) == [a.cell_id for a in expected]
     with pytest.raises(DataError, match="do not match"):
         split_by_method_replicate(m, anns[:-1])
 

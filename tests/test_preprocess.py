@@ -31,6 +31,12 @@ def test_sparse_filter_boundary_is_strict():
     assert trace.removed_by_sparsity == 1
     assert trace.removed_sparse_ids == ("gene_1",)
 
+    # 2 zeros of 3 exceed the written threshold 0.6666666666666666, though
+    # the float 2/3 compares equal to it
+    m = from_dense(np.array([[1], [0], [0]], dtype=np.int64))
+    out, trace = filter_sparse_genes(m, FilterConfig(zero_fraction_threshold=2 / 3))
+    assert out.n_genes == 0 and trace.removed_sparse_ids == ("gene_0",)
+
 
 def test_sparse_filter_keeps_dense_matrix():
     m = from_dense(np.ones((6, 5), dtype=np.int64))

@@ -68,7 +68,6 @@ def build_split(method, replicate, seed, with_truth):
         normalized=normalized,
         pca=pca_emb,
         tsne=tsne_emb,
-        clusters=km,
         labels=km.labels,
         silhouettes=silhouette(tsne_emb.coordinates, km.labels),
         ari=adjusted_rand_index(truth, km.labels) if with_truth else None,
@@ -231,6 +230,22 @@ def test_rebuild_rejects_mismatched_tables(splits, tmp_path):
     kept = [ln for ln in clusters if ",droplet,r1," not in ln]
     (src / "clusters.csv").write_text("\n".join(kept) + "\n")
     with pytest.raises(DataError, match="clusters.csv has no rows for split droplet/r1"):
+        rebuild_plots_from_tables(src, tmp_path / "dst")
+
+    # one split's rows missing from an embedding table or from dropout.csv
+    for name in ("embedding_pca.csv", "dropout.csv"):
+        emit_tables(splits, src, CONFIG)
+        text = (src / name).read_text().splitlines()
+        kept = [ln for ln in text if ",plate,r1," not in ln]
+        (src / name).write_text("\n".join(kept) + "\n")
+        with pytest.raises(DataError, match=f"{name} has no rows for split plate/r1"):
+            rebuild_plots_from_tables(src, tmp_path / "dst")
+
+    # a split that only silhouette.csv names
+    emit_tables(splits, src, CONFIG)
+    text = (src / "silhouette.csv").read_text()
+    (src / "silhouette.csv").write_text(text + "s,extra,r9,3,all,5,0.5\n")
+    with pytest.raises(DataError, match="silhouette.csv has split extra/r9"):
         rebuild_plots_from_tables(src, tmp_path / "dst")
 
     # a coordinate column renamed
