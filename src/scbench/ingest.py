@@ -50,47 +50,101 @@ def _parse_count(token: str, field: str, lineno: int) -> int:
     return int(value)
 
 
-def read_matrix_market(path) -> CountMatrix:
-    """Parse a Matrix Market coordinate file into a CountMatrix.
+def _read_header(fh) -> tuple[str, int, int, int, int]:
+    """Parse the banner and size line.
 
-    File rows map to cells and columns to genes, exactly as stored; callers
-    handle orientation. Ids are synthetic until attach_annotations runs.
+    Returns the field type, the declared rows, columns and entry count, and
+    the number of the last line read.
+    """
+    header = fh.readline()
+    if not header.startswith(MM_BANNER):
+        raise FormatError("missing MatrixMarket banner")
+    tokens = header.split()
+    if len(tokens) != 5:
+        raise FormatError(f"malformed header: {header.strip()!r}")
+    _, obj, fmt, field, symmetry = (t.lower() for t in tokens)
+    if obj != "matrix" or fmt != "coordinate":
+        raise FormatError(f"unsupported layout: {obj} {fmt}")
+    if field not in ("integer", "real"):
+        raise FormatError(f"unsupported field type: {field}")
+    if symmetry != "general":
+        raise FormatError(f"unsupported symmetry: {symmetry}")
+
+    size_line = None
+    lineno = 1
+    for line in fh:
+        lineno += 1
+        if line.startswith("%") or not line.strip():
+            continue
+        size_line = line
+        break
+    if size_line is None:
+        raise FormatError("missing size line")
+    parts = size_line.split()
+    if len(parts) != 3:
+        raise FormatError(f"malformed size line: {size_line.strip()!r}")
+    try:
+        n_rows, n_cols, nnz = (int(p) for p in parts)
+    except ValueError:
+        raise FormatError(f"malformed size line: {size_line.strip()!r}") from None
+    if n_rows < 0 or n_cols < 0 or nnz < 0:
+        raise FormatError("negative size")
+    return field, n_rows, n_cols, nnz, lineno
+
+
+def _load_entries(fh, field: str, n_rows: int, n_cols: int, nnz: int):
+    """Whole-array pass over the entry body: 0-based (nnz, 3) int64 triplets.
+
+    Returns None when anything in the body fails a check, or when the body
+    holds a line that the per-line scanner treats specially (a `%` comment);
+    the caller then re-reads the file with `_scan_matrix_market`, which names
+    the offending line.
+    """
+    import warnings
+
+    if nnz == 0:
+        if any(line.strip() and not line.startswith("%") for line in fh):
+            return None
+        return np.empty((0, 3), dtype=np.int64)
+    integer = field == "integer"
+    dtype = np.int64 if integer else [("r", np.int64), ("c", np.int64), ("v", np.float64)]
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data" and the like mean a short body
+            warnings.simplefilter("error")
+            body = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=2 if integer else 1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if integer:
+        if body.shape != (nnz, 3):
+            return None
+        rows, cols, vals = body[:, 0], body[:, 1], body[:, 2]
+    else:
+        if body.shape != (nnz,):
+            return None
+        rows, cols, vals = body["r"], body["c"], body["v"]
+        if not (np.isfinite(vals).all() and (np.trunc(vals) == vals).all()):
+            return None
+    if not (
+        1 <= rows.min() and rows.max() <= n_rows
+        and 1 <= cols.min() and cols.max() <= n_cols
+        and 0 <= vals.min() and vals.max() <= COUNT_MAX
+    ):
+        return None
+    if integer:
+        body[:, :2] -= 1
+        return body
+    return np.column_stack([rows - 1, cols - 1, vals.astype(np.int64)])
+
+
+def _scan_matrix_market(path) -> CountMatrix:
+    """Per-line parse of a Matrix Market file; names the first bad line.
+
+    `read_matrix_market` falls back to this when its whole-array pass
+    rejects the body, so every FormatError comes from here.
     """
     with _open_text(path) as fh:
-        header = fh.readline()
-        if not header.startswith(MM_BANNER):
-            raise FormatError("missing MatrixMarket banner")
-        tokens = header.split()
-        if len(tokens) != 5:
-            raise FormatError(f"malformed header: {header.strip()!r}")
-        _, obj, fmt, field, symmetry = (t.lower() for t in tokens)
-        if obj != "matrix" or fmt != "coordinate":
-            raise FormatError(f"unsupported layout: {obj} {fmt}")
-        if field not in ("integer", "real"):
-            raise FormatError(f"unsupported field type: {field}")
-        if symmetry != "general":
-            raise FormatError(f"unsupported symmetry: {symmetry}")
-
-        size_line = None
-        lineno = 1
-        for line in fh:
-            lineno += 1
-            if line.startswith("%") or not line.strip():
-                continue
-            size_line = line
-            break
-        if size_line is None:
-            raise FormatError("missing size line")
-        parts = size_line.split()
-        if len(parts) != 3:
-            raise FormatError(f"malformed size line: {size_line.strip()!r}")
-        try:
-            n_rows, n_cols, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"malformed size line: {size_line.strip()!r}") from None
-        if n_rows < 0 or n_cols < 0 or nnz < 0:
-            raise FormatError("negative size")
-
+        field, n_rows, n_cols, nnz, lineno = _read_header(fh)
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz, dtype=np.int64)
@@ -119,22 +173,46 @@ def read_matrix_market(path) -> CountMatrix:
             seen += 1
         if seen != nnz:
             raise FormatError(f"expected {nnz} entries, found {seen}")
+    return _count_matrix(np.column_stack([rows, cols, vals]), n_rows, n_cols)
 
+
+def _count_matrix(entries: np.ndarray, n_rows: int, n_cols: int) -> CountMatrix:
     try:
-        return CountMatrix.from_triplets(
-            np.column_stack([rows, cols, vals]), n_rows, n_cols
-        )
+        return CountMatrix.from_triplets(entries, n_rows, n_cols)
     except DataError as exc:
         raise FormatError(f"invalid matrix content: {exc}") from exc
 
 
+def read_matrix_market(path) -> CountMatrix:
+    """Parse a Matrix Market coordinate file into a CountMatrix.
+
+    File rows map to cells and columns to genes, exactly as stored; callers
+    handle orientation. Ids are synthetic until attach_annotations runs. The
+    entry body is read and checked as whole arrays; a body that fails any
+    check is re-read line by line for the error message.
+    """
+    with _open_text(path) as fh:
+        field, n_rows, n_cols, nnz, _ = _read_header(fh)
+        entries = _load_entries(fh, field, n_rows, n_cols, nnz)
+    if entries is None:
+        return _scan_matrix_market(path)
+    return _count_matrix(entries, n_rows, n_cols)
+
+
+# entries formatted per write call
+_WRITE_CHUNK_ROWS = 1 << 14
+
+
 def write_matrix_market(m: CountMatrix, path) -> None:
     """Emit a coordinate-format integer Matrix Market file (1-based indices)."""
+    entries = m.triplets()
+    entries[:, :2] += 1  # 1-based coordinates
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix coordinate integer general\n")
         fh.write(f"{m.n_cells} {m.n_genes} {m.nnz}\n")
-        for cell, gene, cnt in zip(m.cell_idx, m.gene_idx, m.counts):
-            fh.write(f"{cell + 1} {gene + 1} {cnt}\n")
+        for start in range(0, m.nnz, _WRITE_CHUNK_ROWS):
+            block = entries[start : start + _WRITE_CHUNK_ROWS]
+            fh.write(("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_cell_annotations(path) -> list[CellAnnotation]:

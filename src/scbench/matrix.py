@@ -19,6 +19,13 @@ DENSIFY_BUDGET_DEFAULT = 500_000_000
 COUNT_MAX = 2**31 - 1
 
 
+def _owned(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark freshly built arrays read-only so CountMatrix stores them uncopied."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def default_cell_ids(n: int) -> tuple[str, ...]:
     return tuple(f"cell_{i}" for i in range(n))
 
@@ -91,7 +98,11 @@ class ExpressionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
-    """Immutable cells x genes sparse count matrix; stored entries are all >= 1."""
+    """Immutable cells x genes sparse count matrix; stored entries are all >= 1.
+
+    Entry arrays already in canonical order are stored without a sort: a
+    read-only one as it is, a writeable one as a copy.
+    """
 
     n_cells: int
     n_genes: int
@@ -116,13 +127,19 @@ class CountMatrix:
                 raise DataError("gene index out of range")
             if cnt.min() < 1:
                 raise DataError("stored counts must be >= 1")
-        order = np.lexsort((cell, gene))
-        cell, gene, cnt = cell[order], gene[order], cnt[order]
-        if cell.size > 1:
+        dg, dc = np.diff(gene), np.diff(cell)
+        # strictly increasing (gene, cell) keys: canonical order, no duplicates
+        if not ((dg > 0) | ((dg == 0) & (dc > 0))).all():
+            order = np.lexsort((cell, gene))
+            cell, gene, cnt = cell[order], gene[order], cnt[order]
             dup = (np.diff(gene) == 0) & (np.diff(cell) == 0)
             if dup.any():
                 k = int(np.flatnonzero(dup)[0])
                 raise DataError(f"duplicate entry at cell {cell[k]}, gene {gene[k]}")
+        else:
+            # a writeable input is the caller's to change; read-only ones are
+            # another matrix's entries or arrays handed over by _owned
+            cell, gene, cnt = (a.copy() if a.flags.writeable else a for a in (cell, gene, cnt))
         for name, arr in (("cell_idx", cell), ("gene_idx", gene), ("counts", cnt)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -164,12 +181,14 @@ class CountMatrix:
             if gene.min() < 0 or gene.max() >= n_genes:
                 raise DataError("gene index out of range")
         keep = cnt > 0
+        if not keep.all():
+            cell, gene, cnt = _owned(cell[keep], gene[keep], cnt[keep])
         return cls(
             n_cells,
             n_genes,
-            cell[keep],
-            gene[keep],
-            cnt[keep],
+            cell,
+            gene,
+            cnt,
             tuple(cell_ids) if cell_ids is not None else default_cell_ids(n_cells),
             tuple(gene_ids) if gene_ids is not None else default_gene_ids(n_genes),
         )
@@ -211,9 +230,11 @@ class CountMatrix:
         return CountMatrix(
             int(cm.sum()),
             int(gm.sum()),
-            new_cell[self.cell_idx[keep]],
-            new_gene[self.gene_idx[keep]],
-            self.counts[keep],
+            *_owned(
+                new_cell[self.cell_idx[keep]],
+                new_gene[self.gene_idx[keep]],
+                self.counts[keep],
+            ),
             tuple(i for i, m in zip(self.cell_ids, cm) if m),
             tuple(i for i, m in zip(self.gene_ids, gm) if m),
         )
@@ -257,12 +278,14 @@ class CountMatrix:
 
     def transpose(self) -> "CountMatrix":
         """Swap the cell and gene axes (ids move with their axis)."""
+        # gene-major entries stably sorted by cell are the transpose's
+        # canonical order; a cell index of 16 bits or less sorts by radix
+        key = self.cell_idx.astype(np.min_scalar_type(max(self.n_cells - 1, 0)))
+        order = np.argsort(key, kind="stable")
         return CountMatrix(
             self.n_genes,
             self.n_cells,
-            self.gene_idx,
-            self.cell_idx,
-            self.counts,
+            *_owned(self.gene_idx[order], self.cell_idx[order], self.counts[order]),
             self.gene_ids,
             self.cell_ids,
         )

@@ -68,12 +68,6 @@ def detection_stats(m: CountMatrix) -> DetectionStats:
     return DetectionStats(detected, float(med), float(q1), float(q3))
 
 
-def _genes_by_cell(m: CountMatrix) -> list[np.ndarray]:
-    order = np.argsort(m.cell_idx, kind="stable")
-    per_cell = np.bincount(m.cell_idx, minlength=m.n_cells)
-    return np.split(m.gene_idx[order], np.cumsum(per_cell)[:-1])
-
-
 def cumulative_detection(
     m: CountMatrix,
     n_permutations: int = CUMULATIVE_PERMUTATIONS_DEFAULT,
@@ -92,7 +86,6 @@ def cumulative_detection(
         raise DataError("need at least one permutation")
     if m.n_cells < 1:
         raise DataError("cumulative detection needs at least one cell")
-    genes_by_cell = _genes_by_cell(m)
     if m.n_cells <= 12 and math.factorial(m.n_cells) <= n_permutations:
         orders = [np.array(p) for p in permutations(range(m.n_cells))]
     else:
@@ -100,16 +93,18 @@ def cumulative_detection(
             seeded_rng(seed, p).permutation(m.n_cells)
             for p in range(n_permutations)
         ]
+    # entries are gene-major, so each detected gene is one run of entries
+    gene_starts = np.flatnonzero(np.diff(m.gene_idx, prepend=-1))
+    steps = np.arange(m.n_cells)
+    rank = np.empty(m.n_cells, dtype=np.int64)
     totals = np.zeros(m.n_cells, dtype=np.float64)
     for order in orders:
-        seen = np.zeros(m.n_genes, dtype=bool)
-        running = 0
-        for step, c in enumerate(order):
-            genes = genes_by_cell[c]
-            new = genes[~seen[genes]]
-            running += new.size
-            seen[new] = True
-            totals[step] += running
+        rank[order] = steps
+        # the step at which each detected gene is first seen
+        first = np.minimum.reduceat(rank[m.cell_idx], gene_starts)
+        # exact integer counts added in permutation order: the sum is the
+        # same float64 value a per-cell running union gives
+        totals += np.cumsum(np.bincount(first, minlength=m.n_cells))
     return CumulativeCurve(
         np.arange(1, m.n_cells + 1),
         totals / len(orders),

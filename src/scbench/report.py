@@ -268,7 +268,8 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     tables (including the jitter seed) decides every byte, so both give the
     same files. A table that lacks a column the figures need, or that names
     another set of (method, replicate) splits than detection.csv, raises
-    DataError.
+    DataError. Every figure is drawn before any file is written, so a
+    failing table leaves the output directory as it was.
     """
     indir = Path(indir)
     outdir = Path(outdir)
@@ -276,7 +277,7 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     config = read_config_comment(indir / "dropout.csv")
     comment = canonical_json(config)
     seed = int(config.get("seed", 0))
-    paths = []
+    figures = {}  # file name -> SVG text, in drawing order
     splits = None  # the split set of detection.csv, once read
 
     def table(name, *columns):
@@ -306,11 +307,9 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
         (f"{m}/{r}", np.array([float(row["genes_detected"]) for row in rows]))
         for (m, r), rows in grouped(det).items()
     ]
-    text = svg.boxplot_chart(
+    figures["detection_box.svg"] = svg.boxplot_chart(
         groups, "genes detected per cell", "genes detected", seed=seed, comment=comment
     )
-    paths.append(outdir / "detection_box.svg")
-    paths[-1].write_text(text)
 
     cum = table("cumulative.csv", "n_cells", "mean_genes_detected")
     series = [
@@ -321,15 +320,13 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
         )
         for (m, r), rows in grouped(cum).items()
     ]
-    text = svg.line_chart(
+    figures["cumulative.svg"] = svg.line_chart(
         series,
         "cumulative gene detection",
         "cells",
         "mean genes detected",
         comment=comment,
     )
-    paths.append(outdir / "cumulative.svg")
-    paths[-1].write_text(text)
 
     labels_by_split = grouped(table("clusters.csv", "cell_id", "cluster"))
     for fname, name in (
@@ -351,7 +348,7 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
                 points.append(coords[sel])
                 group_idx.append(np.full(int(sel.sum()), len(labels)))
                 labels.append(f"{m}/{r} c{c}")
-        text = svg.scatter_chart(
+        figures[fname] = svg.scatter_chart(
             np.vstack(points),
             np.concatenate(group_idx),
             labels,
@@ -360,17 +357,15 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
             "dim2",
             comment=comment,
         )
-        paths.append(outdir / fname)
-        paths[-1].write_text(text)
 
     dro = table("dropout.csv", "overall_dropout")
     bars = [
         (f"{row['method']}/{row['replicate']}", float(row["overall_dropout"]))
         for row in dro
     ]
-    text = svg.bar_chart(bars, "overall dropout rate", "dropout rate", comment=comment)
-    paths.append(outdir / "dropout.svg")
-    paths[-1].write_text(text)
+    figures["dropout.svg"] = svg.bar_chart(
+        bars, "overall dropout rate", "dropout rate", comment=comment
+    )
 
     sil = table("silhouette.csv", "cluster", "mean_silhouette")
     bars = [
@@ -381,9 +376,10 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
         for row in sil
         if row["cluster"] != "all"
     ]
-    text = svg.bar_chart(
+    figures["silhouette.svg"] = svg.bar_chart(
         bars, "mean silhouette by cluster", "mean silhouette", comment=comment
     )
-    paths.append(outdir / "silhouette.svg")
-    paths[-1].write_text(text)
-    return paths
+
+    for name, text in figures.items():
+        (outdir / name).write_text(text)
+    return [outdir / name for name in figures]

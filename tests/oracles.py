@@ -2,11 +2,15 @@
 
 Everything here recomputes results from first principles (definitions over
 raw pairwise distances, exhaustive enumeration) rather than sharing any code
-with the package under test.
+with the package under test. The one shared piece is `seeded_rng`, which
+defines the cell orderings cumulative detection averages over.
 """
 import itertools
+import math
 
 import numpy as np
+
+from scbench._util import seeded_rng
 
 
 def naive_distances(x, metric):
@@ -116,3 +120,36 @@ def mst_edge_weights(d):
         in_tree[j] = True
         best = np.minimum(best, d[j])
     return sorted(weights)
+
+
+def naive_cumulative_detection(m, n_permutations, seed):
+    """Mean running union of detected genes over cell orderings, visiting
+    every cell of every ordering in turn.
+
+    The orderings are the library's: all of them when n_permutations covers
+    every ordering of at most 12 cells, else the seeded permutations.
+    """
+    n = m.n_cells
+    if n <= 12 and math.factorial(n) <= n_permutations:
+        orders = list(itertools.permutations(range(n)))
+    else:
+        orders = [seeded_rng(seed, p).permutation(n) for p in range(n_permutations)]
+    genes_by_cell = [set() for _ in range(m.n_cells)]
+    for c, g in zip(m.cell_idx.tolist(), m.gene_idx.tolist()):
+        genes_by_cell[c].add(g)
+    totals = np.zeros(m.n_cells, dtype=np.float64)
+    for order in orders:
+        seen = set()
+        for step, c in enumerate(order):
+            seen |= genes_by_cell[c]
+            totals[step] += len(seen)
+    return totals / len(orders)
+
+
+def naive_write_matrix_market(m, path):
+    """One formatted line and one write per stored entry."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("%%MatrixMarket matrix coordinate integer general\n")
+        fh.write(f"{m.n_cells} {m.n_genes} {m.nnz}\n")
+        for cell, gene, cnt in zip(m.cell_idx, m.gene_idx, m.counts):
+            fh.write(f"{cell + 1} {gene + 1} {cnt}\n")

@@ -1,10 +1,13 @@
 """File parsing, annotation joins, and per-(method, replicate) splitting."""
 import gzip
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_dense, random_matrix
+from oracles import naive_write_matrix_market
 
+import scbench.ingest
 from scbench import (
     CellAnnotation,
     DataError,
@@ -20,6 +23,7 @@ from scbench import (
     write_gene_annotations,
     write_matrix_market,
 )
+from scbench.ingest import _WRITE_CHUNK_ROWS, _scan_matrix_market
 from scbench.matrix import from_dense
 
 PROTOCOLS = [
@@ -142,6 +146,133 @@ def test_matrix_market_gzip_sniffing(tmp_path):
     gz = tmp_path / "m.mtx.gz"
     gz.write_bytes(gzip.compress(plain.read_bytes()))
     assert read_matrix_market(gz).same_entries(m)
+
+
+INT_HEADER = "%%MatrixMarket matrix coordinate integer general\n"
+REAL_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+# name -> (file text, whether the whole-array pass accepts it as it stands)
+READER_CORPUS = {
+    "plain": (INT_HEADER + "3 2 3\n1 1 5\n3 1 2\n2 2 7\n", True),
+    "comment before size": (INT_HEADER + "% c\n\n3 2 1\n1 1 5\n", True),
+    "comment in body": (INT_HEADER + "3 2 2\n1 1 5\n% note\n3 2 1\n", False),
+    "trailing comment": (INT_HEADER + "3 2 2\n1 1 5\n3 2 1 % note\n", False),
+    "indented comment": (INT_HEADER + "3 2 1\n  % note\n1 1 5\n", False),
+    "blank lines in body": (INT_HEADER + "3 2 2\n1 1 5\n\n   \n3 2 1\n\n", True),
+    "crlf": ((INT_HEADER + "3 2 2\n1 1 5\n3 2 1\n").replace("\n", "\r\n"), True),
+    "lone cr": (INT_HEADER + "3 2 2\n1 1 5\r3 2 1\n", True),
+    "tabs": (INT_HEADER + "3 2 2\n1\t1\t5\n 3 2\t1 \n", True),
+    "unicode spaces": (INT_HEADER + "3 2 2\n1\xa01 5\n3\u20032 1\n", True),
+    "plus sign": (INT_HEADER + "3 2 2\n+1 1 +5\n3 2 1\n", True),
+    "leading zeros": (INT_HEADER + "3 2 1\n003 01 0005\n", True),
+    "underscore": (INT_HEADER + "3 2 1\n1 1 1_0\n", False),
+    "unicode digits": (INT_HEADER + "3 2 1\n1 1 \u0665\n", False),
+    "zero count": (INT_HEADER + "3 2 2\n1 1 0\n2 2 4\n", True),
+    "minus zero": (INT_HEADER + "3 2 1\n1 1 -0\n", True),
+    "float in integer field": (INT_HEADER + "3 2 1\n1 1 3.0\n", False),
+    "hex in integer field": (INT_HEADER + "3 2 1\n1 1 0x10\n", False),
+    "real integral": (REAL_HEADER + "3 2 3\n1 1 3.0\n2 2 1e2\n3 1 +.7e1\n", True),
+    "real zero": (REAL_HEADER + "3 2 2\n1 1 -0.0\n2 2 1e-400\n", True),
+    "real coordinate": (REAL_HEADER + "3 2 1\n1.0 1 3\n", False),
+    "real non-integral": (REAL_HEADER + "3 2 1\n1 1 2.5\n", False),
+    "real negative non-integral": (REAL_HEADER + "3 2 1\n1 1 -2.5\n", False),
+    "real negative": (REAL_HEADER + "3 2 1\n1 1 -2\n", False),
+    "real nan": (REAL_HEADER + "3 2 1\n1 1 nan\n", False),
+    "real inf": (REAL_HEADER + "3 2 1\n1 1 -inf\n", False),
+    "real huge": (REAL_HEADER + "3 2 1\n1 1 1e400\n", False),
+    "real underscore": (REAL_HEADER + "3 2 1\n1 1 1_0.0\n", False),
+    "real count max": (REAL_HEADER + f"3 2 1\n1 1 {2**31 - 1}.0\n", True),
+    "real over count max": (REAL_HEADER + f"3 2 1\n1 1 {2**31}.0\n", False),
+    "count max": (INT_HEADER + f"3 2 1\n1 1 {2**31 - 1}\n", True),
+    "2^31": (INT_HEADER + f"3 2 1\n1 1 {2**31}\n", False),
+    "20 digits": (INT_HEADER + "3 2 1\n1 1 12345678901234567890\n", False),
+    "20-digit coordinate": (INT_HEADER + "3 2 1\n12345678901234567890 1 1\n", False),
+    "negative": (INT_HEADER + "3 2 1\n1 1 -2\n", False),
+    "row out of range": (INT_HEADER + "3 2 1\n4 1 1\n", False),
+    "zero column": (INT_HEADER + "3 2 1\n1 0 1\n", False),
+    "too few": (INT_HEADER + "3 2 3\n1 1 1\n2 2 1\n", False),
+    "too many": (INT_HEADER + "3 2 1\n1 1 1\n2 2 1\n", False),
+    "only comments in body": (INT_HEADER + "3 2 2\n% only a comment\n\n", False),
+    "empty body": (INT_HEADER + "3 2 2\n", False),
+    "no entries": (INT_HEADER + "3 2 0\n", True),
+    "no entries with comments": (INT_HEADER + "3 2 0\n% c\n\n", True),
+    "no entries but one": (INT_HEADER + "3 2 0\n1 1 1\n", False),
+    "four columns": (INT_HEADER + "3 2 1\n1 1 1 1\n", False),
+    "two columns": (INT_HEADER + "3 2 1\n1 1\n", False),
+    "ragged": (INT_HEADER + "3 2 2\n1 1 1\n2 2 1 7\n", False),
+    "single column": (INT_HEADER + "3 2 3\n1\n1\n1\n", False),
+    "duplicate": (INT_HEADER + "3 2 2\n1 1 1\n1 1 2\n", False),
+    "unsorted": (INT_HEADER + "3 2 3\n3 2 1\n1 1 5\n2 1 2\n", True),
+    "nul byte": (INT_HEADER + "3 2 1\n1 1 1\x00\n", False),
+    "missing size": (INT_HEADER + "% c\n", False),
+    "bad size": (INT_HEADER + "3 2\n", False),
+}
+
+
+def outcome(read, path):
+    """Dimensions and triplets, or the FormatError message."""
+    try:
+        m = read(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "matrix", (m.n_cells, m.n_genes, m.triplets().tolist())
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_reader_matches_per_line_scanner(tmp_path, monkeypatch, name, compress):
+    text, whole_array = READER_CORPUS[name]
+    data = text.encode("utf-8")
+    path = tmp_path / "m.mtx"
+    path.write_bytes(gzip.compress(data) if compress else data)
+    expected = outcome(_scan_matrix_market, path)
+    scans = []
+
+    def counting_scan(p):
+        scans.append(p)
+        return _scan_matrix_market(p)
+
+    monkeypatch.setattr(scbench.ingest, "_scan_matrix_market", counting_scan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(read_matrix_market, path)
+    assert got == expected
+    if expected[0] == "matrix":
+        assert len(scans) == (0 if whole_array else 1)
+
+
+def test_reader_corpus_errors_name_their_line(tmp_path):
+    expected = {
+        "trailing comment": "line 4: expected 'row col value'",
+        "float in integer field": "line 3: bad integer value '3.0'",
+        "real coordinate": "line 3: bad coordinate",
+        "real nan": "line 3: non-integral count 'nan'",
+        "2^31": f"line 3: count {2**31} overflows 32-bit range",
+        "too few": "expected 3 entries, found 2",
+        "too many": "more than 1 entries in file",
+        "empty body": "expected 2 entries, found 0",
+        "duplicate": "invalid matrix content: duplicate entry at cell 0, gene 0",
+    }
+    for name, message in expected.items():
+        path = write(tmp_path / "m.mtx", READER_CORPUS[name][0])
+        with pytest.raises(FormatError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == message, name
+
+
+def test_writer_matches_per_entry_writer_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(37)
+    cases = [random_matrix(seed, 13, 9, density=0.3) for seed in range(3)]
+    cases.append(from_dense(np.zeros((4, 3), dtype=np.int64)))
+    big = from_dense(random_dense(None, 300, 200, density=0.6, max_count=10**6, rng=rng))
+    assert big.nnz > 2 * _WRITE_CHUNK_ROWS
+    cases.append(big)
+    for i, m in enumerate(cases):
+        write_matrix_market(m, tmp_path / f"fast{i}.mtx")
+        naive_write_matrix_market(m, tmp_path / f"naive{i}.mtx")
+        fast = (tmp_path / f"fast{i}.mtx").read_bytes()
+        assert fast == (tmp_path / f"naive{i}.mtx").read_bytes()
+        assert read_matrix_market(tmp_path / f"fast{i}.mtx").same_entries(m)
 
 
 def test_read_cell_annotations_order_and_fields(tmp_path):

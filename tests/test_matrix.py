@@ -53,6 +53,39 @@ def test_entries_kept_in_gene_major_order():
     assert m.triplets().tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 3], [1, 1, 5]]
 
 
+def test_unsorted_triplets_are_put_in_canonical_order():
+    rng = np.random.default_rng(65)
+    m = random_matrix(65, 30, 20, density=0.3)
+    shuffled = m.triplets()[rng.permutation(m.nnz)]
+    again = CountMatrix.from_triplets(shuffled, 30, 20)
+    assert np.array_equal(again.triplets(), m.triplets())
+    # the same cell twice in a gene run, or a gene run out of order
+    for entries in ([(1, 0, 1), (0, 0, 2), (2, 0, 3)], [(0, 1, 1), (0, 0, 2)]):
+        expected = sorted(entries, key=lambda t: (t[1], t[0]))
+        got = CountMatrix.from_triplets(entries, 3, 2).triplets().tolist()
+        assert got == [list(t) for t in expected]
+
+
+def test_sorted_input_with_duplicate_still_raises():
+    with pytest.raises(DataError, match=r"duplicate entry at cell 1, gene 0"):
+        CountMatrix.from_triplets([(0, 0, 1), (1, 0, 2), (1, 0, 3), (0, 1, 1)], 2, 2)
+    with pytest.raises(DataError, match=r"duplicate entry at cell 0, gene 1"):
+        CountMatrix(2, 2, [0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1], ("a", "b"), ("x", "y"))
+
+
+def test_stored_entries_do_not_alias_caller_arrays():
+    cell = np.array([0, 1, 0], dtype=np.int64)
+    gene = np.array([0, 0, 1], dtype=np.int64)
+    cnt = np.array([4, 5, 6], dtype=np.int64)
+    m = CountMatrix(2, 2, cell, gene, cnt, ("a", "b"), ("x", "y"))
+    cnt[0] = 99
+    cell[0] = 1
+    assert m.triplets().tolist() == [[0, 0, 4], [1, 0, 5], [0, 1, 6]]
+    # an already-canonical immutable matrix is re-identified without copying
+    renamed = m.with_ids(cell_ids=("c", "d"))
+    assert np.shares_memory(renamed.counts, m.counts)
+
+
 def test_stored_counts_all_positive():
     m = random_matrix(0, 15, 9)
     assert m.nnz == 0 or m.counts.min() >= 1

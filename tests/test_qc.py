@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_dense, random_matrix
+from oracles import naive_cumulative_detection
 
 from scbench import (
     CountMatrix,
@@ -145,6 +146,27 @@ def test_cumulative_deterministic():
     c = cumulative_detection(m, n_permutations=12, seed=4)
     assert np.array_equal(a.y, b.y)
     assert not np.array_equal(a.y, c.y)
+
+
+def test_cumulative_equals_per_cell_oracle_exactly():
+    rng = np.random.default_rng(62)
+    cases = []
+    for n_cells, n_genes, density in ((40, 60, 0.1), (25, 30, 0.4), (60, 200, 0.02)):
+        dense = random_dense(None, n_cells, n_genes, density=density, rng=rng)
+        dense[rng.integers(n_cells)] = 0  # an empty cell
+        dense[:, rng.integers(n_genes)] = 0  # an all-zero gene
+        cases.append((from_dense(dense), 15))
+    cases.append((from_dense(np.zeros((5, 4), dtype=np.int64)), 7))  # no entries
+    cases.append((CountMatrix.from_triplets([(0, 1, 2), (0, 3, 1)], 1, 5), 3))
+    # every ordering: 4! = 24 and 5! = 120 fit the budgets
+    cases.append((random_matrix(63, 4, 9, density=0.3), 30))
+    cases.append((random_matrix(64, 5, 12, density=0.25), 120))
+    for m, n_permutations in cases:
+        for seed in (0, 5):
+            curve = cumulative_detection(m, n_permutations=n_permutations, seed=seed)
+            expected = naive_cumulative_detection(m, n_permutations, seed)
+            assert np.array_equal(curve.y, expected)
+    assert cumulative_detection(cases[-1][0], n_permutations=120).n_permutations == 120
 
 
 def test_cumulative_rejects_bad_budget():

@@ -1,4 +1,5 @@
 """Artifact emission: CSV schemas, the JSON summary, SVG figures, determinism."""
+import itertools
 import json
 
 import numpy as np
@@ -218,19 +219,34 @@ def test_rebuilt_figures_match_original_bytes(splits, tmp_path):
 def test_rebuild_rejects_mismatched_tables(splits, tmp_path):
     src = tmp_path / "src"
     emit_tables(splits, src, CONFIG)
+    # figures a failing rebuild must leave byte-unchanged
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in FIGURES:
+        (old / name).write_text(f"<!-- old {name} -->\n")
+
+    fresh_dirs = (tmp_path / f"fresh{i}" for i in itertools.count())
+
+    def rejects(match):
+        fresh = next(fresh_dirs)
+        for dst in (fresh, old):
+            with pytest.raises(DataError, match=match):
+                rebuild_plots_from_tables(src, dst)
+        assert not list(fresh.glob("*.svg"))
+        for name in FIGURES:
+            assert (old / name).read_text() == f"<!-- old {name} -->\n"
+
     clusters = (src / "clusters.csv").read_text().splitlines()
     # swap two data rows so cell order no longer matches the embedding table
     swapped = list(clusters)
     swapped[2], swapped[3] = swapped[3], swapped[2]
     (src / "clusters.csv").write_text("\n".join(swapped) + "\n")
-    with pytest.raises(DataError, match="disagree"):
-        rebuild_plots_from_tables(src, tmp_path / "dst")
+    rejects("disagree")
 
     # one split's rows missing from clusters.csv
     kept = [ln for ln in clusters if ",droplet,r1," not in ln]
     (src / "clusters.csv").write_text("\n".join(kept) + "\n")
-    with pytest.raises(DataError, match="clusters.csv has no rows for split droplet/r1"):
-        rebuild_plots_from_tables(src, tmp_path / "dst")
+    rejects("clusters.csv has no rows for split droplet/r1")
 
     # one split's rows missing from an embedding table or from dropout.csv
     for name in ("embedding_pca.csv", "dropout.csv"):
@@ -238,22 +254,19 @@ def test_rebuild_rejects_mismatched_tables(splits, tmp_path):
         text = (src / name).read_text().splitlines()
         kept = [ln for ln in text if ",plate,r1," not in ln]
         (src / name).write_text("\n".join(kept) + "\n")
-        with pytest.raises(DataError, match=f"{name} has no rows for split plate/r1"):
-            rebuild_plots_from_tables(src, tmp_path / "dst")
+        rejects(f"{name} has no rows for split plate/r1")
 
     # a split that only silhouette.csv names
     emit_tables(splits, src, CONFIG)
     text = (src / "silhouette.csv").read_text()
     (src / "silhouette.csv").write_text(text + "s,extra,r9,3,all,5,0.5\n")
-    with pytest.raises(DataError, match="silhouette.csv has split extra/r9"):
-        rebuild_plots_from_tables(src, tmp_path / "dst")
+    rejects("silhouette.csv has split extra/r9")
 
     # a coordinate column renamed
     emit_tables(splits, src, CONFIG)
     tsne_table = (src / "embedding_tsne.csv").read_text()
     (src / "embedding_tsne.csv").write_text(tsne_table.replace(",dim1,", ",x1,", 1))
-    with pytest.raises(DataError, match="embedding_tsne.csv has no 'dim1' column"):
-        rebuild_plots_from_tables(src, tmp_path / "dst")
+    rejects("embedding_tsne.csv has no 'dim1' column")
 
 
 def test_scatter_chart_draws_each_point():
