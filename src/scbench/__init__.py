@@ -20,8 +20,6 @@ from .cluster import (
 from .embed import (
     Embedding,
     PcaModel,
-    joint_probabilities,
-    kl_divergence,
     pca_fit_transform,
     tsne,
 )
@@ -44,8 +42,6 @@ from .preprocess import (
     FilterConfig,
     FilterTrace,
     filter_genes,
-    filter_low_cv,
-    filter_sparse_genes,
     preprocess_pipeline,
     quantile_normalize,
 )
@@ -97,13 +93,9 @@ __all__ = [
     "dropout_rate",
     "emit_tables",
     "filter_genes",
-    "filter_low_cv",
-    "filter_sparse_genes",
     "from_dense",
     "generate",
     "hierarchical",
-    "joint_probabilities",
-    "kl_divergence",
     "kmeans",
     "pairwise_distances",
     "pca_fit_transform",

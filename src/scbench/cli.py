@@ -33,7 +33,7 @@ from .cluster import (
     pairwise_distances,
     silhouette,
 )
-from .embed import pca_fit_transform, tsne
+from .embed import TSNE_PCA_DIM_DEFAULT, Embedding, pca_fit_transform, tsne
 from .errors import DataError
 from .ingest import (
     CellAnnotation,
@@ -150,16 +150,21 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     if depth == "normalize":
         return SplitResult(**fields)
 
-    pca_emb, _ = pca_fit_transform(normalized, d=2)
+    # one decomposition per split: t-SNE's pre-reduction keeps at most n - 1
+    # components (the rank of centred points) and at least the two that the
+    # PCA view projects onto alone, exactly as a d=2 fit does
+    reduce = not args.tsne_no_pca and normalized.n_genes > TSNE_PCA_DIM_DEFAULT
+    dim = max(2, min(TSNE_PCA_DIM_DEFAULT, normalized.n_cells - 1)) if reduce else 2
+    reduced, model = pca_fit_transform(normalized, dim)
+    view = (normalized.values - model.column_means) @ model.components[:2].T
+    fields["pca"] = Embedding(view, "pca", {**reduced.params, "d": 2}, seed=0)
     tsne_emb = tsne(
-        normalized,
+        reduced.coordinates if reduce else normalized,
         perplexity=args.perplexity,
         d=2,
         seed=args.seed,
         iters=args.iters,
-        pca_dim=None if args.tsne_no_pca else 50,
     )
-    fields["pca"] = pca_emb
     fields["tsne"] = tsne_emb
     if depth == "embed":
         return SplitResult(**fields)
@@ -266,25 +271,12 @@ def _emit_cluster(splits, outdir, config) -> None:
 
 def _emit_evaluate(splits, outdir, config) -> None:
     emit_silhouette_table(splits, outdir, canonical_json(config))
-    entries = []
-    for s in splits:
-        entry = {
-            "sample": s.sample,
-            "method": s.method,
-            "replicate": s.replicate,
-            "silhouette_mean": s.silhouettes.mean,
-        }
-        if s.ari is not None:
-            entry["ari"] = s.ari
-        entries.append(entry)
-    with open(outdir / "metrics.json", "w") as fh:
-        fh.write(canonical_json({"config": config, "splits": entries}))
-        fh.write("\n")
+    write_summary(splits, outdir / "metrics.json", config)
 
 
 def _emit_pipeline(splits, outdir, config) -> None:
     emit_tables(splits, outdir, config)
-    write_summary(splits, outdir, config)
+    write_summary(splits, outdir / "summary.json", config)
     rebuild_plots_from_tables(outdir, outdir)
 
 
@@ -311,8 +303,12 @@ DEPTH_GROUPS = {
 def _run_stage(depth: str, emit, args) -> int:
     keys = sum((k for _, k in FLAG_GROUPS[: DEPTH_GROUPS[depth]]), ()) + SEED_KEYS
     config = _resolved_config(args, keys)
-    if depth in ("cluster", "pipeline") and args.cluster_method == "hclust":
-        check_linkage(args.linkage, _metric_name(args))
+    if depth in ("cluster", "pipeline"):
+        if args.cluster_method == "hclust":
+            check_linkage(args.linkage, _metric_name(args))
+        if args.metric == "one-minus-correlation":
+            raise DataError("correlation distance needs at least 3 features; "
+                            "clustering runs on 2-d t-SNE coordinates")
     splits = _stage_splits(args, depth)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -41,8 +41,9 @@ def _as_points(x) -> np.ndarray:
 def pairwise_distances(x, metric: str = "euclidean") -> np.ndarray:
     """Full symmetric distance matrix with an exactly zero diagonal.
 
-    one_minus_correlation is 1 - Pearson r between rows and needs every row
-    to have nonzero variance.
+    one_minus_correlation is 1 - Pearson r between rows. It needs at least 3
+    features, since r between two 2-vectors is always +-1, and every row
+    needs nonzero variance.
     """
     points = _as_points(x)
     n = points.shape[0]
@@ -52,8 +53,8 @@ def pairwise_distances(x, metric: str = "euclidean") -> np.ndarray:
             diff = points - points[i]
             d[i] = np.sqrt((diff * diff).sum(axis=1))
     elif metric == "one_minus_correlation":
-        if points.shape[1] < 2:
-            raise DataError("correlation distance needs at least 2 features")
+        if points.shape[1] < 3:
+            raise DataError("correlation distance needs at least 3 features")
         centered = points - points.mean(axis=1, keepdims=True)
         norms = np.sqrt((centered * centered).sum(axis=1))
         if (norms == 0).any():
@@ -101,10 +102,6 @@ class ClusterResult:
         centers = np.array(self.centers, dtype=np.float64)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
-
-    @property
-    def k(self) -> int:
-        return self.centers.shape[0]
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
@@ -217,9 +214,6 @@ class Dendrogram:
     metric: str
     n_leaves: int
 
-    def heights(self) -> np.ndarray:
-        return np.array([m.height for m in self.merges])
-
 
 def check_linkage(linkage: str, metric: str) -> None:
     """Raise DataError unless `linkage` is known and fits `metric`."""
@@ -247,6 +241,12 @@ def hierarchical(
     diagonal and on the row and column of every slot merged away, so the
     smallest entry is always a live pair and the update can run on whole rows:
     a retired slot stays at inf under every linkage's update.
+
+    Single and complete linkage only pick among the input distances, so which
+    of two tied pairs merges first never depends on rounding. Average and ward
+    compute new distances, and the update rounds differently from recomputing
+    them by definition: among distances equal by definition, the merge order
+    may follow rounding and differ from such a recomputation.
     """
     check_linkage(linkage, metric)
     if distances is None:

@@ -259,12 +259,11 @@ def tsne(
     exaggeration: float = EXAGGERATION_DEFAULT,
     exaggeration_iters: int = EXAGGERATION_ITERS_DEFAULT,
     init: str = "pca",
-    pca_dim: int | None = TSNE_PCA_DIM_DEFAULT,
 ) -> Embedding:
-    """Exact t-SNE embedding, deterministic for a given seed.
+    """Exact t-SNE embedding of `x` as given, deterministic for a given seed.
 
-    Inputs wider than pca_dim features are PCA-reduced first, to at most
-    n - 1 dimensions (pass None to skip). Momentum is 0.5 during the
+    Any PCA pre-reduction is the caller's: the CLI passes the first
+    TSNE_PCA_DIM_DEFAULT principal components. Momentum is 0.5 during the
     early-exaggeration phase and 0.8 after; per-coordinate gain factors
     follow the standard 0.2 up / 0.8 down rule.
 
@@ -305,11 +304,6 @@ def tsne(
         )
     if init not in ("pca", "random"):
         raise DataError(f"unknown init {init!r}")
-
-    if pca_dim is not None and points.shape[1] > pca_dim:
-        # centred points have rank at most n - 1
-        reduced, _ = pca_fit_transform(points, min(pca_dim, n - 1))
-        points = reduced.coordinates
 
     p_joint_, achieved = joint_probabilities(points, perplexity)
 
@@ -380,7 +374,6 @@ def tsne(
         "exaggeration": exaggeration,
         "exaggeration_iters": exaggeration_iters,
         "init": init,
-        "pca_dim": pca_dim,
         "momentum": [MOMENTUM_EARLY, MOMENTUM_LATE],
     }
     diagnostics = {

@@ -145,15 +145,13 @@ def _scan_matrix_market(path) -> CountMatrix:
     """
     with _open_text(path) as fh:
         field, n_rows, n_cols, nnz, lineno = _read_header(fh)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.int64)
-        seen = 0
+        # grown as entries arrive: the size line may declare far more
+        entries = []
         for line in fh:
             lineno += 1
             if line.startswith("%") or not line.strip():
                 continue
-            if seen >= nnz:
+            if len(entries) >= nnz:
                 raise FormatError(f"more than {nnz} entries in file")
             parts = line.split()
             if len(parts) != 3:
@@ -169,11 +167,10 @@ def _scan_matrix_market(path) -> CountMatrix:
                 raise FormatError(f"line {lineno}: negative count {v}")
             if v > COUNT_MAX:
                 raise FormatError(f"line {lineno}: count {v} overflows 32-bit range")
-            rows[seen], cols[seen], vals[seen] = r - 1, c - 1, v
-            seen += 1
-        if seen != nnz:
-            raise FormatError(f"expected {nnz} entries, found {seen}")
-    return _count_matrix(np.column_stack([rows, cols, vals]), n_rows, n_cols)
+            entries.append((r - 1, c - 1, v))
+        if len(entries) != nnz:
+            raise FormatError(f"expected {nnz} entries, found {len(entries)}")
+    return _count_matrix(np.array(entries, dtype=np.int64).reshape(-1, 3), n_rows, n_cols)
 
 
 def _count_matrix(entries: np.ndarray, n_rows: int, n_cols: int) -> CountMatrix:

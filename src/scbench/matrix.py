@@ -242,12 +242,6 @@ class CountMatrix:
     def gene_nonzero_count(self) -> np.ndarray:
         return np.bincount(self.gene_idx, minlength=self.n_genes)
 
-    def gene_nonzero_fraction(self) -> np.ndarray:
-        """Per-gene fraction of cells with a nonzero count."""
-        if self.n_cells < 1:
-            raise DataError("matrix has no cells")
-        return self.gene_nonzero_count() / self.n_cells
-
     def cell_nonzero_count(self) -> np.ndarray:
         return np.bincount(self.cell_idx, minlength=self.n_cells)
 
@@ -288,23 +282,6 @@ class CountMatrix:
             *_owned(self.gene_idx[order], self.cell_idx[order], self.counts[order]),
             self.gene_ids,
             self.cell_ids,
-        )
-
-    def same_entries(self, other: "CountMatrix") -> bool:
-        """Equal dimensions and stored triplets; ids are ignored."""
-        return (
-            self.n_cells == other.n_cells
-            and self.n_genes == other.n_genes
-            and np.array_equal(self.cell_idx, other.cell_idx)
-            and np.array_equal(self.gene_idx, other.gene_idx)
-            and np.array_equal(self.counts, other.counts)
-        )
-
-    def equals(self, other: "CountMatrix") -> bool:
-        return (
-            self.same_entries(other)
-            and self.cell_ids == other.cell_ids
-            and self.gene_ids == other.gene_ids
         )
 
 

@@ -233,29 +233,32 @@ def emit_tables(splits: list[SplitResult], outdir, config: dict) -> list[Path]:
     )
 
 
-def write_summary(splits: list[SplitResult], outdir, config: dict) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def write_summary(splits: list[SplitResult], path, config: dict) -> Path:
+    """Write the config and per-split scores to `path` (summary.json, metrics.json).
+
+    Each entry has the split's key, mean silhouette and, with truth labels,
+    ARI; splits that went through QC (`pipeline`) add size, filter and QC figures.
+    """
     entries = []
     for s in splits:
         entry = {
             "sample": s.sample,
             "method": s.method,
             "replicate": s.replicate,
-            "n_cells": s.matrix.n_cells,
-            "n_genes": s.matrix.n_genes,
-            "n_genes_after_filter": s.trace.genes_out,
-            "overall_dropout": s.dropout.overall_rate,
-            "median_genes_detected": s.detection.median,
             "silhouette_mean": s.silhouettes.mean,
         }
+        if s.dropout is not None:
+            entry["n_cells"] = s.matrix.n_cells
+            entry["n_genes"] = s.matrix.n_genes
+            entry["n_genes_after_filter"] = s.trace.genes_out
+            entry["overall_dropout"] = s.dropout.overall_rate
+            entry["median_genes_detected"] = s.detection.median
         if s.ari is not None:
             entry["ari"] = s.ari
         entries.append(entry)
-    payload = {"config": config, "splits": entries}
-    path = outdir / "summary.json"
+    path = Path(path)
     with open(path, "w") as fh:
-        fh.write(canonical_json(payload))
+        fh.write(canonical_json({"config": config, "splits": entries}))
         fh.write("\n")
     return path
 

@@ -1,4 +1,4 @@
-"""Shared builders for seeded random test matrices."""
+"""Shared builders for seeded random test matrices, and matrix comparisons."""
 import numpy as np
 
 from scbench.matrix import CountMatrix, from_dense
@@ -15,3 +15,18 @@ def random_dense(seed, n_cells, n_genes, density=0.4, max_count=20, rng=None):
 
 def random_matrix(seed, n_cells, n_genes, density=0.4, max_count=20) -> CountMatrix:
     return from_dense(random_dense(seed, n_cells, n_genes, density, max_count))
+
+
+def same_entries(a: CountMatrix, b: CountMatrix) -> bool:
+    """Equal dimensions and stored triplets; ids are ignored."""
+    return (
+        (a.n_cells, a.n_genes) == (b.n_cells, b.n_genes)
+        and np.array_equal(a.cell_idx, b.cell_idx)
+        and np.array_equal(a.gene_idx, b.gene_idx)
+        and np.array_equal(a.counts, b.counts)
+    )
+
+
+def same_matrix(a: CountMatrix, b: CountMatrix) -> bool:
+    """Equal entries and equal cell and gene ids."""
+    return same_entries(a, b) and (a.cell_ids, a.gene_ids) == (b.cell_ids, b.gene_ids)

@@ -21,8 +21,6 @@ from scbench import (
     SynthConfig,
     adjusted_rand_index,
     dropout_rate,
-    filter_low_cv,
-    filter_sparse_genes,
     from_dense,
     generate,
     hierarchical,
@@ -39,6 +37,7 @@ from scbench import (
     write_matrix_market,
 )
 from scbench.cli import cli_main
+from scbench.preprocess import filter_low_cv, filter_sparse_genes
 
 TABLES = [
     "dropout.csv", "detection.csv", "cumulative.csv", "embedding_pca.csv",
@@ -123,7 +122,8 @@ def test_criterion_04_hierarchical_matches_naive_oracle():
                     (m.node_a, m.node_b) for m in dend.merges
                 ] == [(a, b) for a, b, _ in expected]
                 heights = np.array([h for _, _, h in expected])
-                assert np.abs(dend.heights() - heights).max() <= 1e-9
+                got = np.array([m.height for m in dend.merges])
+                assert np.abs(got - heights).max() <= 1e-9
                 checked += 1
     assert checked == 20 * 7
     print("criterion 4 PASS: 140 oracle runs, topology exact, heights <= 1e-9")

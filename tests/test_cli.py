@@ -11,6 +11,7 @@ import pytest
 import scbench
 from scbench import (
     CellAnnotation,
+    ExpressionMatrix,
     read_cell_annotations,
     read_config_comment,
     read_dense_csv,
@@ -43,6 +44,26 @@ def data_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("data")
     assert cli_main(SYNTH_ARGS + ["-o", str(d)]) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    # 45 cells and more than 50 genes after filtering: t-SNE pre-reduces
+    d = tmp_path_factory.mktemp("wide")
+    assert cli_main(["synth", "--cells-per-cluster", "15", "--n-genes", "100",
+                     "--dropout-prob", "0.4", "--seed", "7", "-o", str(d)]) == 0
+    return d
+
+
+def two_replicates(data_dir, path):
+    """Cells file putting the same cells into replicates r1 and r2 alternately."""
+    anns = read_cell_annotations(data_dir / "cells.csv")
+    write_cell_annotations(
+        [CellAnnotation(a.cell_id, a.method, f"r{1 + i % 2}", a.cell_type)
+         for i, a in enumerate(anns)],
+        path,
+    )
+    return path
 
 
 def input_args(data_dir):
@@ -164,6 +185,26 @@ def test_ward_with_correlation_fails_before_any_stage_runs(
     }
 
 
+def test_correlation_metric_fails_before_any_stage_runs(
+    data_dir, tmp_path, capsys, monkeypatch
+):
+    def no_tsne(*args, **kwargs):
+        raise AssertionError("t-SNE ran before the metric check")
+
+    monkeypatch.setattr(scbench.cli, "tsne", no_tsne)
+    for command, method in (("cluster", "kmeans"), ("evaluate", "hclust"),
+                            ("pipeline", "hclust")):
+        rc = cli_main([command, *input_args(data_dir), "--cluster-method", method,
+                       "--linkage", "average", "--metric", "one-minus-correlation",
+                       "-o", str(tmp_path)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DataError",
+            "message": "correlation distance needs at least 3 features; "
+            "clustering runs on 2-d t-SNE coordinates",
+        }
+
+
 def test_cluster_and_evaluate_skip_qc(data_dir, tmp_path, monkeypatch):
     def no_qc(*args, **kwargs):
         raise AssertionError("QC ran for a command that writes no QC table")
@@ -175,14 +216,7 @@ def test_cluster_and_evaluate_skip_qc(data_dir, tmp_path, monkeypatch):
 
 
 def test_one_distance_matrix_per_split(data_dir, tmp_path, monkeypatch):
-    # two splits: the same cells as replicates r1 and r2
-    anns = read_cell_annotations(data_dir / "cells.csv")
-    cells = tmp_path / "cells.csv"
-    write_cell_annotations(
-        [CellAnnotation(a.cell_id, a.method, f"r{1 + i % 2}", a.cell_type)
-         for i, a in enumerate(anns)],
-        cells,
-    )
+    cells = two_replicates(data_dir, tmp_path / "cells.csv")
     calls = []
     original = scbench.cluster.pairwise_distances
 
@@ -201,15 +235,65 @@ def test_one_distance_matrix_per_split(data_dir, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_pipeline_runs_on_a_split_of_at_most_50_cells(tmp_path):
-    # 45 cells and more than 50 genes after filtering: t-SNE pre-reduces
-    data, out = tmp_path / "data", tmp_path / "out"
-    assert cli_main(["synth", "--cells-per-cluster", "15", "--n-genes", "100",
-                     "--dropout-prob", "0.4", "--seed", "7", "-o", str(data)]) == 0
-    assert cli_main(["pipeline", *input_args(data), *SPEED, "-o", str(out)]) == 0
+def test_pipeline_runs_on_a_split_of_at_most_50_cells(wide_dir, tmp_path):
+    out = tmp_path / "out"
+    assert cli_main(["pipeline", *input_args(wide_dir), *SPEED, "-o", str(out)]) == 0
     (entry,) = json.loads((out / "summary.json").read_text())["splits"]
     assert entry["n_cells"] == 45
     assert entry["n_genes_after_filter"] > 50
+
+
+def test_one_pca_of_the_normalized_matrix_per_split(wide_dir, tmp_path, monkeypatch):
+    normalized_splits, calls = [], []
+    preprocess = scbench.cli.preprocess_pipeline
+    pca = scbench.embed.pca_fit_transform
+
+    def recorded(*args, **kwargs):
+        normalized, trace = preprocess(*args, **kwargs)
+        normalized_splits.append(normalized)
+        return normalized, trace
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.n_genes if isinstance(x, ExpressionMatrix) else x.shape[1])
+        return pca(x, *args, **kwargs)
+
+    monkeypatch.setattr(scbench.cli, "preprocess_pipeline", recorded)
+    monkeypatch.setattr(scbench.cli, "pca_fit_transform", counted)
+    monkeypatch.setattr(scbench.embed, "pca_fit_transform", counted)
+    cells = two_replicates(wide_dir, tmp_path / "cells.csv")
+    rc = cli_main(["embed", "--matrix", str(wide_dir / "matrix.mtx"), "--cells", str(cells),
+                   *SPEED[:4], "-o", str(tmp_path / "out")])
+    assert rc == 0
+    widths = [n.n_genes for n in normalized_splits]
+    assert len(widths) == 2 and min(widths) > 50
+    assert sum(w in widths for w in calls) == 2
+    # the PCA view is exactly what a d=2 fit gives, whatever the BLAS build
+    _, rows = read_table(tmp_path / "out" / "embedding_pca.csv")
+    written = {r["cell_id"]: [float(r["dim1"]), float(r["dim2"])] for r in rows}
+    for normalized in normalized_splits:
+        fit, _ = pca(normalized, 2)
+        assert [written[c] for c in normalized.cell_ids] == fit.coordinates.tolist()
+
+
+def test_infeasible_perplexity_is_reported_after_the_reduction(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert cli_main(["synth", "--cells-per-cluster", "10", "--n-genes", "100",
+                     "--dropout-prob", "0.4", "--seed", "7", "-o", str(data)]) == 0
+    dims = []
+    pca = scbench.cli.pca_fit_transform
+
+    def recorded(x, d, *args, **kwargs):
+        dims.append(d)
+        return pca(x, d, *args, **kwargs)
+
+    monkeypatch.setattr(scbench.cli, "pca_fit_transform", recorded)
+    rc = cli_main(["embed", *input_args(data), "--perplexity", "30", "-o", str(tmp_path)])
+    assert rc == 1
+    assert dims == [29]  # 30 cells: the pre-reduction keeps n - 1 components
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError",
+        "message": "perplexity 30.0 infeasible for 30 points (need 3*perplexity < n)",
+    }
 
 
 def test_qc_stage_writes_qc_tables_only(data_dir, tmp_path):
@@ -270,7 +354,7 @@ def test_evaluate_stage_writes_metrics(data_dir, tmp_path):
     assert cli_main(["evaluate", *input_args(data_dir), *SPEED, "-o", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "metrics.json").read_text())
     (entry,) = payload["splits"]
-    assert "silhouette_mean" in entry and "ari" in entry
+    assert set(entry) == {"sample", "method", "replicate", "silhouette_mean", "ari"}
     _, rows = read_table(tmp_path / "silhouette.csv")
     assert rows[0]["cluster"] == "all"
 

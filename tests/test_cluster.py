@@ -25,6 +25,10 @@ from scbench import (
 LINKAGES = ("single", "complete", "average", "ward")
 
 
+def heights(dend):
+    return np.array([m.height for m in dend.merges])
+
+
 def blob(seed, n, g=3, scale=1.0):
     return np.random.default_rng(seed).normal(size=(n, g)) * scale
 
@@ -54,6 +58,12 @@ def test_pairwise_correlation_rejects_flat_row():
     x = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
     with pytest.raises(DataError, match="variance"):
         pairwise_distances(x, "one_minus_correlation")
+
+
+def test_pairwise_correlation_needs_three_features():
+    # Pearson r between two 2-vectors is always +-1
+    with pytest.raises(DataError, match="at least 3 features"):
+        pairwise_distances(blob(24, 6, g=2), "one_minus_correlation")
 
 
 def test_kmeans_k_equals_n():
@@ -158,8 +168,8 @@ def test_hierarchical_matches_naive_oracle():
         expected = naive_agglomerate(x, linkage, metric)
         got = [(m.node_a, m.node_b) for m in dend.merges]
         assert got == [(a, b) for a, b, _ in expected]
-        heights = np.array([h for _, _, h in expected])
-        assert np.abs(dend.heights() - heights).max() <= 1e-9
+        want = np.array([h for _, _, h in expected])
+        assert np.abs(heights(dend) - want).max() <= 1e-9
 
     rng = np.random.default_rng(20)
     for trial in range(3):
@@ -187,7 +197,7 @@ def test_hierarchical_accepts_precomputed_distances():
     assert [
         (m.node_a, m.node_b) for m in from_points.merges
     ] == [(m.node_a, m.node_b) for m in from_dists.merges]
-    assert np.abs(from_points.heights() - from_dists.heights()).max() <= 1e-12
+    assert np.abs(heights(from_points) - heights(from_dists)).max() <= 1e-12
 
 
 def test_hierarchical_heights_nondecreasing():
@@ -195,7 +205,7 @@ def test_hierarchical_heights_nondecreasing():
         x = blob(seed + 30, 20, 4)
         for linkage in LINKAGES:
             dend = hierarchical(x, linkage=linkage)
-            assert (np.diff(dend.heights()) >= -1e-9).all()
+            assert (np.diff(heights(dend)) >= -1e-9).all()
 
 
 def test_single_linkage_heights_are_mst_edges():
@@ -203,7 +213,7 @@ def test_single_linkage_heights_are_mst_edges():
         x = blob(seed + 40, 18, 3)
         dend = hierarchical(x, linkage="single")
         d = pairwise_distances(x, "euclidean")
-        assert np.allclose(sorted(dend.heights()), mst_edge_weights(d), atol=1e-9)
+        assert np.allclose(sorted(heights(dend)), mst_edge_weights(d), atol=1e-9)
 
 
 def test_hierarchical_invariant_to_input_order():
@@ -213,7 +223,7 @@ def test_hierarchical_invariant_to_input_order():
     straight = hierarchical(x, linkage="complete")
     shuffled = hierarchical(x[perm], linkage="complete")
     assert np.allclose(
-        sorted(straight.heights()), sorted(shuffled.heights()), atol=1e-9
+        sorted(heights(straight)), sorted(heights(shuffled)), atol=1e-9
     )
     k = 4
     labels_straight = cut_dendrogram(straight, k)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from scbench import DataError, joint_probabilities, kl_divergence, pca_fit_transform, tsne
-from scbench.embed import Embedding
+from scbench import DataError, pca_fit_transform, tsne
+from scbench.embed import Embedding, joint_probabilities, kl_divergence
 
 
 def seeded_points(seed, n, g, scale=1.0):
@@ -93,6 +93,16 @@ def test_pca_covariance_and_gram_paths_agree():
         assert np.abs(emb_cov.coordinates - emb_gram.coordinates).max() < 1e-8
 
 
+def test_pca_leading_scores_do_not_depend_on_d():
+    # the CLI's PCA view and t-SNE's 50-d input come from one decomposition
+    for shape, method in (((60, 80), "gram"), ((80, 60), "covariance")):
+        x = seeded_points(9, *shape)
+        two, _ = pca_fit_transform(x, 2, method=method)
+        fifty, _ = pca_fit_transform(x, 50, method=method)
+        lead = fifty.coordinates[:, :2]
+        assert np.abs(two.coordinates - lead).max() <= 1e-12 * np.abs(lead).max()
+
+
 def test_pca_gram_path_rejects_components_beyond_rank():
     x = seeded_points(10, 5, 10)
     with pytest.raises(DataError, match="rank"):
@@ -150,7 +160,7 @@ def test_tsne_separates_distant_clusters():
 
 
 def test_tsne_equidistant_points_stay_equidistant():
-    emb = tsne(np.eye(3), perplexity=0.9, seed=0, iters=400, pca_dim=None)
+    emb = tsne(np.eye(3), perplexity=0.9, seed=0, iters=400)
     y = emb.coordinates
     d = np.array(
         [np.linalg.norm(y[i] - y[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
@@ -160,7 +170,7 @@ def test_tsne_equidistant_points_stay_equidistant():
 
 def test_tsne_logs_unreachable_perplexity(caplog):
     with caplog.at_level(logging.WARNING, logger="scbench.embed"):
-        tsne(np.eye(3), perplexity=0.9, seed=0, iters=5, pca_dim=None)
+        tsne(np.eye(3), perplexity=0.9, seed=0, iters=5)
     assert any("calibration" in r.message for r in caplog.records)
 
 
@@ -191,7 +201,6 @@ def test_tsne_safeguard_keeps_kl_tail_monotone():
 
 
 def test_tsne_returns_the_iterate_whose_kl_it_reports():
-    # at most 50 features, so tsne works on x itself
     x = seeded_points(2, 80, 20)
     emb = tsne(x, perplexity=10, seed=2, iters=300)
     p, _ = joint_probabilities(x, 10)
@@ -232,17 +241,6 @@ def test_tsne_records_params():
     ):
         with pytest.raises(DataError):
             tsne(x, perplexity=5, iters=5, **bad)
-
-
-def test_tsne_prereduces_wide_input():
-    x = seeded_points(17, 30, 80)
-    emb = tsne(x, perplexity=8, seed=0, iters=40, pca_dim=20)
-    assert emb.coordinates.shape == (30, 2)
-    again = tsne(x, perplexity=8, seed=0, iters=40, pca_dim=20)
-    assert np.array_equal(emb.coordinates, again.coordinates)
-    # no more points than pca_dim: reduced to n - 1, the rank of centred points
-    small = tsne(seeded_points(17, 20, 100), perplexity=5, iters=20)
-    assert small.coordinates.shape == (20, 2)
 
 
 def test_kl_divergence_zero_when_q_matches_p():

@@ -1,10 +1,11 @@
 """File parsing, annotation joins, and per-(method, replicate) splitting."""
 import gzip
+import json
 import warnings
 
 import numpy as np
 import pytest
-from conftest import random_dense, random_matrix
+from conftest import random_dense, random_matrix, same_entries, same_matrix
 from oracles import naive_write_matrix_market
 
 import scbench.ingest
@@ -23,6 +24,7 @@ from scbench import (
     write_gene_annotations,
     write_matrix_market,
 )
+from scbench.cli import cli_main
 from scbench.ingest import _WRITE_CHUNK_ROWS, _scan_matrix_market
 from scbench.matrix import from_dense
 
@@ -131,12 +133,25 @@ def test_read_matrix_market_checks_entry_count(tmp_path):
         read_matrix_market(p)
 
 
+def test_oversized_entry_count_gets_the_json_envelope(tmp_path, capsys):
+    # the per-line scanner must not allocate what the size line declares
+    p = write(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate integer general\n2 2 1000000000000\n1 1 1\n",
+    )
+    assert cli_main(["qc", "--matrix", str(p), "-o", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError",
+        "message": "expected 1000000000000 entries, found 1",
+    }
+
+
 def test_matrix_market_round_trip(tmp_path):
     for seed in range(5):
         m = random_matrix(seed, 13, 9, density=0.3)
         path = tmp_path / f"rt{seed}.mtx"
         write_matrix_market(m, path)
-        assert read_matrix_market(path).same_entries(m)
+        assert same_entries(read_matrix_market(path), m)
 
 
 def test_matrix_market_gzip_sniffing(tmp_path):
@@ -145,7 +160,7 @@ def test_matrix_market_gzip_sniffing(tmp_path):
     write_matrix_market(m, plain)
     gz = tmp_path / "m.mtx.gz"
     gz.write_bytes(gzip.compress(plain.read_bytes()))
-    assert read_matrix_market(gz).same_entries(m)
+    assert same_entries(read_matrix_market(gz), m)
 
 
 INT_HEADER = "%%MatrixMarket matrix coordinate integer general\n"
@@ -272,7 +287,7 @@ def test_writer_matches_per_entry_writer_byte_for_byte(tmp_path):
         naive_write_matrix_market(m, tmp_path / f"naive{i}.mtx")
         fast = (tmp_path / f"fast{i}.mtx").read_bytes()
         assert fast == (tmp_path / f"naive{i}.mtx").read_bytes()
-        assert read_matrix_market(tmp_path / f"fast{i}.mtx").same_entries(m)
+        assert same_entries(read_matrix_market(tmp_path / f"fast{i}.mtx"), m)
 
 
 def test_read_cell_annotations_order_and_fields(tmp_path):
@@ -391,7 +406,7 @@ def test_split_single_group_is_identity():
     splits = split_by_method_replicate(m, anns)
     assert list(splits) == [("only", "r1")]
     sub, sub_anns = splits[("only", "r1")]
-    assert sub.equals(m) and sub_anns == anns
+    assert same_matrix(sub, m) and sub_anns == anns
 
 
 def test_split_membership_matches_annotation_filter():

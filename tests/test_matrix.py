@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_dense, random_matrix
+from conftest import random_dense, random_matrix, same_matrix
 
 from scbench import CountMatrix, DataError, ExpressionMatrix, from_dense, vstack_cells
 
@@ -94,7 +94,7 @@ def test_stored_counts_all_positive():
 def test_submatrix_identity_masks():
     m = random_matrix(1, 12, 7)
     sub = m.submatrix([True] * 12, [True] * 7)
-    assert sub.equals(m)
+    assert same_matrix(sub, m)
 
 
 def test_submatrix_empty_cell_mask():
@@ -143,36 +143,20 @@ def test_submatrix_composes():
     combined_b[np.flatnonzero(b)] = b2
     twice = m.submatrix(a, b).submatrix(a2, b2)
     once = m.submatrix(combined_a, combined_b)
-    assert twice.equals(once)
-
-
-def test_nonzero_fraction_counts_cells():
-    m = CountMatrix.from_triplets([(0, 0, 1), (3, 0, 2)], 10, 1)
-    assert m.gene_nonzero_fraction()[0] == 0.2
-
-
-def test_nonzero_fraction_all_zero_gene():
-    m = CountMatrix.from_triplets([(0, 0, 1)], 4, 2)
-    assert m.gene_nonzero_fraction()[1] == 0.0
+    assert same_matrix(twice, once)
 
 
 def test_nonzero_fraction_matches_dense_count():
     dense = random_dense(6, 50, 100)
+    dense[:, 3] = 0  # an all-zero gene
     m = from_dense(dense)
-    assert np.array_equal(m.gene_nonzero_fraction(), (dense != 0).mean(axis=0))
-
-
-def test_nonzero_fraction_requires_cells():
-    m = CountMatrix.from_triplets([], 0, 3)
-    with pytest.raises(DataError):
-        m.gene_nonzero_fraction()
+    assert np.array_equal(m.gene_nonzero_count() / m.n_cells, (dense != 0).mean(axis=0))
 
 
 def test_nonzero_fraction_sums_to_entry_count():
     for seed in range(5):
         m = random_matrix(seed, 23, 17)
-        total = (m.gene_nonzero_fraction() * m.n_cells).sum()
-        assert math.isclose(total, m.nnz, rel_tol=0, abs_tol=1e-9)
+        assert m.gene_nonzero_count().sum() == m.nnz
 
 
 def test_gene_stats_constant_gene():
@@ -236,7 +220,7 @@ def test_dense_round_trip_identity():
         m = from_dense(dense)
         back = m.to_dense()
         assert np.array_equal(back.values, dense)
-        assert from_dense(back.values.astype(np.int64)).equals(m)
+        assert same_matrix(from_dense(back.values.astype(np.int64)), m)
 
 
 def test_transpose_swaps_axes_and_ids():
@@ -245,7 +229,7 @@ def test_transpose_swaps_axes_and_ids():
     assert (t.n_cells, t.n_genes) == (4, 6)
     assert t.cell_ids == m.gene_ids and t.gene_ids == m.cell_ids
     assert np.array_equal(t.to_dense().values, m.to_dense().values.T)
-    assert t.transpose().equals(m)
+    assert same_matrix(t.transpose(), m)
 
 
 def test_vstack_concatenates_cells():

@@ -55,7 +55,7 @@ def build_split(method, replicate, seed, with_truth):
     m, truth, _ = generate(cfg, method=method, replicate=replicate)
     normalized, trace = preprocess_pipeline(m)
     pca_emb, _ = pca_fit_transform(normalized, d=2)
-    tsne_emb = tsne(normalized, perplexity=5.0, seed=0, iters=120, pca_dim=None)
+    tsne_emb = tsne(normalized, perplexity=5.0, seed=0, iters=120)
     km = kmeans(tsne_emb.coordinates, 3, seed=0)
     return SplitResult(
         sample="s",
@@ -160,7 +160,7 @@ def test_silhouette_table_has_overall_and_per_cluster_rows(splits, tmp_path):
 
 
 def test_summary_json_contents(splits, tmp_path):
-    path = write_summary(splits, tmp_path, CONFIG)
+    path = write_summary(splits, tmp_path / "summary.json", CONFIG)
     payload = json.loads(path.read_text())
     assert payload["config"] == CONFIG
     assert len(payload["splits"]) == 2
@@ -175,7 +175,7 @@ def test_emitted_artifacts_are_byte_identical_across_runs(splits, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
         emit_tables(splits, d, CONFIG)
-        write_summary(splits, d, CONFIG)
+        write_summary(splits, d / "summary.json", CONFIG)
         rebuild_plots_from_tables(d, d)
     for name in TABLES + FIGURES + ["summary.json"]:
         assert read_bytes(a / name) == read_bytes(b / name), name
