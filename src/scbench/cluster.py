@@ -23,6 +23,7 @@ KMEANS_TOL_DEFAULT = 1e-6
 
 LINKAGES = ("single", "complete", "average", "ward")
 METRICS = ("euclidean", "one_minus_correlation")
+_NN_BLOCK_ROWS = 64  # rows per refresh of hierarchical's nearest-neighbour cache
 
 Merge = namedtuple("Merge", ["node_a", "node_b", "height", "size"])
 
@@ -223,6 +224,19 @@ def check_linkage(linkage: str, metric: str) -> None:
         raise DataError("ward linkage requires the euclidean metric")
 
 
+def _nearest(work, rows, slot_node, nn, nn_dist):
+    """Set each of `rows` to its minimum and, among the slots holding it, the
+    one with the smallest node id; in row blocks, so temporaries stay small."""
+    no_node = 2 * work.shape[0]  # larger than every node id
+    for start in range(0, rows.size, _NN_BLOCK_ROWS):
+        block = rows[start:start + _NN_BLOCK_ROWS]
+        tied = work[block]
+        best = tied.min(axis=1)
+        tied = tied == best[:, None]
+        nn[block] = np.where(tied, slot_node, no_node).argmin(axis=1)
+        nn_dist[block] = best
+
+
 def hierarchical(
     x=None,
     linkage: str = "average",
@@ -239,8 +253,18 @@ def hierarchical(
     All merging happens in one working copy of the distances (squared for
     ward); `distances` itself is never modified. The copy holds inf on its
     diagonal and on the row and column of every slot merged away, so the
-    smallest entry is always a live pair and the update can run on whole rows:
-    a retired slot stays at inf under every linkage's update.
+    update can run on whole rows: a retired slot stays at inf under every
+    linkage's update.
+
+    Merges come from a cache, not a scan of the copy (the generic algorithm
+    of Muellner 2011, arXiv:1109.2378): for each slot, its row minimum
+    `nn_dist` and, among the slots holding it, the partner `nn` with the
+    smallest node id. Both ends of every pair at the global minimum hold it
+    as their cached minimum, so the smallest such pair starts at the smallest
+    node id among those rows and ends at that row's partner: the merge a
+    full scan picks. A merge into slot i rescans only row i and the rows
+    whose partner was merged; other rows take slot i only when strictly
+    closer, since the new node's id is the largest alive.
 
     Single and complete linkage only pick among the input distances, so which
     of two tied pairs merges first never depends on rounding. Average and ward
@@ -265,16 +289,14 @@ def hierarchical(
 
     slot_node = np.arange(n)
     slot_size = np.ones(n, dtype=np.int64)
+    nn, nn_dist = np.empty(n, dtype=np.int64), np.empty(n)
+    _nearest(work, np.arange(n), slot_node, nn, nn_dist)
     merges = []
     for t in range(n - 1):
-        dist = work.min()
-        cand = np.argwhere(work == dist)
-        # each tied pair appears in both orders; normalizing by node id and
-        # taking the minimum applies the (node_a, node_b) tie-break
-        i, j = min(
-            ((min(slot_node[p], slot_node[q]), max(slot_node[p], slot_node[q]), p, q)
-             for p, q in cand)
-        )[2:]
+        dist = nn_dist.min()
+        rows = np.flatnonzero(nn_dist == dist)
+        p = int(rows[slot_node[rows].argmin()])
+        i, j = sorted((p, int(nn[p])))
         a, b = sorted((int(slot_node[i]), int(slot_node[j])))
         si, sj = int(slot_size[i]), int(slot_size[j])
         height = float(dist)
@@ -298,6 +320,12 @@ def hierarchical(
         slot_size[i] = si + sj
         slot_node[i] = n + t
         merges.append(Merge(a, b, height, si + sj))
+        nn[j], nn_dist[j] = -1, np.inf
+        # i and j were each other's partners, so this takes in row i
+        stale = np.flatnonzero((nn == i) | (nn == j))
+        closer = new < nn_dist
+        nn[closer], nn_dist[closer] = i, new[closer]
+        _nearest(work, stale, slot_node, nn, nn_dist)
     return Dendrogram(tuple(merges), linkage, metric, n)
 
 

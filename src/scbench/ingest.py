@@ -89,6 +89,8 @@ def _read_header(fh) -> tuple[str, int, int, int, int]:
         raise FormatError(f"malformed size line: {size_line.strip()!r}") from None
     if n_rows < 0 or n_cols < 0 or nnz < 0:
         raise FormatError("negative size")
+    if max(n_rows, n_cols, nnz) > np.iinfo(np.int64).max:
+        raise FormatError(f"size line {size_line.strip()!r} overflows 64-bit range")
     return field, n_rows, n_cols, nnz, lineno
 
 

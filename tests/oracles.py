@@ -1,9 +1,12 @@
-"""Independent reference implementations used to cross-check the library.
+"""Reference implementations used to cross-check the library.
 
-Everything here recomputes results from first principles (definitions over
-raw pairwise distances, exhaustive enumeration) rather than sharing any code
-with the package under test. The one shared piece is `seeded_rng`, which
-defines the cell orderings cumulative detection averages over.
+Almost everything here recomputes results from first principles (definitions
+over raw pairwise distances, exhaustive enumeration) rather than sharing any
+code with the package under test. Two pieces share the library's definitions
+on purpose: `seeded_rng`, which defines the cell orderings cumulative
+detection averages over, and `scan_agglomerate`, the library's former
+agglomeration loop, which does the same Lance-Williams arithmetic so that
+dendrograms can be compared exactly.
 """
 import itertools
 import math
@@ -67,6 +70,58 @@ def naive_agglomerate(x, linkage, metric):
         merges.append((a, b, dist))
         clusters[n + t] = clusters.pop(a) | clusters.pop(b)
     return merges
+
+
+def scan_agglomerate(d, linkage):
+    """The library's former O(n^3) agglomeration loop, kept as its oracle.
+
+    Each merge scans the whole working copy for its minimum and takes the
+    smallest (node_a, node_b) pair among the entries that hold it. The
+    Lance-Williams arithmetic is the library's, operation for operation, so
+    the merges must equal `hierarchical`'s exactly, heights included.
+    Returns a tuple of (node_a, node_b, height, size).
+    """
+    d = np.asarray(d, dtype=np.float64)
+    n = d.shape[0]
+    work = d * d if linkage == "ward" else d.copy()
+    np.fill_diagonal(work, np.inf)
+
+    slot_node = np.arange(n)
+    slot_size = np.ones(n, dtype=np.int64)
+    merges = []
+    for t in range(n - 1):
+        dist = work.min()
+        cand = np.argwhere(work == dist)
+        # each tied pair appears in both orders; normalizing by node id and
+        # taking the minimum applies the (node_a, node_b) tie-break
+        i, j = min(
+            ((min(slot_node[p], slot_node[q]), max(slot_node[p], slot_node[q]), p, q)
+             for p, q in cand)
+        )[2:]
+        a, b = sorted((int(slot_node[i]), int(slot_node[j])))
+        si, sj = int(slot_size[i]), int(slot_size[j])
+        height = float(dist)
+
+        dik, djk = work[i], work[j]
+        if linkage == "single":
+            new = np.minimum(dik, djk)
+        elif linkage == "complete":
+            new = np.maximum(dik, djk)
+        elif linkage == "average":
+            new = (si * dik + sj * djk) / (si + sj)
+        else:  # ward, on squared distances
+            sk = slot_size
+            new = ((si + sk) * dik + (sj + sk) * djk - sk * dist) / (si + sj + sk)
+        new[i] = new[j] = np.inf
+        work[i] = new
+        work[:, i] = new
+        work[j] = np.inf
+        work[:, j] = np.inf
+
+        slot_size[i] = si + sj
+        slot_node[i] = n + t
+        merges.append((a, b, height, si + sj))
+    return tuple(merges)
 
 
 def naive_silhouette(d, labels):

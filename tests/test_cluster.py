@@ -1,5 +1,6 @@
 """k-means, hierarchical clustering, silhouettes, and ARI."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     naive_agglomerate,
     naive_distances,
     naive_silhouette,
+    scan_agglomerate,
     scatter,
 )
 
@@ -185,6 +187,42 @@ def test_hierarchical_matches_naive_oracle():
         x = rng.integers(0, 3, size=(12, 2)).astype(float)
         for linkage in ("single", "complete"):
             check(x, linkage)
+
+
+def test_hierarchical_equals_the_scan_loop():
+    # the cache must reproduce the full-scan merge order exactly, heights
+    # and sizes included, under every linkage and on heavily tied inputs
+    def check(d):
+        for linkage in LINKAGES:
+            got = hierarchical(distances=d, linkage=linkage).merges
+            assert got == scan_agglomerate(d, linkage), linkage
+
+    rng = np.random.default_rng(70)
+    for n in range(2, 41):
+        check(pairwise_distances(rng.normal(size=(n, 3))))
+    for trial in range(20):
+        grid = rng.integers(0, 4, size=(int(rng.integers(2, 40)), 2))
+        check(pairwise_distances(grid.astype(float)))
+    for trial in range(20):
+        n = int(rng.integers(2, 40))
+        upper = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
+        check(upper + upper.T)  # zeros off the diagonal tie at height 0
+    centers = np.repeat([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]], 75, axis=0)
+    check(pairwise_distances(centers + rng.normal(size=(300, 2))))
+
+
+def test_hierarchical_memory_stays_near_one_working_copy():
+    # the cache is filled and refreshed in row blocks; a whole-matrix
+    # temporary on top of the working copy would roughly double the peak
+    d = pairwise_distances(blob(80, 600, 2))
+    for linkage in LINKAGES:
+        tracemalloc.start()
+        try:
+            hierarchical(distances=d, linkage=linkage)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * d.nbytes, (linkage, peak / d.nbytes)
 
 
 def test_hierarchical_accepts_precomputed_distances():

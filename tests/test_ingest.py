@@ -146,6 +146,19 @@ def test_oversized_entry_count_gets_the_json_envelope(tmp_path, capsys):
     }
 
 
+def test_size_line_beyond_int64_gets_the_json_envelope(tmp_path, capsys):
+    big = "99999999999999999999"
+    p = write(
+        tmp_path / "m.mtx",
+        f"%%MatrixMarket matrix coordinate integer general\n{big} 2 1\n{big} 1 1\n",
+    )
+    assert cli_main(["qc", "--matrix", str(p), "-o", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError",
+        "message": f"size line '{big} 2 1' overflows 64-bit range",
+    }
+
+
 def test_matrix_market_round_trip(tmp_path):
     for seed in range(5):
         m = random_matrix(seed, 13, 9, density=0.3)
