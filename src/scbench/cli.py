@@ -26,7 +26,6 @@ from pathlib import Path
 from ._util import canonical_json, worker_count
 from .cluster import (
     adjusted_rand_index,
-    check_linkage,
     cut_dendrogram,
     hierarchical,
     kmeans,
@@ -66,7 +65,7 @@ from .synth import SynthConfig, generate
 INPUT_KEYS = ("sample", "matrix", "cells", "genes", "transpose", "join_by_id")
 FILTER_KEYS = ("zero_threshold", "cv_fraction", "normalize_axis", "log1p")
 EMBED_KEYS = ("perplexity", "tsne_no_pca", "iters")
-CLUSTER_KEYS = ("k", "cluster_method", "metric", "linkage", "restarts")
+CLUSTER_KEYS = ("k", "cluster_method", "linkage", "restarts")
 SEED_KEYS = ("seed",)
 
 
@@ -105,10 +104,6 @@ def _parallel_map(fn, items):
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(items))) as ex:
         return list(ex.map(fn, items))
-
-
-def _metric_name(args) -> str:
-    return args.metric.replace("-", "_")
 
 
 def _truth_labels(annotations) -> list[str] | None:
@@ -171,15 +166,14 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
 
     # one distance matrix per split, shared by hclust and the silhouettes
     coords = tsne_emb.coordinates
-    metric = _metric_name(args)
-    d = pairwise_distances(coords, metric)
+    d = pairwise_distances(coords)
     if args.cluster_method == "kmeans":
         labels = kmeans(coords, args.k, seed=args.seed, restarts=args.restarts).labels
     else:
-        dend = hierarchical(distances=d, linkage=args.linkage, metric=metric)
+        dend = hierarchical(d, linkage=args.linkage)
         labels = cut_dendrogram(dend, args.k)
     fields["labels"] = labels
-    fields["silhouettes"] = silhouette(labels=labels, distances=d)
+    fields["silhouettes"] = silhouette(d, labels)
     truth = _truth_labels(annotations)
     if truth is not None:
         fields["ari"] = adjusted_rand_index(truth, labels)
@@ -303,12 +297,6 @@ DEPTH_GROUPS = {
 def _run_stage(depth: str, emit, args) -> int:
     keys = sum((k for _, k in FLAG_GROUPS[: DEPTH_GROUPS[depth]]), ()) + SEED_KEYS
     config = _resolved_config(args, keys)
-    if depth in ("cluster", "pipeline"):
-        if args.cluster_method == "hclust":
-            check_linkage(args.linkage, _metric_name(args))
-        if args.metric == "one-minus-correlation":
-            raise DataError("correlation distance needs at least 3 features; "
-                            "clustering runs on 2-d t-SNE coordinates")
     splits = _stage_splits(args, depth)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -376,8 +364,6 @@ def _add_embed_flags(p):
 def _add_cluster_flags(p):
     p.add_argument("--k", type=int, default=3, help="number of clusters")
     p.add_argument("--cluster-method", choices=("kmeans", "hclust"), default="kmeans")
-    p.add_argument("--metric", choices=("euclidean", "one-minus-correlation"),
-                   default="euclidean")
     p.add_argument("--linkage", choices=("single", "complete", "average", "ward"),
                    default="ward")
     p.add_argument("--restarts", type=int, default=10, help="k-means restarts")

@@ -22,7 +22,6 @@ KMEANS_MAX_ITERS_DEFAULT = 300
 KMEANS_TOL_DEFAULT = 1e-6
 
 LINKAGES = ("single", "complete", "average", "ward")
-METRICS = ("euclidean", "one_minus_correlation")
 _NN_BLOCK_ROWS = 64  # rows per refresh of hierarchical's nearest-neighbour cache
 
 Merge = namedtuple("Merge", ["node_a", "node_b", "height", "size"])
@@ -39,37 +38,18 @@ def _as_points(x) -> np.ndarray:
     return arr
 
 
-def pairwise_distances(x, metric: str = "euclidean") -> np.ndarray:
-    """Full symmetric distance matrix with an exactly zero diagonal.
+def pairwise_distances(x) -> np.ndarray:
+    """Euclidean distances between the rows of `x`, as the full n x n matrix.
 
-    one_minus_correlation is 1 - Pearson r between rows. It needs at least 3
-    features, since r between two 2-vectors is always +-1, and every row
-    needs nonzero variance.
+    Entries (i, j) and (j, i) sum the same squared differences in the same
+    order, so the matrix is exactly symmetric, with an exactly zero diagonal.
     """
     points = _as_points(x)
     n = points.shape[0]
-    if metric == "euclidean":
-        d = np.empty((n, n))
-        for i in range(n):
-            diff = points - points[i]
-            d[i] = np.sqrt((diff * diff).sum(axis=1))
-    elif metric == "one_minus_correlation":
-        if points.shape[1] < 3:
-            raise DataError("correlation distance needs at least 3 features")
-        centered = points - points.mean(axis=1, keepdims=True)
-        norms = np.sqrt((centered * centered).sum(axis=1))
-        if (norms == 0).any():
-            bad = int(np.flatnonzero(norms == 0)[0])
-            raise DataError(
-                f"row {bad} has zero variance; correlation distance undefined"
-            )
-        r = (centered @ centered.T) / np.outer(norms, norms)
-        np.clip(r, -1.0, 1.0, out=r)
-        d = 1.0 - r
-    else:
-        raise DataError(f"unknown metric {metric!r}")
-    d = np.triu(d, 1)
-    d = d + d.T
+    d = np.empty((n, n))
+    for i in range(n):
+        diff = points - points[i]
+        d[i] = np.sqrt((diff * diff).sum(axis=1))
     return d
 
 
@@ -212,16 +192,7 @@ def kmeans(
 class Dendrogram:
     merges: tuple
     linkage: str
-    metric: str
     n_leaves: int
-
-
-def check_linkage(linkage: str, metric: str) -> None:
-    """Raise DataError unless `linkage` is known and fits `metric`."""
-    if linkage not in LINKAGES:
-        raise DataError(f"unknown linkage {linkage!r}")
-    if linkage == "ward" and metric != "euclidean":
-        raise DataError("ward linkage requires the euclidean metric")
 
 
 def _nearest(work, rows, slot_node, nn, nn_dist):
@@ -237,18 +208,16 @@ def _nearest(work, rows, slot_node, nn, nn_dist):
         nn_dist[block] = best
 
 
-def hierarchical(
-    x=None,
-    linkage: str = "average",
-    metric: str = "euclidean",
-    distances: np.ndarray | None = None,
-) -> Dendrogram:
-    """Agglomerative clustering via the Lance-Williams update.
+def hierarchical(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
+    """Agglomerative clustering of a distance matrix via the Lance-Williams
+    update; `pairwise_distances` gives the euclidean matrix of points.
 
-    Ward requires euclidean geometry and tracks squared-distance heights:
+    Ward assumes euclidean distances and tracks squared-distance heights:
     merging A and B costs 2|A||B|/(|A|+|B|) times the squared distance between
     their centroids. Distance ties are broken by the smallest (node_a, node_b)
-    pair; merge t creates node n_leaves + t.
+    pair; merge t creates node n_leaves + t. A merge height that overflows
+    float64 (ward squares the distances; average scales them by cluster
+    sizes) raises DataError.
 
     All merging happens in one working copy of the distances (squared for
     ward); `distances` itself is never modified. The copy holds inf on its
@@ -272,61 +241,60 @@ def hierarchical(
     them by definition: among distances equal by definition, the merge order
     may follow rounding and differ from such a recomputation.
     """
-    check_linkage(linkage, metric)
-    if distances is None:
-        if x is None:
-            raise DataError("need points or a distance matrix")
-        d = pairwise_distances(x, metric)
-    else:
-        if x is not None:
-            raise DataError("pass points or distances, not both")
-        d = _check_distance_matrix(distances)
+    if linkage not in LINKAGES:
+        raise DataError(f"unknown linkage {linkage!r}")
+    d = _check_distance_matrix(distances)
     n = d.shape[0]
     if n < 2:
         raise DataError("clustering needs at least 2 points")
-    work = d * d if linkage == "ward" else d.copy()
-    np.fill_diagonal(work, np.inf)
+    # an overflow, or the inf - inf it can lead to, shows as a non-finite
+    # merge height, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = d * d if linkage == "ward" else d.copy()
+        np.fill_diagonal(work, np.inf)
 
-    slot_node = np.arange(n)
-    slot_size = np.ones(n, dtype=np.int64)
-    nn, nn_dist = np.empty(n, dtype=np.int64), np.empty(n)
-    _nearest(work, np.arange(n), slot_node, nn, nn_dist)
-    merges = []
-    for t in range(n - 1):
-        dist = nn_dist.min()
-        rows = np.flatnonzero(nn_dist == dist)
-        p = int(rows[slot_node[rows].argmin()])
-        i, j = sorted((p, int(nn[p])))
-        a, b = sorted((int(slot_node[i]), int(slot_node[j])))
-        si, sj = int(slot_size[i]), int(slot_size[j])
-        height = float(dist)
+        slot_node = np.arange(n)
+        slot_size = np.ones(n, dtype=np.int64)
+        nn, nn_dist = np.empty(n, dtype=np.int64), np.empty(n)
+        _nearest(work, np.arange(n), slot_node, nn, nn_dist)
+        merges = []
+        for t in range(n - 1):
+            dist = nn_dist.min()
+            if not np.isfinite(dist):
+                raise DataError("merge height overflows float64; rescale the distances")
+            rows = np.flatnonzero(nn_dist == dist)
+            p = int(rows[slot_node[rows].argmin()])
+            i, j = sorted((p, int(nn[p])))
+            a, b = sorted((int(slot_node[i]), int(slot_node[j])))
+            si, sj = int(slot_size[i]), int(slot_size[j])
+            height = float(dist)
 
-        dik, djk = work[i], work[j]
-        if linkage == "single":
-            new = np.minimum(dik, djk)
-        elif linkage == "complete":
-            new = np.maximum(dik, djk)
-        elif linkage == "average":
-            new = (si * dik + sj * djk) / (si + sj)
-        else:  # ward, on squared distances
-            sk = slot_size
-            new = ((si + sk) * dik + (sj + sk) * djk - sk * dist) / (si + sj + sk)
-        new[i] = new[j] = np.inf
-        work[i] = new
-        work[:, i] = new
-        work[j] = np.inf
-        work[:, j] = np.inf
+            dik, djk = work[i], work[j]
+            if linkage == "single":
+                new = np.minimum(dik, djk)
+            elif linkage == "complete":
+                new = np.maximum(dik, djk)
+            elif linkage == "average":
+                new = (si * dik + sj * djk) / (si + sj)
+            else:  # ward, on squared distances
+                sk = slot_size
+                new = ((si + sk) * dik + (sj + sk) * djk - sk * dist) / (si + sj + sk)
+            new[i] = new[j] = np.inf
+            work[i] = new
+            work[:, i] = new
+            work[j] = np.inf
+            work[:, j] = np.inf
 
-        slot_size[i] = si + sj
-        slot_node[i] = n + t
-        merges.append(Merge(a, b, height, si + sj))
-        nn[j], nn_dist[j] = -1, np.inf
-        # i and j were each other's partners, so this takes in row i
-        stale = np.flatnonzero((nn == i) | (nn == j))
-        closer = new < nn_dist
-        nn[closer], nn_dist[closer] = i, new[closer]
-        _nearest(work, stale, slot_node, nn, nn_dist)
-    return Dendrogram(tuple(merges), linkage, metric, n)
+            slot_size[i] = si + sj
+            slot_node[i] = n + t
+            merges.append(Merge(a, b, height, si + sj))
+            nn[j], nn_dist[j] = -1, np.inf
+            # i and j were each other's partners, so this takes in row i
+            stale = np.flatnonzero((nn == i) | (nn == j))
+            closer = new < nn_dist
+            nn[closer], nn_dist[closer] = i, new[closer]
+            _nearest(work, stale, slot_node, nn, nn_dist)
+    return Dendrogram(tuple(merges), linkage, n)
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int) -> np.ndarray:
@@ -365,21 +333,15 @@ class SilhouetteReport:
     per_cluster_mean: dict
 
 
-def silhouette(x=None, labels=None, distances: np.ndarray | None = None) -> SilhouetteReport:
-    """Silhouette width s(i) = (b - a) / max(a, b) per point.
+def silhouette(distances: np.ndarray, labels) -> SilhouetteReport:
+    """Silhouette width s(i) = (b - a) / max(a, b) per point, from a distance
+    matrix such as `pairwise_distances` gives.
 
     Singleton clusters score 0, as does any point where both a and b are 0.
     Needs at least 2 clusters.
     """
-    if labels is None:
-        raise DataError("labels are required")
+    d = _check_distance_matrix(distances)
     labels = np.asarray(labels, dtype=np.int64)
-    if distances is None:
-        d = pairwise_distances(x)
-    else:
-        if x is not None:
-            raise DataError("pass points or distances, not both")
-        d = _check_distance_matrix(distances)
     n = d.shape[0]
     if labels.shape != (n,):
         raise DataError("labels must have one entry per point")

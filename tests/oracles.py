@@ -16,21 +16,16 @@ import numpy as np
 from scbench._util import seeded_rng
 
 
-def naive_distances(x, metric):
+def naive_distances(x):
     n = len(x)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if metric == "euclidean":
-                v = float(np.sqrt(((x[i] - x[j]) ** 2).sum()))
-            else:
-                r = np.corrcoef(x[i], x[j])[0, 1]
-                v = float(1.0 - min(1.0, max(-1.0, r)))
-            d[i, j] = d[j, i] = v
+            d[i, j] = d[j, i] = float(np.sqrt(((x[i] - x[j]) ** 2).sum()))
     return d
 
 
-def naive_agglomerate(x, linkage, metric):
+def naive_agglomerate(x, linkage):
     """Definition-based agglomeration: every cluster pair distance is
     recomputed from scratch at every step (O(n^3) overall).
 
@@ -41,7 +36,7 @@ def naive_agglomerate(x, linkage, metric):
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    d = naive_distances(x, metric)
+    d = naive_distances(x)
 
     def cluster_distance(a_members, b_members):
         if linkage == "single":

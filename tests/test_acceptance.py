@@ -25,6 +25,7 @@ from scbench import (
     generate,
     hierarchical,
     kmeans,
+    pairwise_distances,
     pca_fit_transform,
     preprocess_pipeline,
     quantile_normalize,
@@ -113,20 +114,17 @@ def test_criterion_04_hierarchical_matches_naive_oracle():
     for seed in range(20):
         x = np.random.default_rng(100 + seed).normal(size=(64, 5))
         for linkage in ("single", "complete", "average", "ward"):
-            metrics = ("euclidean",) if linkage == "ward" else (
-                "euclidean", "one_minus_correlation")
-            for metric in metrics:
-                dend = hierarchical(x, linkage=linkage, metric=metric)
-                expected = naive_agglomerate(x, linkage, metric)
-                assert [
-                    (m.node_a, m.node_b) for m in dend.merges
-                ] == [(a, b) for a, b, _ in expected]
-                heights = np.array([h for _, _, h in expected])
-                got = np.array([m.height for m in dend.merges])
-                assert np.abs(got - heights).max() <= 1e-9
-                checked += 1
-    assert checked == 20 * 7
-    print("criterion 4 PASS: 140 oracle runs, topology exact, heights <= 1e-9")
+            dend = hierarchical(pairwise_distances(x), linkage=linkage)
+            expected = naive_agglomerate(x, linkage)
+            assert [
+                (m.node_a, m.node_b) for m in dend.merges
+            ] == [(a, b) for a, b, _ in expected]
+            heights = np.array([h for _, _, h in expected])
+            got = np.array([m.height for m in dend.merges])
+            assert np.abs(got - heights).max() <= 1e-9
+            checked += 1
+    assert checked == 20 * 4
+    print("criterion 4 PASS: 80 oracle runs, topology exact, heights <= 1e-9")
 
 
 def test_criterion_05_kmeans_reaches_small_instance_optimum():
@@ -152,8 +150,8 @@ def test_criterion_06_silhouette_matches_naive_oracle():
         x = rng.normal(size=(n, 3))
         labels = np.r_[np.arange(k), rng.integers(0, k, size=n - k)]
         rng.shuffle(labels)
-        rep = silhouette(x, labels)
-        oracle = naive_silhouette(naive_distances(x, "euclidean"), labels)
+        rep = silhouette(pairwise_distances(x), labels)
+        oracle = naive_silhouette(naive_distances(x), labels)
         worst = max(worst, float(np.abs(rep.widths - oracle).max()))
         assert (rep.widths >= -1.0 - 1e-12).all()
         assert (rep.widths <= 1.0 + 1e-12).all()
@@ -280,9 +278,10 @@ def test_criterion_10_cluster_recovery_and_model_selection():
         km3 = kmeans(emb.coordinates, 3, seed=0, restarts=10)
         if adjusted_rand_index(truth, km3.labels) >= 0.9:
             recovered += 1
-        sil3 = silhouette(emb.coordinates, km3.labels).mean
+        d = pairwise_distances(emb.coordinates)
+        sil3 = silhouette(d, km3.labels).mean
         km6 = kmeans(emb.coordinates, 6, seed=0, restarts=10)
-        sil6 = silhouette(emb.coordinates, km6.labels).mean
+        sil6 = silhouette(d, km6.labels).mean
         assert sil3 > sil6
     assert recovered >= 18
     print(

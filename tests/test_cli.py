@@ -169,42 +169,6 @@ def test_stage_rerun_is_byte_identical(data_dir, tmp_path, command, flags):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_ward_with_correlation_fails_before_any_stage_runs(
-    data_dir, tmp_path, capsys, monkeypatch
-):
-    def no_tsne(*args, **kwargs):
-        raise AssertionError("t-SNE ran before the linkage check")
-
-    monkeypatch.setattr(scbench.cli, "tsne", no_tsne)
-    rc = cli_main(["cluster", *input_args(data_dir), "--cluster-method", "hclust",
-                   "--metric", "one-minus-correlation", "-o", str(tmp_path)])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "DataError",
-        "message": "ward linkage requires the euclidean metric",
-    }
-
-
-def test_correlation_metric_fails_before_any_stage_runs(
-    data_dir, tmp_path, capsys, monkeypatch
-):
-    def no_tsne(*args, **kwargs):
-        raise AssertionError("t-SNE ran before the metric check")
-
-    monkeypatch.setattr(scbench.cli, "tsne", no_tsne)
-    for command, method in (("cluster", "kmeans"), ("evaluate", "hclust"),
-                            ("pipeline", "hclust")):
-        rc = cli_main([command, *input_args(data_dir), "--cluster-method", method,
-                       "--linkage", "average", "--metric", "one-minus-correlation",
-                       "-o", str(tmp_path)])
-        assert rc == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "DataError",
-            "message": "correlation distance needs at least 3 features; "
-            "clustering runs on 2-d t-SNE coordinates",
-        }
-
-
 def test_cluster_and_evaluate_skip_qc(data_dir, tmp_path, monkeypatch):
     def no_qc(*args, **kwargs):
         raise AssertionError("QC ran for a command that writes no QC table")
@@ -399,6 +363,12 @@ def test_config_file_errors_are_usage_errors(data_dir, tmp_path, capsys):
                      "-o", str(tmp_path)]) == 2
     assert cli_main(["qc", "--config", str(tmp_path / "missing.cfg"),
                      *input_args(data_dir), "-o", str(tmp_path)]) == 2
+    # there is no metric option: clustering is always euclidean
+    bad.write_text("metric=euclidean\n")
+    assert cli_main(["cluster", "--config", str(bad), *input_args(data_dir),
+                     "-o", str(tmp_path)]) == 2
+    assert cli_main(["cluster", *input_args(data_dir), "--metric", "euclidean",
+                     "-o", str(tmp_path)]) == 2
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """k-means, hierarchical clustering, silhouettes, and ARI."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,37 +36,21 @@ def blob(seed, n, g=3, scale=1.0):
     return np.random.default_rng(seed).normal(size=(n, g)) * scale
 
 
+def cityblock(x):
+    return np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
+
+
 def test_pairwise_identical_rows_are_zero_distance():
     x = np.tile([1.0, 2.0, 5.0], (2, 1))
-    assert pairwise_distances(x, "euclidean")[0, 1] == 0.0
-    assert pairwise_distances(x, "one_minus_correlation")[0, 1] <= 1e-12
-
-
-def test_pairwise_anticorrelated_rows():
-    d = pairwise_distances(np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]),
-                           "one_minus_correlation")
-    assert math.isclose(d[0, 1], 2.0, abs_tol=1e-12)
+    assert pairwise_distances(x)[0, 1] == 0.0
 
 
 def test_pairwise_matches_naive_loop():
     x = blob(0, 10, 4)
-    for metric in ("euclidean", "one_minus_correlation"):
-        d = pairwise_distances(x, metric)
-        assert np.abs(d - naive_distances(x, metric)).max() <= 1e-12
-        assert np.array_equal(d, d.T)
-        assert np.abs(np.diagonal(d)).max() == 0.0
-
-
-def test_pairwise_correlation_rejects_flat_row():
-    x = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
-    with pytest.raises(DataError, match="variance"):
-        pairwise_distances(x, "one_minus_correlation")
-
-
-def test_pairwise_correlation_needs_three_features():
-    # Pearson r between two 2-vectors is always +-1
-    with pytest.raises(DataError, match="at least 3 features"):
-        pairwise_distances(blob(24, 6, g=2), "one_minus_correlation")
+    d = pairwise_distances(x)
+    assert np.abs(d - naive_distances(x)).max() <= 1e-12
+    assert np.array_equal(d, d.T)
+    assert np.abs(np.diagonal(d)).max() == 0.0
 
 
 def test_kmeans_k_equals_n():
@@ -142,7 +127,7 @@ def test_kmeans_translation_and_scaling_invariance():
 def test_hierarchical_two_points():
     x = np.array([[0.0, 0.0], [3.0, 4.0]])
     for linkage in LINKAGES:
-        dend = hierarchical(x, linkage=linkage)
+        dend = hierarchical(pairwise_distances(x), linkage=linkage)
         assert len(dend.merges) == 1
         expected = 25.0 if linkage == "ward" else 5.0
         assert math.isclose(dend.merges[0].height, expected, rel_tol=1e-12)
@@ -151,7 +136,7 @@ def test_hierarchical_two_points():
 
 def test_hierarchical_single_linkage_line():
     x = np.array([[0.0], [1.0], [10.0]])
-    dend = hierarchical(x, linkage="single")
+    dend = hierarchical(pairwise_distances(x), linkage="single")
     assert [m.height for m in dend.merges] == [1.0, 9.0]
     assert (dend.merges[0].node_a, dend.merges[0].node_b) == (0, 1)
     assert (dend.merges[1].node_a, dend.merges[1].node_b) == (2, 3)
@@ -159,15 +144,15 @@ def test_hierarchical_single_linkage_line():
 
 def test_hierarchical_tie_break_on_unit_square():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    dend = hierarchical(x, linkage="single")
+    dend = hierarchical(pairwise_distances(x), linkage="single")
     got = [(m.node_a, m.node_b, m.height, m.size) for m in dend.merges]
     assert got == [(0, 1, 1.0, 2), (2, 3, 1.0, 2), (4, 5, 1.0, 4)]
 
 
 def test_hierarchical_matches_naive_oracle():
-    def check(x, linkage, metric="euclidean"):
-        dend = hierarchical(x, linkage=linkage, metric=metric)
-        expected = naive_agglomerate(x, linkage, metric)
+    def check(x, linkage):
+        dend = hierarchical(pairwise_distances(x), linkage=linkage)
+        expected = naive_agglomerate(x, linkage)
         got = [(m.node_a, m.node_b) for m in dend.merges]
         assert got == [(a, b) for a, b, _ in expected]
         want = np.array([h for _, _, h in expected])
@@ -177,10 +162,7 @@ def test_hierarchical_matches_naive_oracle():
     for trial in range(3):
         x = rng.normal(size=(12, 4))
         for linkage in LINKAGES:
-            metrics = ("euclidean",) if linkage == "ward" else (
-                "euclidean", "one_minus_correlation")
-            for metric in metrics:
-                check(x, linkage, metric)
+            check(x, linkage)
     # integer grids tie many distances; average and ward round differently
     # from the oracle at such ties, so only single and complete take them
     for trial in range(3):
@@ -194,7 +176,7 @@ def test_hierarchical_equals_the_scan_loop():
     # and sizes included, under every linkage and on heavily tied inputs
     def check(d):
         for linkage in LINKAGES:
-            got = hierarchical(distances=d, linkage=linkage).merges
+            got = hierarchical(d, linkage=linkage).merges
             assert got == scan_agglomerate(d, linkage), linkage
 
     rng = np.random.default_rng(70)
@@ -218,7 +200,7 @@ def test_hierarchical_memory_stays_near_one_working_copy():
     for linkage in LINKAGES:
         tracemalloc.start()
         try:
-            hierarchical(distances=d, linkage=linkage)
+            hierarchical(d, linkage=linkage)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -226,31 +208,30 @@ def test_hierarchical_memory_stays_near_one_working_copy():
 
 
 def test_hierarchical_accepts_precomputed_distances():
-    x = blob(21, 14, 4)
-    d = pairwise_distances(x, "euclidean")
+    # any valid matrix clusters, not only pairwise_distances' euclidean one,
+    # and the caller's matrix is left as it was
+    d = cityblock(blob(21, 14, 4))
     before = d.copy()
-    from_points = hierarchical(x, linkage="average")
-    from_dists = hierarchical(distances=d, linkage="average")
-    assert np.array_equal(d, before)
-    assert [
-        (m.node_a, m.node_b) for m in from_points.merges
-    ] == [(m.node_a, m.node_b) for m in from_dists.merges]
-    assert np.abs(heights(from_points) - heights(from_dists)).max() <= 1e-12
+    for linkage in LINKAGES:
+        hierarchical(d, linkage=linkage)
+        assert np.array_equal(d, before), linkage
+    dend = hierarchical(d, linkage="single")
+    assert np.allclose(sorted(heights(dend)), mst_edge_weights(d), atol=1e-9)
 
 
 def test_hierarchical_heights_nondecreasing():
     for seed in range(5):
         x = blob(seed + 30, 20, 4)
         for linkage in LINKAGES:
-            dend = hierarchical(x, linkage=linkage)
+            dend = hierarchical(pairwise_distances(x), linkage=linkage)
             assert (np.diff(heights(dend)) >= -1e-9).all()
 
 
 def test_single_linkage_heights_are_mst_edges():
     for seed in range(5):
         x = blob(seed + 40, 18, 3)
-        dend = hierarchical(x, linkage="single")
-        d = pairwise_distances(x, "euclidean")
+        d = pairwise_distances(x)
+        dend = hierarchical(d, linkage="single")
         assert np.allclose(sorted(heights(dend)), mst_edge_weights(d), atol=1e-9)
 
 
@@ -258,8 +239,8 @@ def test_hierarchical_invariant_to_input_order():
     rng = np.random.default_rng(50)
     x = rng.normal(size=(16, 3))
     perm = rng.permutation(16)
-    straight = hierarchical(x, linkage="complete")
-    shuffled = hierarchical(x[perm], linkage="complete")
+    straight = hierarchical(pairwise_distances(x), linkage="complete")
+    shuffled = hierarchical(pairwise_distances(x[perm]), linkage="complete")
     assert np.allclose(
         sorted(heights(straight)), sorted(heights(shuffled)), atol=1e-9
     )
@@ -269,30 +250,41 @@ def test_hierarchical_invariant_to_input_order():
     assert adjusted_rand_index(labels_straight[perm], labels_shuffled) == 1.0
 
 
-def test_hierarchical_ward_requires_euclidean():
-    x = blob(22, 8, 4)
-    with pytest.raises(DataError, match="euclidean"):
-        hierarchical(x, linkage="ward", metric="one_minus_correlation")
-    d = pairwise_distances(x, "one_minus_correlation")
-    with pytest.raises(DataError, match="euclidean"):
-        hierarchical(distances=d, linkage="ward", metric="one_minus_correlation")
-
-
 def test_hierarchical_rejects_invalid_input():
     with pytest.raises(DataError, match="linkage"):
-        hierarchical(blob(23, 5), linkage="median")
-    with pytest.raises(DataError):
-        hierarchical()
-    with pytest.raises(DataError):
-        hierarchical(np.zeros((1, 2)))
+        hierarchical(pairwise_distances(blob(23, 5)), linkage="median")
+    with pytest.raises(DataError, match="at least 2"):
+        hierarchical(np.zeros((1, 1)))
+    with pytest.raises(DataError, match="square"):
+        hierarchical(np.zeros((3, 2)))
     bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(DataError):
-        hierarchical(distances=bad)
+    with pytest.raises(DataError, match="symmetric"):
+        hierarchical(bad)
+
+
+def test_hierarchical_raises_when_a_merge_height_overflows():
+    # ward squares 1e200 and average adds 1.5e308 to itself, both past
+    # float64; single and complete only pick among the inputs and finish.
+    # The 4-point ward update overflows to inf - inf, a NaN.
+    def three(big):
+        return np.array([[0.0, big, big], [big, 0.0, 1.0], [big, 1.0, 0.0]])
+
+    s = 1e154
+    four = np.array([[0, 1, s, s], [1, 0, s, s], [s, s, 0, s], [s, s, s, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for linkage, d in (("ward", three(1e200)), ("ward", three(1.5e308)),
+                           ("average", three(1.5e308)), ("ward", four)):
+            with pytest.raises(DataError, match="overflow"):
+                hierarchical(d, linkage=linkage)
+        for linkage in ("single", "complete"):
+            merges = hierarchical(three(1.5e308), linkage=linkage).merges
+            assert merges == ((1, 2, 1.0, 2), (0, 3, 1.5e308, 3)), linkage
 
 
 def test_cut_identity_and_single_cluster():
     x = blob(24, 7)
-    dend = hierarchical(x, linkage="average")
+    dend = hierarchical(pairwise_distances(x), linkage="average")
     assert cut_dendrogram(dend, 7).tolist() == list(range(7))
     assert not cut_dendrogram(dend, 1).any()
     with pytest.raises(DataError):
@@ -302,13 +294,14 @@ def test_cut_identity_and_single_cluster():
 
 
 def test_cut_labels_by_smallest_member():
-    dend = hierarchical(np.array([[0.0], [1.0], [10.0]]), linkage="single")
+    d = pairwise_distances(np.array([[0.0], [1.0], [10.0]]))
+    dend = hierarchical(d, linkage="single")
     assert cut_dendrogram(dend, 2).tolist() == [0, 0, 1]
 
 
 def test_cut_supports_known_type_counts():
     x = blob(25, 30, 5)
-    dend = hierarchical(x, linkage="ward")
+    dend = hierarchical(pairwise_distances(x), linkage="ward")
     for k in (9, 10):
         labels = cut_dendrogram(dend, k)
         assert len(np.unique(labels)) == k
@@ -316,33 +309,33 @@ def test_cut_supports_known_type_counts():
 
 def test_cut_to_singletons_breaks_silhouette():
     x = blob(26, 6)
-    labels = cut_dendrogram(hierarchical(x, linkage="average"), 6)
+    labels = cut_dendrogram(hierarchical(pairwise_distances(x), linkage="average"), 6)
     with pytest.raises(DataError, match="singleton"):
-        silhouette(x, labels)
+        silhouette(pairwise_distances(x), labels)
 
 
 def test_silhouette_duplicated_points():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    rep = silhouette(x, [0, 0, 1, 1])
+    rep = silhouette(pairwise_distances(x), [0, 0, 1, 1])
     assert rep.widths.tolist() == [1.0, 1.0, 1.0, 1.0]
     assert rep.mean == 1.0
 
 
 def test_silhouette_single_cluster_is_error():
     with pytest.raises(DataError, match="at least 2"):
-        silhouette(blob(27, 5), np.zeros(5, dtype=int))
+        silhouette(pairwise_distances(blob(27, 5)), np.zeros(5, dtype=int))
 
 
 def test_silhouette_hand_case():
     x = np.array([[0.0], [1.0], [10.0], [11.0]])
-    rep = silhouette(x, [0, 0, 1, 1])
+    rep = silhouette(pairwise_distances(x), [0, 0, 1, 1])
     assert math.isclose(rep.widths[0], (10.5 - 1.0) / 10.5, rel_tol=1e-12)
     assert set(rep.per_cluster_mean) == {0, 1}
 
 
 def test_silhouette_singleton_cluster_scores_zero():
     x = np.array([[0.0], [0.5], [9.0]])
-    rep = silhouette(x, [0, 0, 1])
+    rep = silhouette(pairwise_distances(x), [0, 0, 1])
     assert rep.widths[2] == 0.0
 
 
@@ -354,8 +347,8 @@ def test_silhouette_matches_naive_oracle():
         k = int(rng.integers(2, min(n - 1, 6) + 1))
         labels = np.r_[np.arange(k), rng.integers(0, k, size=n - k)]
         rng.shuffle(labels)
-        rep = silhouette(x, labels)
-        d = naive_distances(x, "euclidean")
+        rep = silhouette(pairwise_distances(x), labels)
+        d = naive_distances(x)
         assert np.abs(rep.widths - naive_silhouette(d, labels)).max() <= 1e-12
         assert (np.abs(rep.widths) <= 1.0 + 1e-12).all()
         assert math.isclose(rep.mean, rep.widths.mean(), abs_tol=1e-12)
@@ -365,17 +358,17 @@ def test_silhouette_relabeling_invariance():
     x = blob(29, 15)
     labels = np.random.default_rng(30).integers(0, 3, size=15)
     labels[:3] = [0, 1, 2]
-    a = silhouette(x, labels)
-    b = silhouette(x, 7 - labels)
+    a = silhouette(pairwise_distances(x), labels)
+    b = silhouette(pairwise_distances(x), 7 - labels)
     assert np.array_equal(a.widths, b.widths)
 
 
 def test_silhouette_precomputed_distances_match():
-    x = blob(31, 12)
+    # widths follow whatever valid matrix is given, not only euclidean ones
+    d = cityblock(blob(31, 12))
     labels = np.r_[np.zeros(6, int), np.ones(6, int)]
-    direct = silhouette(x, labels)
-    via_distances = silhouette(distances=pairwise_distances(x), labels=labels)
-    assert np.array_equal(direct.widths, via_distances.widths)
+    rep = silhouette(d, labels)
+    assert np.abs(rep.widths - naive_silhouette(d, labels)).max() <= 1e-12
 
 
 def test_ari_identical_and_relabeled():
