@@ -28,12 +28,10 @@ from .ingest import (
     CellAnnotation,
     attach_annotations,
     read_cell_annotations,
-    read_dense_csv,
     read_gene_annotations,
     read_matrix_market,
     split_by_method_replicate,
     write_cell_annotations,
-    write_dense_csv,
     write_gene_annotations,
     write_matrix_market,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "quantile_normalize",
     "read_cell_annotations",
     "read_config_comment",
-    "read_dense_csv",
     "read_gene_annotations",
     "read_matrix_market",
     "read_table",
@@ -114,7 +111,6 @@ __all__ = [
     "vstack_cells",
     "write_cell_annotations",
     "write_csv",
-    "write_dense_csv",
     "write_gene_annotations",
     "write_matrix_market",
     "write_summary",

@@ -5,8 +5,8 @@ evaluate, report, synth) or the whole chain (pipeline). Stage commands accept
 the same inputs as pipeline and recompute the prefix they need, so every
 artifact is a pure function of (input files, flags, seed). Each stage command
 is one row of STAGES: its depth decides its flags, the keys of its
-`# config:` comment and how far `_compute_split` goes; its emitter then
-writes the artifacts.
+`# config:` comment and how far `_compute_split` goes; its tables and its
+writer then give the artifacts.
 
 Exit codes: 0 success, 1 data/IO errors (JSON envelope on stderr), 2 usage.
 On-disk matrices are genes x cells; pass --transpose when a file already has
@@ -23,7 +23,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from ._util import canonical_json, worker_count
+from ._util import canonical_json, fmt_float, worker_count
 from .cluster import (
     adjusted_rand_index,
     cut_dendrogram,
@@ -42,7 +42,6 @@ from .ingest import (
     read_matrix_market,
     split_by_method_replicate,
     write_cell_annotations,
-    write_dense_csv,
     write_gene_annotations,
     write_matrix_market,
 )
@@ -50,11 +49,9 @@ from .matrix import default_cell_ids, default_gene_ids
 from .preprocess import FilterConfig, filter_genes, preprocess_pipeline
 from .qc import cumulative_detection, detection_stats, dropout_rate
 from .report import (
+    PIPELINE_TABLES,
+    QC_TABLES,
     SplitResult,
-    emit_cluster_table,
-    emit_embedding_tables,
-    emit_qc_tables,
-    emit_silhouette_table,
     emit_tables,
     rebuild_plots_from_tables,
     write_csv,
@@ -188,105 +185,66 @@ def _stage_splits(args, depth: str) -> list[SplitResult]:
     )
 
 
-# ------------------------------------------------------------------ emitters
-# Each takes (splits, outdir, config) and runs after the per-split pool. They
-# reach the writers through this module's globals at call time, so a tracer
-# that swaps those names (perfbench/spans.py) times every call.
+# ------------------------------------------------------------------- writers
+# Each STAGES row names the TABLES its command writes, plus at most one writer
+# for per-split files or a JSON summary; both run after the per-split pool.
+# `_run_stage` and the writers call emit_tables, write_csv, write_summary,
+# rebuild_plots_from_tables and the ingest writers through this module's
+# globals at call time, so a tracer that swaps those names (perfbench/spans.py)
+# times each call. The normalized CSVs go through write_csv, so their time
+# counts as table time.
 
 
 def _stem(s: SplitResult) -> str:
     return f"{_safe(s.method)}_{_safe(s.replicate)}"
 
 
-def _emit_split(splits, outdir, config) -> None:
+def _write_split(splits, outdir, config) -> None:
     for s in splits:
         write_matrix_market(s.matrix.transpose(), outdir / f"matrix_{_stem(s)}.mtx")
         write_cell_annotations(s.annotations, outdir / f"cells_{_stem(s)}.csv")
-    write_csv(
-        outdir / "split_summary.csv",
-        canonical_json(config),
-        ["sample", "method", "replicate", "n_cells", "n_genes"],
-        [
-            [s.sample, s.method, s.replicate, str(s.matrix.n_cells), str(s.matrix.n_genes)]
-            for s in splits
-        ],
-    )
 
 
-def _emit_qc(splits, outdir, config) -> None:
-    emit_qc_tables(splits, outdir, canonical_json(config))
-
-
-def _emit_filter(splits, outdir, config) -> None:
+def _write_filtered(splits, outdir, config) -> None:
     for s in splits:
         write_matrix_market(s.filtered.transpose(), outdir / f"filtered_{_stem(s)}.mtx")
         write_cell_annotations(s.annotations, outdir / f"cells_{_stem(s)}.csv")
         write_gene_annotations(s.filtered.gene_ids, outdir / f"genes_{_stem(s)}.csv")
-    write_csv(
-        outdir / "filter_summary.csv",
-        canonical_json(config),
-        [
-            "sample",
-            "method",
-            "replicate",
-            "genes_in",
-            "removed_by_sparsity",
-            "removed_by_cv",
-            "genes_out",
-        ],
-        [
-            [
-                s.sample,
-                s.method,
-                s.replicate,
-                str(s.trace.genes_in),
-                str(s.trace.removed_by_sparsity),
-                str(s.trace.removed_by_cv),
-                str(s.trace.genes_out),
-            ]
-            for s in splits
-        ],
-    )
 
 
-def _emit_normalize(splits, outdir, config) -> None:
+def _write_normalized(splits, outdir, config) -> None:
     comment = canonical_json(config)
     for s in splits:
-        write_dense_csv(s.normalized, outdir / f"normalized_{_stem(s)}.csv", comment)
+        em = s.normalized
+        rows = ([cid, *map(fmt_float, row)] for cid, row in zip(em.cell_ids, em.values))
+        write_csv(outdir / f"normalized_{_stem(s)}.csv", comment, ["cell_id", *em.gene_ids], rows)
 
 
-def _emit_embed(splits, outdir, config) -> None:
-    emit_embedding_tables(splits, outdir, canonical_json(config))
-
-
-def _emit_cluster(splits, outdir, config) -> None:
-    emit_cluster_table(splits, outdir, canonical_json(config))
-
-
-def _emit_evaluate(splits, outdir, config) -> None:
-    emit_silhouette_table(splits, outdir, canonical_json(config))
+def _write_metrics(splits, outdir, config) -> None:
     write_summary(splits, outdir / "metrics.json", config)
 
 
-def _emit_pipeline(splits, outdir, config) -> None:
-    emit_tables(splits, outdir, config)
+def _write_summary_and_figures(splits, outdir, config) -> None:
     write_summary(splits, outdir / "summary.json", config)
     rebuild_plots_from_tables(outdir, outdir)
 
 
-# (name, help, depth, emitter) of each stage command, in command-list order
+# (name, help, depth, tables, writer) of each stage command, in command-list order
 STAGES = (
-    ("split", "split a matrix into per-(method, replicate) files", "split", _emit_split),
-    ("qc", "dropout, detection, and cumulative-detection tables", "qc", _emit_qc),
-    ("filter", "apply the sparsity and CV gene filters", "filter", _emit_filter),
+    ("split", "split a matrix into per-(method, replicate) files", "split",
+     ("split_summary.csv",), _write_split),
+    ("qc", "dropout, detection, and cumulative-detection tables", "qc", QC_TABLES, None),
+    ("filter", "apply the sparsity and CV gene filters", "filter",
+     ("filter_summary.csv",), _write_filtered),
     ("normalize", "filter then quantile-normalize each split", "normalize",
-     _emit_normalize),
-    ("embed", "PCA and t-SNE embeddings of each normalized split", "embed", _emit_embed),
-    ("cluster", "cluster each split's t-SNE embedding", "cluster", _emit_cluster),
+     (), _write_normalized),
+    ("embed", "PCA and t-SNE embeddings of each normalized split", "embed",
+     ("embedding_pca.csv", "embedding_tsne.csv"), None),
+    ("cluster", "cluster each split's t-SNE embedding", "cluster", ("clusters.csv",), None),
     ("evaluate", "silhouette table and (with truth labels) adjusted Rand index",
-     "cluster", _emit_evaluate),
+     "cluster", ("silhouette.csv",), _write_metrics),
     ("pipeline", "run every stage and write all tables, summary, and figures",
-     "pipeline", _emit_pipeline),
+     "pipeline", PIPELINE_TABLES, _write_summary_and_figures),
 )
 # how many of FLAG_GROUPS a stage command at each depth takes
 DEPTH_GROUPS = {
@@ -294,13 +252,15 @@ DEPTH_GROUPS = {
 }
 
 
-def _run_stage(depth: str, emit, args) -> int:
+def _run_stage(depth: str, tables, write, args) -> int:
     keys = sum((k for _, k in FLAG_GROUPS[: DEPTH_GROUPS[depth]]), ()) + SEED_KEYS
     config = _resolved_config(args, keys)
     splits = _stage_splits(args, depth)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    emit(splits, outdir, config)
+    emit_tables(splits, outdir, config, tables)
+    if write is not None:
+        write(splits, outdir, config)
     return 0
 
 
@@ -394,12 +354,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     table = {}
 
-    def stage_command(name, help_, depth, emit):
+    def stage_command(name, help_, depth, tables, write):
         p = sub.add_parser(name, help=help_)
         for add, _ in FLAG_GROUPS[: DEPTH_GROUPS[depth]]:
             add(p)
         _add_common_flags(p)
-        p.set_defaults(func=functools.partial(_run_stage, depth, emit))
+        p.set_defaults(func=functools.partial(_run_stage, depth, tables, write))
         table[name] = p
 
     # report and synth are listed between evaluate and pipeline

@@ -233,22 +233,6 @@ def joint_probabilities(x, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     return (cond + cond.T) / (2.0 * points.shape[0]), achieved
 
 
-def kl_divergence(p: np.ndarray, embedding: Embedding) -> float:
-    """KL(P || Q) against the embedding's Student-t affinities."""
-    p = np.asarray(p, dtype=np.float64)
-    n = embedding.n_points
-    if p.shape != (n, n):
-        raise DataError(f"probability table must be {n} x {n}")
-    if not np.isfinite(p).all() or (p < 0).any():
-        raise DataError("probability table must be finite and non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise DataError("probability table must sum to 1 within 1e-9")
-    num = _student_t_weights(embedding.coordinates)
-    q = num / num.sum()
-    mask = p > 0
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
-
-
 def tsne(
     x,
     perplexity: float = PERPLEXITY_DEFAULT,

@@ -343,46 +343,3 @@ def split_by_method_replicate(
         cell_mask[groups[key]] = True
         out[key] = (m.submatrix(cell_mask, gene_mask), [annotations[i] for i in groups[key]])
     return out
-
-
-def write_dense_csv(em, path, comment: str | None = None) -> None:
-    """Dense expression matrix as CSV: cell_id column plus one column per gene.
-
-    Floats carry 17 significant digits so the file reads back exactly.
-    """
-    from ._util import fmt_float
-
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# config: {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_id", *em.gene_ids])
-        for cid, row in zip(em.cell_ids, em.values):
-            writer.writerow([cid, *(fmt_float(v) for v in row)])
-
-
-def read_dense_csv(path):
-    """Read back a dense expression CSV written by write_dense_csv."""
-    from .matrix import ExpressionMatrix
-
-    with _open_text(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty expression file") from None
-    if not header or header[0] != "cell_id":
-        raise FormatError(f"{path}: first column must be cell_id")
-    gene_ids = header[1:]
-    cell_ids, rows = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path}:{lineno}: wrong field count")
-        cell_ids.append(row[0])
-        try:
-            rows.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    values = np.array(rows, dtype=np.float64).reshape(len(cell_ids), len(gene_ids))
-    return ExpressionMatrix(values, tuple(cell_ids), tuple(gene_ids))

@@ -1,8 +1,8 @@
 """Artifact emission: CSV tables, a JSON summary, and SVG figures.
 
-Every artifact embeds the resolved run configuration: CSVs carry a leading
-`# config: <json>` comment line, SVGs an XML comment, and the summary a
-"config" key. Floats are serialized with 17 significant digits, row order is
+Every table and figure embeds the resolved run configuration: CSVs carry a
+leading `# config: <json>` comment line, SVGs an XML comment, and the summary
+a "config" key. Floats are serialized with 17 significant digits, row order is
 fixed, and identical inputs produce byte-identical files.
 """
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from ._util import canonical_json, fmt_float
 from .cluster import SilhouetteReport
 from .embed import Embedding
-from .errors import DataError
+from .errors import DataError, FormatError
 from .ingest import CellAnnotation
 from .matrix import CountMatrix, ExpressionMatrix
 from .preprocess import FilterTrace
@@ -31,7 +32,7 @@ class SplitResult:
 
     Stage subcommands fill only the fields up to their stage; the full
     pipeline fills everything but `filtered`, which only the filter stage
-    keeps. Emitters touch only the fields their tables need.
+    keeps. Each table's row function touches only the fields it needs.
     """
 
     sample: str
@@ -63,13 +64,23 @@ def write_csv(path: Path, comment: str, header: list[str], rows) -> None:
 def read_table(path) -> tuple[list[str], list[dict]]:
     """Read back an emitted CSV, skipping `#` comment lines.
 
-    Values stay strings; callers convert the columns they use.
+    Values stay strings; callers convert the columns they use. A row with
+    more or fewer fields than the header raises FormatError naming the file
+    and line.
     """
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    return header, [dict(zip(header, row, strict=True)) for row in reader]
+        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+    reader = csv.reader(ln for _, ln in numbered)
+    header = next(reader, None)
+    if header is None:
+        raise FormatError(f"{path}: no header line")
+    rows = []
+    for row in reader:
+        if len(row) != len(header):
+            lineno = numbered[reader.line_num - 1][0]
+            raise FormatError(f"{path}:{lineno}: wrong field count")
+        rows.append(dict(zip(header, row)))
+    return header, rows
 
 
 def read_config_comment(path) -> dict:
@@ -81,156 +92,89 @@ def read_config_comment(path) -> dict:
     return json.loads(first[len(prefix):])
 
 
-DROPOUT_HEADER = [
-    "sample",
-    "method",
-    "replicate",
-    "overall_dropout",
-    "median_genes_detected",
-]
+def _filter_rows(s: SplitResult) -> list[list[str]]:
+    t = s.trace
+    return [[str(t.genes_in), str(t.removed_by_sparsity), str(t.removed_by_cv), str(t.genes_out)]]
 
 
-def emit_qc_tables(splits: list[SplitResult], outdir, comment: str) -> list[Path]:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    rows = [
-        [
-            s.sample,
-            s.method,
-            s.replicate,
-            fmt_float(s.dropout.overall_rate),
-            fmt_float(s.detection.median),
-        ]
-        for s in splits
-    ]
-    paths.append(outdir / "dropout.csv")
-    write_csv(paths[-1], comment, DROPOUT_HEADER, rows)
-
-    rows = [
-        [s.sample, s.method, s.replicate, cid, str(int(v))]
-        for s in splits
-        for cid, v in zip(s.matrix.cell_ids, s.detection.per_cell_detected)
-    ]
-    paths.append(outdir / "detection.csv")
-    write_csv(
-        paths[-1],
-        comment,
-        ["sample", "method", "replicate", "cell_id", "genes_detected"],
-        rows,
-    )
-
-    rows = [
-        [s.sample, s.method, s.replicate, str(int(x)), fmt_float(y)]
-        for s in splits
-        for x, y in zip(s.cumulative.x, s.cumulative.y)
-    ]
-    paths.append(outdir / "cumulative.csv")
-    write_csv(
-        paths[-1],
-        comment,
-        ["sample", "method", "replicate", "n_cells", "mean_genes_detected"],
-        rows,
-    )
-    return paths
+def _detection_rows(s: SplitResult) -> list[list[str]]:
+    return [[cid, str(int(v))] for cid, v in zip(s.matrix.cell_ids, s.detection.per_cell_detected)]
 
 
-def emit_embedding_tables(splits: list[SplitResult], outdir, comment: str) -> list[Path]:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, which in (("embedding_pca.csv", "pca"), ("embedding_tsne.csv", "tsne")):
-        rows = []
-        for s in splits:
-            emb = getattr(s, which)
-            for cid, point in zip(s.normalized.cell_ids, emb.coordinates):
-                rows.append(
-                    [s.sample, s.method, s.replicate, cid]
-                    + [fmt_float(v) for v in point]
-                )
-        if splits:
-            dims = [f"dim{i + 1}" for i in range(getattr(splits[0], which).dim)]
-        else:
-            dims = ["dim1", "dim2"]
-        paths.append(outdir / name)
-        write_csv(
-            paths[-1],
-            comment,
-            ["sample", "method", "replicate", "cell_id"] + dims,
-            rows,
+def _cumulative_rows(s: SplitResult) -> list[list[str]]:
+    return [[str(int(x)), fmt_float(y)] for x, y in zip(s.cumulative.x, s.cumulative.y)]
+
+
+def _embedding_rows(which: str, s: SplitResult) -> list[list[str]]:
+    cell_ids, coords = s.normalized.cell_ids, getattr(s, which).coordinates
+    if coords.shape != (len(cell_ids), 2):
+        raise DataError(
+            f"split {s.method}/{s.replicate}: {which} embedding is "
+            f"{coords.shape[0]}x{coords.shape[1]}, not {len(cell_ids)}x2"
         )
-    return paths
+    return [[cid, fmt_float(x), fmt_float(y)] for cid, (x, y) in zip(cell_ids, coords)]
 
 
-def emit_cluster_table(splits: list[SplitResult], outdir, comment: str) -> Path:
+def _cluster_rows(s: SplitResult) -> list[list[str]]:
+    cells = zip(s.normalized.cell_ids, s.labels, s.silhouettes.widths)
+    return [[cid, str(int(lab)), fmt_float(w)] for cid, lab, w in cells]
+
+
+def _silhouette_rows(s: SplitResult) -> list[list[str]]:
+    k = str(len(s.silhouettes.per_cluster_mean))
+    rows = [[k, "all", str(len(s.labels)), fmt_float(s.silhouettes.mean)]]
+    for c in sorted(s.silhouettes.per_cluster_mean):
+        n = str(int((s.labels == c).sum()))
+        rows.append([k, str(c), n, fmt_float(s.silhouettes.per_cluster_mean[c])])
+    return rows
+
+
+# file name -> (columns after the sample,method,replicate key, one split's rows)
+TABLES = {
+    "split_summary.csv": (
+        ["n_cells", "n_genes"],
+        lambda s: [[str(s.matrix.n_cells), str(s.matrix.n_genes)]],
+    ),
+    "filter_summary.csv": (
+        ["genes_in", "removed_by_sparsity", "removed_by_cv", "genes_out"],
+        _filter_rows,
+    ),
+    "dropout.csv": (
+        ["overall_dropout", "median_genes_detected"],
+        lambda s: [[fmt_float(s.dropout.overall_rate), fmt_float(s.detection.median)]],
+    ),
+    "detection.csv": (["cell_id", "genes_detected"], _detection_rows),
+    "cumulative.csv": (["n_cells", "mean_genes_detected"], _cumulative_rows),
+    "embedding_pca.csv": (["cell_id", "dim1", "dim2"], partial(_embedding_rows, "pca")),
+    "embedding_tsne.csv": (["cell_id", "dim1", "dim2"], partial(_embedding_rows, "tsne")),
+    "clusters.csv": (["cell_id", "cluster", "silhouette_width"], _cluster_rows),
+    "silhouette.csv": (["k", "cluster", "n_points", "mean_silhouette"], _silhouette_rows),
+}
+QC_TABLES = ("dropout.csv", "detection.csv", "cumulative.csv")
+PIPELINE_TABLES = QC_TABLES + (
+    "embedding_pca.csv", "embedding_tsne.csv", "clusters.csv", "silhouette.csv"
+)
+
+
+def emit_tables(
+    splits: list[SplitResult], outdir, config: dict, names=PIPELINE_TABLES
+) -> list[Path]:
+    """Write the named TABLES, one row block per split; returns their paths.
+
+    Every row is built before any file is written, so a split that cannot
+    be tabulated raises DataError and leaves `outdir` as it was.
+    """
     outdir = Path(outdir)
+    tables = {}
+    for name in names:
+        columns, rows_of = TABLES[name]
+        rows = [[s.sample, s.method, s.replicate, *row] for s in splits for row in rows_of(s)]
+        tables[outdir / name] = (["sample", "method", "replicate", *columns], rows)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        [s.sample, s.method, s.replicate, cid, str(int(lab)), fmt_float(w)]
-        for s in splits
-        for cid, lab, w in zip(s.normalized.cell_ids, s.labels, s.silhouettes.widths)
-    ]
-    path = outdir / "clusters.csv"
-    write_csv(
-        path,
-        comment,
-        ["sample", "method", "replicate", "cell_id", "cluster", "silhouette_width"],
-        rows,
-    )
-    return path
-
-
-def emit_silhouette_table(splits: list[SplitResult], outdir, comment: str) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for s in splits:
-        k = len(s.silhouettes.per_cluster_mean)
-        rows.append(
-            [
-                s.sample,
-                s.method,
-                s.replicate,
-                str(k),
-                "all",
-                str(len(s.labels)),
-                fmt_float(s.silhouettes.mean),
-            ]
-        )
-        for c in sorted(s.silhouettes.per_cluster_mean):
-            rows.append(
-                [
-                    s.sample,
-                    s.method,
-                    s.replicate,
-                    str(k),
-                    str(c),
-                    str(int((s.labels == c).sum())),
-                    fmt_float(s.silhouettes.per_cluster_mean[c]),
-                ]
-            )
-    path = outdir / "silhouette.csv"
-    write_csv(
-        path,
-        comment,
-        ["sample", "method", "replicate", "k", "cluster", "n_points", "mean_silhouette"],
-        rows,
-    )
-    return path
-
-
-def emit_tables(splits: list[SplitResult], outdir, config: dict) -> list[Path]:
-    """Write the seven CSV tables; returns the paths written."""
     comment = canonical_json(config)
-    return (
-        emit_qc_tables(splits, outdir, comment)
-        + emit_embedding_tables(splits, outdir, comment)
-        + [
-            emit_cluster_table(splits, outdir, comment),
-            emit_silhouette_table(splits, outdir, comment),
-        ]
-    )
+    for path, (header, rows) in tables.items():
+        write_csv(path, comment, header, rows)
+    return list(tables)
 
 
 def write_summary(splits: list[SplitResult], path, config: dict) -> Path:

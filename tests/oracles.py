@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from scbench._util import seeded_rng
+from scbench.errors import DataError
 
 
 def naive_distances(x):
@@ -137,6 +138,25 @@ def naive_silhouette(d, labels):
         m = max(a, b)
         widths[i] = 0.0 if m == 0.0 else (b - a) / m
     return widths
+
+
+def kl_divergence(p, embedding):
+    """KL(P || Q) by definition, Q the Student-t affinities of the embedding's
+    points over all ordered pairs, from broadcast coordinate differences."""
+    p = np.asarray(p, dtype=np.float64)
+    y = embedding.coordinates
+    n = len(y)
+    if p.shape != (n, n):
+        raise DataError(f"probability table must be {n} x {n}")
+    if not np.isfinite(p).all() or (p < 0).any():
+        raise DataError("probability table must be finite and non-negative")
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise DataError("probability table must sum to 1 within 1e-9")
+    num = 1.0 / (1.0 + ((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(num, 0.0)
+    q = num / num.sum()
+    mask = p > 0
+    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
 
 def scatter(points):

@@ -14,7 +14,6 @@ from scbench import (
     ExpressionMatrix,
     read_cell_annotations,
     read_config_comment,
-    read_dense_csv,
     read_matrix_market,
     read_table,
     write_cell_annotations,
@@ -298,8 +297,8 @@ def test_filter_stage_summary_arithmetic(data_dir, tmp_path):
 
 def test_normalize_stage_writes_dense_matrix(data_dir, tmp_path):
     assert cli_main(["normalize", *input_args(data_dir), "-o", str(tmp_path)]) == 0
-    em = read_dense_csv(tmp_path / "normalized_plate_r1.csv")
-    assert em.n_cells == 45
+    header, rows = read_table(tmp_path / "normalized_plate_r1.csv")
+    assert header[0] == "cell_id" and len(rows) == 45
     assert read_config_comment(tmp_path / "normalized_plate_r1.csv")["sample"] == "sample"
 
 
@@ -321,6 +320,47 @@ def test_evaluate_stage_writes_metrics(data_dir, tmp_path):
     assert set(entry) == {"sample", "method", "replicate", "silhouette_mean", "ari"}
     _, rows = read_table(tmp_path / "silhouette.csv")
     assert rows[0]["cluster"] == "all"
+
+
+STAGE_ARGS = {
+    "split": [], "qc": [], "filter": [], "normalize": [], "embed": SPEED[:4],
+    "cluster": SPEED, "evaluate": SPEED, "pipeline": SPEED,
+}
+STAGE_FILES = {
+    "split": {"split_summary.csv", "matrix_plate_r1.mtx", "cells_plate_r1.csv"},
+    "qc": {"dropout.csv", "detection.csv", "cumulative.csv"},
+    "filter": {
+        "filter_summary.csv", "filtered_plate_r1.mtx", "cells_plate_r1.csv",
+        "genes_plate_r1.csv",
+    },
+    "normalize": {"normalized_plate_r1.csv"},
+    "embed": {"embedding_pca.csv", "embedding_tsne.csv"},
+    "cluster": {"clusters.csv"},
+    "evaluate": {"silhouette.csv", "metrics.json"},
+    "pipeline": {*TABLES, *FIGURES, "summary.json"},
+}
+
+
+@pytest.mark.parametrize("command", list(STAGE_FILES))
+def test_stage_command_writes_exactly_its_files(data_dir, tmp_path, command):
+    args = [command, *input_args(data_dir), *STAGE_ARGS[command], "-o", str(tmp_path)]
+    assert cli_main(args) == 0
+    assert {p.name for p in tmp_path.iterdir()} == STAGE_FILES[command]
+
+
+def test_report_names_the_file_and_line_of_a_malformed_row(pipeline_dir, tmp_path, capsys):
+    for name in TABLES:
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    lines = (tmp_path / "detection.csv").read_text().splitlines()
+    lines[4] += ",extra"
+    (tmp_path / "detection.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "figures"
+    assert cli_main(["report", "--input-dir", str(tmp_path), "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError",
+        "message": f"{tmp_path / 'detection.csv'}:5: wrong field count",
+    }
+    assert not list(out.glob("*.svg"))
 
 
 def test_report_subcommand_rebuilds_identical_figures(pipeline_dir, tmp_path):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import kl_divergence
 
 from scbench import DataError, pca_fit_transform, tsne
-from scbench.embed import Embedding, joint_probabilities, kl_divergence
+from scbench.embed import Embedding, joint_probabilities
 
 
 def seeded_points(seed, n, g, scale=1.0):

@@ -14,19 +14,19 @@ from scbench import (
     DataError,
     FormatError,
     attach_annotations,
+    preprocess_pipeline,
     read_cell_annotations,
-    read_dense_csv,
     read_gene_annotations,
     read_matrix_market,
+    read_table,
     split_by_method_replicate,
     write_cell_annotations,
-    write_dense_csv,
     write_gene_annotations,
     write_matrix_market,
 )
 from scbench.cli import cli_main
 from scbench.ingest import _WRITE_CHUNK_ROWS, _scan_matrix_market
-from scbench.matrix import from_dense
+from scbench.matrix import default_cell_ids, default_gene_ids, from_dense
 
 PROTOCOLS = [
     "10x-Chromium-v2",
@@ -445,20 +445,27 @@ def test_split_membership_matches_annotation_filter():
 
 
 def test_dense_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(36)
-    em = random_matrix(36, 9, 5).to_dense()
-    em = em.with_values(em.values + rng.random(em.values.shape))
-    path = tmp_path / "expr.csv"
-    write_dense_csv(em, path, comment='{"seed": 1}')
-    back = read_dense_csv(path)
-    assert back.cell_ids == em.cell_ids and back.gene_ids == em.gene_ids
-    assert np.array_equal(back.values, em.values)
+    # the normalize stage's CSV reads back to the in-memory matrix exactly
+    m = random_matrix(36, 40, 12, density=0.7)
+    write_matrix_market(m.transpose(), tmp_path / "m.mtx")
+    assert cli_main(["normalize", "--matrix", str(tmp_path / "m.mtx"), "-o", str(tmp_path)]) == 0
+    ids = default_cell_ids(m.n_cells), default_gene_ids(m.n_genes)
+    expected, _ = preprocess_pipeline(m.with_ids(*ids))
+    header, rows = read_table(tmp_path / "normalized_all_r1.csv")
+    assert header == ["cell_id", *expected.gene_ids]
+    assert tuple(r["cell_id"] for r in rows) == expected.cell_ids
+    got = np.array([[float(r[g]) for g in expected.gene_ids] for r in rows])
+    assert np.array_equal(got, expected.values)
 
 
 def test_dense_csv_rejects_garbage(tmp_path):
-    p = write(tmp_path / "bad.csv", "cell_id,g1\nc1,notanumber\n")
-    with pytest.raises(FormatError):
-        read_dense_csv(p)
-    p2 = write(tmp_path / "bad2.csv", "wrong,g1\nc1,1\n")
-    with pytest.raises(FormatError, match="cell_id"):
-        read_dense_csv(p2)
+    # read_table checks every row's field count against the header
+    p = write(tmp_path / "short.csv", "# config: {}\ncell_id,g1,g2\nc1,1,2\nc2,3\n")
+    with pytest.raises(FormatError, match=r"short\.csv:4: wrong field count"):
+        read_table(p)
+    p2 = write(tmp_path / "long.csv", "cell_id,g1\nc1,1\nc2,1,2\n")
+    with pytest.raises(FormatError, match=r"long\.csv:3: wrong field count"):
+        read_table(p2)
+    p3 = write(tmp_path / "empty.csv", "# config: {}\n")
+    with pytest.raises(FormatError, match="no header line"):
+        read_table(p3)

@@ -35,3 +35,24 @@ def test_all_is_the_set_of_public_names_imported():
     }
     assert len(set(scbench.__all__)) == len(scbench.__all__)
     assert set(scbench.__all__) == {n for n in imported if not n.startswith("_")}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public name must be used by the package itself (not just re-exported
+    # or defined), or by the documented workflows: README and perfbench/
+    used = set()
+    for path in Path(scbench.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    docs = (ROOT / "README.md").read_text() + "".join(
+        p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))
+    )
+    unused = [
+        name for name in scbench.__all__
+        if name not in used and not re.search(rf"\b{name}\b", docs)
+    ]
+    assert unused == []

@@ -1,4 +1,5 @@
 """Artifact emission: CSV schemas, the JSON summary, SVG figures, determinism."""
+import dataclasses
 import itertools
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from scbench import (
     DataError,
+    Embedding,
     SplitResult,
     SynthConfig,
     adjusted_rand_index,
@@ -158,6 +160,24 @@ def test_silhouette_table_has_overall_and_per_cluster_rows(splits, tmp_path):
         assert [r["cluster"] for r in mine] == ["all", "0", "1", "2"]
         assert float(mine[0]["mean_silhouette"]) == s.silhouettes.mean
         assert sum(int(r["n_points"]) for r in mine[1:]) == int(mine[0]["n_points"])
+
+
+def test_emit_tables_rejects_an_embedding_that_is_not_one_2d_point_per_cell(splits, tmp_path):
+    s = splits[1]
+    three_d = {
+        "pca": pca_fit_transform(s.normalized, d=3)[0],
+        "tsne": tsne(s.normalized, perplexity=5.0, d=3, seed=0, iters=20),
+    }
+    for which, emb in three_d.items():
+        bad = dataclasses.replace(s, **{which: emb})
+        message = f"split droplet/r1: {which} embedding is 45x3, not 45x2"
+        with pytest.raises(DataError, match=message):
+            emit_tables([splits[0], bad], tmp_path, CONFIG)
+    short = Embedding(s.tsne.coordinates[:40], "tsne", {}, seed=0)
+    with pytest.raises(DataError, match="tsne embedding is 40x2, not 45x2"):
+        emit_tables([splits[0], dataclasses.replace(s, tsne=short)], tmp_path, CONFIG)
+    # every row is built before any file is written
+    assert not list(tmp_path.iterdir())
 
 
 def test_summary_json_contents(splits, tmp_path):
