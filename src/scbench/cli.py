@@ -199,6 +199,18 @@ def _stem(s: SplitResult) -> str:
     return f"{_safe(s.method)}_{_safe(s.replicate)}"
 
 
+def _check_stems(splits) -> None:
+    """Per-split files are named by stem, so no two splits may share one."""
+    seen = {}
+    for s in splits:
+        other = seen.setdefault(_stem(s), s)
+        if other is not s:
+            raise DataError(
+                f"splits {other.method!r}/{other.replicate!r} and "
+                f"{s.method!r}/{s.replicate!r} share the file stem {_stem(s)!r}"
+            )
+
+
 def _write_split(splits, outdir, config) -> None:
     for s in splits:
         write_matrix_market(s.matrix.transpose(), outdir / f"matrix_{_stem(s)}.mtx")
@@ -218,6 +230,9 @@ def _write_normalized(splits, outdir, config) -> None:
         em = s.normalized
         rows = ([cid, *map(fmt_float, row)] for cid, row in zip(em.cell_ids, em.values))
         write_csv(outdir / f"normalized_{_stem(s)}.csv", comment, ["cell_id", *em.gene_ids], rows)
+
+
+PER_SPLIT_WRITERS = (_write_split, _write_filtered, _write_normalized)
 
 
 def _write_metrics(splits, outdir, config) -> None:
@@ -256,6 +271,8 @@ def _run_stage(depth: str, tables, write, args) -> int:
     keys = sum((k for _, k in FLAG_GROUPS[: DEPTH_GROUPS[depth]]), ()) + SEED_KEYS
     config = _resolved_config(args, keys)
     splits = _stage_splits(args, depth)
+    if write in PER_SPLIT_WRITERS:
+        _check_stems(splits)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     emit_tables(splits, outdir, config, tables)

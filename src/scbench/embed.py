@@ -7,6 +7,14 @@ by bisection to a target perplexity, symmetrized joint probabilities, Student-t
 low-dimensional affinities, and momentum gradient descent with early
 exaggeration. A run is a pure function of (input, parameters, seed).
 
+Both O(n^2) parts work on blocks of _BLOCK_ROWS rows. Calibration bisects the
+rows of a block in lockstep, each with its own bracket, and gives the same P,
+bit for bit, as bisecting one row at a time. Each iteration visits only the
+upper triangle: P lives in one strip P[s:e, s:] per block, squared distances
+come from coordinate differences (exactly symmetric), and KL is
+sum p log p + sum p log1p(d^2) + log Z, so no log(q) pass is needed. Beyond P
+the step holds two scratch buffers of _BLOCK_ROWS x n, not n x n arrays.
+
 The default learning rate "auto" is max(n / (4 * exaggeration), 50): the
 n / exaggeration rule of Belkina et al. 2019 (Nat. Commun. 10:5415) and Kobak
 & Berens 2019 (Nat. Commun. 10:5416), divided by 4 because the gradient here
@@ -40,6 +48,7 @@ MOMENTUM_LATE = 0.8
 
 _PERPLEXITY_TOL = 1e-5
 _MAX_BISECTIONS = 50
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +168,10 @@ def pca_fit_transform(
 
 def _squared_distances(points: np.ndarray) -> np.ndarray:
     sq = (points * points).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    d2 = np.add.outer(sq, sq)
+    gram = points @ points.T
+    gram *= 2.0
+    d2 -= gram
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -170,57 +182,82 @@ def _conditional_probabilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row Gaussian affinities whose perplexity matches the target.
 
-    Bandwidths come from bisection on the precision beta; rows that cannot
-    reach the target (degenerate geometry) keep their last bracket value and
-    are logged.
+    Bandwidths come from bisection on the precision beta. The rows of each
+    block of _BLOCK_ROWS bisect in lockstep, each with its own bracket, and a
+    row stops once it hits the target; every row does exactly the arithmetic
+    of a one-row loop, so P and the achieved perplexities do not depend on the
+    blocking. Rows that cannot reach the target (degenerate geometry) keep
+    their last bracket value and are logged.
     """
     n = d2.shape[0]
     p = np.zeros((n, n))
     achieved = np.empty(n)
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        perp = np.nan
-        weights = None
+    for s in range(0, n, _BLOCK_ROWS):
+        b = min(_BLOCK_ROWS, n - s)
+        off_diag = np.ones((b, n), dtype=bool)
+        off_diag[np.arange(b), np.arange(s, s + b)] = False
+        neg_rows = -d2[s:s + b][off_diag].reshape(b, n - 1)
+        weights = np.empty_like(neg_rows)
+        perp = np.full(b, np.nan)
+        beta = np.ones(b)
+        beta_min = np.full(b, -np.inf)
+        beta_max = np.full(b, np.inf)
+        active = np.arange(b)
         for _ in range(_MAX_BISECTIONS):
-            weights = np.exp(-row * beta)
-            total = weights.sum()
-            if total <= 0.0:
-                # exp underflowed everywhere: the large-beta limit puts equal
-                # mass on the row's nearest points and nothing elsewhere
-                nearest = row == row.min()
-                weights = nearest / nearest.sum()
-                perp = float(nearest.sum())
-                entropy = float(np.log(perp))
+            w = neg_rows[active]
+            w *= beta[active, None]
+            np.exp(w, out=w)
+            total = w.sum(axis=1)
+            np.divide(w, total[:, None], out=w, where=total[:, None] > 0.0)
+            # rows with a zero weight sum only their positive weights, one row
+            # at a time, so every sum sees the terms of the one-row loop
+            full = (w > 0.0).all(axis=1)
+            ragged = np.flatnonzero(~full)
+            if ragged.size:
+                wf = w[full]
+                entropy = np.zeros(active.size)
+                entropy[full] = -(wf * np.log(wf)).sum(axis=1)
             else:
-                weights = weights / total
-                nzw = weights[weights > 0.0]
-                entropy = float(-(nzw * np.log(nzw)).sum())
-                perp = float(np.exp(entropy))
-            if abs(perp - perplexity) <= _PERPLEXITY_TOL:
+                entropy = -(w * np.log(w)).sum(axis=1)
+            got = np.exp(entropy)
+            for r in ragged:
+                if total[r] <= 0.0:
+                    # exp underflowed everywhere: the large-beta limit puts
+                    # equal mass on the row's nearest points and nothing
+                    # elsewhere
+                    row = neg_rows[active[r]]
+                    nearest = row == row.max()
+                    w[r] = nearest / nearest.sum()
+                    got[r] = float(nearest.sum())
+                else:
+                    nzw = w[r][w[r] > 0.0]
+                    got[r] = np.exp(-(nzw * np.log(nzw)).sum())
+            weights[active] = w
+            perp[active] = got
+            miss = ~(np.abs(got - perplexity) <= _PERPLEXITY_TOL)
+            active, got = active[miss], got[miss]
+            if not active.size:
                 break
-            if perp > perplexity:
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-        if abs(perp - perplexity) > _PERPLEXITY_TOL:
+            bt, lo, hi = beta[active], beta_min[active], beta_max[active]
+            up = got > perplexity
+            lo = np.where(up, bt, lo)
+            hi = np.where(up, hi, bt)
+            beta_min[active], beta_max[active] = lo, hi
+            beta[active] = np.where(
+                up,
+                np.where(hi == np.inf, bt * 2.0, (bt + hi) / 2.0),
+                np.where(lo == -np.inf, bt / 2.0, (bt + lo) / 2.0),
+            )
+        for r in np.flatnonzero(np.abs(perp - perplexity) > _PERPLEXITY_TOL):
             log.warning(
                 "perplexity calibration for point %d stopped at %.6f (target %.6f)",
-                i,
-                perp,
+                s + r,
+                perp[r],
                 perplexity,
             )
-        achieved[i] = perp
-        p[i, np.arange(n) != i] = weights
+        achieved[s:s + b] = perp
+        p[s:s + b][off_diag] = weights.ravel()
     return p, achieved
-
-
-def _student_t_weights(y: np.ndarray) -> np.ndarray:
-    num = 1.0 / (1.0 + _squared_distances(y))
-    np.fill_diagonal(num, 0.0)
-    return num
 
 
 def joint_probabilities(x, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +267,78 @@ def joint_probabilities(x, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     """
     points = _as_points(x)
     cond, achieved = _conditional_probabilities(_squared_distances(points), perplexity)
-    return (cond + cond.T) / (2.0 * points.shape[0]), achieved
+    p = cond + cond.T
+    p /= 2.0 * points.shape[0]
+    return p, achieved
+
+
+def _kl_gradient(p: np.ndarray):
+    """Exact KL(P || Q) and its gradient, computed over the upper triangle.
+
+    P is symmetric with a zero diagonal and sums to 1. It is copied into one
+    contiguous strip P[s:e, s:] per block of _BLOCK_ROWS rows, so the caller
+    may drop it. Returns evaluate(y, boost) -> (kl, grad), where kl is the
+    KL of y against P and grad the gradient of the objective with P scaled
+    by boost. Each block forms d^2 from coordinate differences, which are
+    exactly symmetric, so the square on the diagonal counts once and the
+    rest of the strip twice, and its transposed products feed the rows past
+    the block:
+
+        KL = sum p log p + sum p log1p(d^2) + log Z
+        grad_i = 4 sum_j w_ij (y_i - y_j),  w = boost p t - t^2 / Z
+
+    with t = 1 / (1 + d^2) off the diagonal and Z = sum t, so each block
+    contributes (p t) @ [y, 1] and t^2 @ [y, 1]. The two scratch buffers
+    belong to this call, so concurrent runs share nothing.
+    """
+    n = p.shape[0]
+    blocks = [(s, np.ascontiguousarray(p[s:s + _BLOCK_ROWS, s:]))
+              for s in range(0, n, _BLOCK_ROWS)]
+    p_log_p = 0.0
+    for _, strip in blocks:
+        b = strip.shape[0]
+        plogp = np.zeros_like(strip)
+        np.log(strip, out=plogp, where=strip > 0.0)
+        plogp *= strip
+        p_log_p += float(plogp[:, :b].sum()) + 2.0 * float(plogp[:, b:].sum())
+    width = min(_BLOCK_ROWS, n) * n
+    buf_a, buf_b = np.empty(width), np.empty(width)
+
+    def evaluate(y: np.ndarray, boost: float) -> tuple[float, np.ndarray]:
+        d = y.shape[1]
+        y1 = np.hstack([y, np.ones((n, 1))])
+        attr = np.zeros((n, d + 1))
+        rep = np.zeros((n, d + 1))
+        z = p_log1p = 0.0
+        for s, strip in blocks:
+            b, m = strip.shape
+            e = s + b
+            num = buf_a[:b * m].reshape(b, m)
+            tmp = buf_b[:b * m].reshape(b, m)
+            np.subtract(y[s:e, 0, None], y[None, s:, 0], out=num)
+            np.square(num, out=num)
+            for k in range(1, d):
+                np.subtract(y[s:e, k, None], y[None, s:, k], out=tmp)
+                np.square(tmp, out=tmp)
+                num += tmp
+            np.log1p(num, out=tmp)
+            tmp *= strip
+            p_log1p += float(tmp[:, :b].sum()) + 2.0 * float(tmp[:, b:].sum())
+            num += 1.0
+            np.reciprocal(num, out=num)
+            np.fill_diagonal(num[:, :b], 0.0)
+            z += float(num[:, :b].sum()) + 2.0 * float(num[:, b:].sum())
+            np.multiply(strip, num, out=tmp)
+            attr[s:e] += tmp @ y1[s:]
+            attr[e:] += tmp[:, b:].T @ y1[s:e]
+            np.square(num, out=tmp)
+            rep[s:e] += tmp @ y1[s:]
+            rep[e:] += tmp[:, b:].T @ y1[s:e]
+        w = boost * attr - rep / z
+        grad = 4.0 * (y * w[:, d:] - w[:, :d])
+        return p_log_p + p_log1p + float(np.log(z)), grad
+
+    return evaluate
 
 
 def tsne(
@@ -289,7 +397,9 @@ def tsne(
     if init not in ("pca", "random"):
         raise DataError(f"unknown init {init!r}")
 
-    p_joint_, achieved = joint_probabilities(points, perplexity)
+    p_joint, achieved = joint_probabilities(points, perplexity)
+    kl_and_gradient = _kl_gradient(p_joint)
+    del p_joint
 
     rng = seeded_rng(seed, 0)
     if init == "pca" and points.shape[1] >= 1:
@@ -305,9 +415,6 @@ def tsne(
     else:
         y = rng.normal(0.0, 1e-4, size=(n, d))
 
-    mask = p_joint_ > 0
-    const_p = float((p_joint_[mask] * np.log(p_joint_[mask])).sum())
-
     update = np.zeros_like(y)
     gains = np.ones_like(y)
     kl_trace = np.empty(iters)
@@ -318,17 +425,7 @@ def tsne(
         boost = exaggeration if t < exaggeration_iters else 1.0
         momentum = MOMENTUM_EARLY if t < exaggeration_iters else MOMENTUM_LATE
 
-        num = _student_t_weights(y)
-        q_sum = num.sum()
-        q = num / q_sum
-
-        w = (boost * p_joint_ - q) * num
-        grad = 4.0 * (y * w.sum(axis=1)[:, None] - w @ y)
-
-        # off-diagonal q is strictly positive; a unit diagonal makes the
-        # full-array form exact because the matching p entries are zero
-        np.fill_diagonal(q, 1.0)
-        kl = const_p - float((p_joint_ * np.log(q)).sum())
+        kl, grad = kl_and_gradient(y, boost)
 
         # descent safeguard: the step from y_prev was unexaggerated and raised KL
         if t > exaggeration_iters and kl > kl_trace[t - 1]:

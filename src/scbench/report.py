@@ -53,23 +53,28 @@ class SplitResult:
     ari: float | None = None
 
 
+CONFIG_PREFIX = "# config: "
+
+
 def write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {comment}\n")
+        fh.write(f"{CONFIG_PREFIX}{comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def read_table(path) -> tuple[list[str], list[dict]]:
-    """Read back an emitted CSV, skipping `#` comment lines.
+    """Read back an emitted CSV, skipping its leading `# config: ` line.
 
-    Values stay strings; callers convert the columns they use. A row with
-    more or fewer fields than the header raises FormatError naming the file
-    and line.
+    Any other line is data, so a value may start with `#`. Values stay
+    strings; callers convert the columns they use. A row with more or fewer
+    fields than the header raises FormatError naming the file and line.
     """
     with open(path, newline="") as fh:
-        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+        numbered = list(enumerate(fh, start=1))
+    if numbered and numbered[0][1].startswith(CONFIG_PREFIX):
+        numbered = numbered[1:]
     reader = csv.reader(ln for _, ln in numbered)
     header = next(reader, None)
     if header is None:
@@ -86,10 +91,9 @@ def read_table(path) -> tuple[list[str], list[dict]]:
 def read_config_comment(path) -> dict:
     with open(path) as fh:
         first = fh.readline()
-    prefix = "# config: "
-    if not first.startswith(prefix):
+    if not first.startswith(CONFIG_PREFIX):
         raise DataError(f"{path} has no config comment line")
-    return json.loads(first[len(prefix):])
+    return json.loads(first[len(CONFIG_PREFIX):])
 
 
 def _filter_rows(s: SplitResult) -> list[list[str]]:

@@ -2,13 +2,16 @@
 
 Almost everything here recomputes results from first principles (definitions
 over raw pairwise distances, exhaustive enumeration) rather than sharing any
-code with the package under test. Two pieces share the library's definitions
+code with the package under test. Some pieces share the library's definitions
 on purpose: `seeded_rng`, which defines the cell orderings cumulative
-detection averages over, and `scan_agglomerate`, the library's former
+detection averages over; `scan_agglomerate`, the library's former
 agglomeration loop, which does the same Lance-Williams arithmetic so that
-dendrograms can be compared exactly.
+dendrograms can be compared exactly; and `loop_conditional_probabilities`,
+the former one-row-at-a-time perplexity bisection, whose arithmetic the
+lockstep calibration must reproduce bit for bit.
 """
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -157,6 +160,74 @@ def kl_divergence(p, embedding):
     q = num / num.sum()
     mask = p > 0
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+
+
+def dense_kl_gradient(p, y, boost):
+    """The library's former t-SNE step over full n x n arrays: Student-t
+    weights from the Gram-matrix form of the squared distances, then KL(P || Q)
+    and the gradient of the objective with P scaled by boost.
+    Returns (kl, grad)."""
+    sq = (y * y).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    num = 1.0 / (1.0 + d2)
+    np.fill_diagonal(num, 0.0)
+    q = num / num.sum()
+    w = (boost * p - q) * num
+    grad = 4.0 * (y * w.sum(axis=1)[:, None] - w @ y)
+    # off-diagonal q is strictly positive; a unit diagonal makes the
+    # full-array form exact because the matching p entries are zero
+    np.fill_diagonal(q, 1.0)
+    mask = p > 0
+    kl = float((p[mask] * np.log(p[mask])).sum()) - float((p * np.log(q)).sum())
+    return kl, grad
+
+
+def loop_conditional_probabilities(d2, perplexity):
+    """The library's former perplexity calibration: bisection on each row's
+    precision beta, one row at a time. Returns (P, achieved perplexities) and
+    logs the same warnings, under the library's logger name. Tolerance 1e-5
+    and 50 bisections, as in the library."""
+    tol = 1e-5
+    log = logging.getLogger("scbench.embed")
+    n = d2.shape[0]
+    p = np.zeros((n, n))
+    achieved = np.empty(n)
+    for i in range(n):
+        row = np.delete(d2[i], i)
+        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
+        perp = np.nan
+        weights = None
+        for _ in range(50):
+            weights = np.exp(-row * beta)
+            total = weights.sum()
+            if total <= 0.0:
+                nearest = row == row.min()
+                weights = nearest / nearest.sum()
+                perp = float(nearest.sum())
+            else:
+                weights = weights / total
+                nzw = weights[weights > 0.0]
+                perp = float(np.exp(float(-(nzw * np.log(nzw)).sum())))
+            if abs(perp - perplexity) <= tol:
+                break
+            if perp > perplexity:
+                beta_min = beta
+                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
+            else:
+                beta_max = beta
+                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
+        if abs(perp - perplexity) > tol:
+            log.warning(
+                "perplexity calibration for point %d stopped at %.6f (target %.6f)",
+                i,
+                perp,
+                perplexity,
+            )
+        achieved[i] = perp
+        p[i, np.arange(n) != i] = weights
+    return p, achieved
 
 
 def scatter(points):

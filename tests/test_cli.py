@@ -279,6 +279,39 @@ def test_split_stage_round_trip(data_dir, tmp_path):
     assert len(read_cell_annotations(tmp_path / "cells_plate_r1.csv")) == 45
 
 
+@pytest.mark.parametrize("command", ["split", "filter", "normalize"])
+def test_splits_sharing_a_file_stem_are_rejected_before_writing(data_dir, tmp_path, capsys, command):
+    # "a-b" and "a/b" both become the file stem "a-b_r1"
+    anns = read_cell_annotations(data_dir / "cells.csv")
+    cells = tmp_path / "cells.csv"
+    write_cell_annotations(
+        [CellAnnotation(a.cell_id, ("a-b", "a/b")[i % 2], "r1", a.cell_type)
+         for i, a in enumerate(anns)],
+        cells,
+    )
+    out = tmp_path / "out"
+    rc = cli_main([command, "--matrix", str(data_dir / "matrix.mtx"), "--cells", str(cells),
+                   "-o", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError",
+        "message": "splits 'a-b'/'r1' and 'a/b'/'r1' share the file stem 'a-b_r1'",
+    }
+    assert not out.exists()
+
+
+def test_sample_names_may_start_with_a_hash(data_dir, tmp_path):
+    # only the leading "# config: " line of a table is a comment
+    rc = cli_main(["pipeline", *input_args(data_dir), *SPEED, "--sample", "#s",
+                   "-o", str(tmp_path)])
+    assert rc == 0
+    for name in TABLES:
+        _, rows = read_table(tmp_path / name)
+        assert rows and {r["sample"] for r in rows} == {"#s"}, name
+    for name in FIGURES:
+        assert (tmp_path / name).is_file(), name
+
+
 def test_filter_stage_summary_arithmetic(data_dir, tmp_path):
     assert cli_main(["filter", *input_args(data_dir), "-o", str(tmp_path)]) == 0
     _, rows = read_table(tmp_path / "filter_summary.csv")

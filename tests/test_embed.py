@@ -1,13 +1,21 @@
 """PCA and exact t-SNE."""
 import logging
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import kl_divergence
+from oracles import dense_kl_gradient, kl_divergence, loop_conditional_probabilities
 
 from scbench import DataError, pca_fit_transform, tsne
-from scbench.embed import Embedding, joint_probabilities
+from scbench.embed import (
+    Embedding,
+    _conditional_probabilities,
+    _kl_gradient,
+    _squared_distances,
+    joint_probabilities,
+)
 
 
 def seeded_points(seed, n, g, scale=1.0):
@@ -285,3 +293,87 @@ def test_joint_probabilities_form():
     assert np.abs(np.diagonal(p)).max() == 0.0
     assert (p >= 0).all()
     assert math.isclose(p.sum(), 1.0, abs_tol=1e-9)
+
+
+def random_joint(seed, n):
+    """Symmetric, zero-diagonal, sums to 1, with some exact zeros."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((n, n)) * (rng.random((n, n)) > 0.1)
+    p = p + p.T
+    np.fill_diagonal(p, 0.0)
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("n", [4, 63, 64, 65, 129, 200])
+def test_blocked_step_matches_the_dense_step(n):
+    # strips of 64 rows: one partial block, exact multiples, and a 1-row tail
+    p = random_joint(n, n)
+    evaluate = _kl_gradient(p)
+    for d in (1, 2, 3):
+        y = np.random.default_rng(100 + d).normal(size=(n, d)) * 3.0
+        for boost in (12.0, 1.0):
+            kl, grad = evaluate(y, boost)
+            kl_dense, grad_dense = dense_kl_gradient(p, y, boost)
+            assert math.isclose(kl, kl_dense, rel_tol=1e-12)
+            assert np.abs(grad - grad_dense).max() <= 1e-12 * np.abs(grad_dense).max()
+
+
+def calibrations_agree(d2, perplexity, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="scbench.embed"):
+        p, achieved = _conditional_probabilities(d2, perplexity)
+        warned = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        p_loop, achieved_loop = loop_conditional_probabilities(d2, perplexity)
+        warned_loop = [r.getMessage() for r in caplog.records]
+    assert np.array_equal(p, p_loop)
+    assert np.array_equal(achieved, achieved_loop)
+    assert warned == warned_loop
+    return warned
+
+
+def test_lockstep_calibration_equals_the_one_row_loop(caplog):
+    rng = np.random.default_rng(22)
+    # uneven scales make some rows underflow part of their weights
+    for n, g, perplexity in ((40, 5, 8.0), (130, 4, 5.0), (200, 20, 30.0)):
+        x = rng.normal(size=(n, g)) * rng.random(n)[:, None] * 20.0
+        calibrations_agree(_squared_distances(x), perplexity, caplog)
+    # every weight underflows: the equal-mass branch, and its warnings
+    warned = calibrations_agree(_squared_distances(np.eye(3)), 0.9, caplog)
+    assert len(warned) == 3
+    # rows with tied distances, across a block boundary
+    grid = (np.arange(70.0) % 5)[:, None]
+    calibrations_agree(_squared_distances(grid), 4.0, caplog)
+    pairs = np.repeat(np.arange(30.0), 3)[:, None]
+    calibrations_agree(_squared_distances(pairs), 2.0, caplog)
+
+
+def test_concurrent_runs_equal_sequential_runs():
+    # splits run on pool threads; each run's scratch must be its own
+    jobs = [(seeded_points(23, 150, 10), 3), (seeded_points(24, 130, 10), 4)]
+
+    def run(job):
+        x, seed = job
+        return tsne(x, perplexity=10, seed=seed, iters=80)
+
+    sequential = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        concurrent = list(ex.map(run, jobs))
+    for a, b in zip(sequential, concurrent):
+        assert np.array_equal(a.coordinates, b.coordinates)
+        assert np.array_equal(a.diagnostics["kl_trace"], b.diagnostics["kl_trace"])
+
+
+def test_tsne_holds_no_n_by_n_arrays_beyond_p():
+    n = 600
+    x = seeded_points(25, n, 10)
+    tracemalloc.start()
+    try:
+        tsne(x, perplexity=30, seed=0, iters=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 2.7 n^2 float64 here: P with the table it is symmetrized from,
+    # then P with its upper strips, plus 64-row temporaries; the former
+    # full-matrix step peaked at 6.15 n^2
+    assert peak <= 4.5 * n * n * 8
