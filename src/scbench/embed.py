@@ -14,6 +14,9 @@ upper triangle: P lives in one strip P[s:e, s:] per block, squared distances
 come from coordinate differences (exactly symmetric), and KL is
 sum p log p + sum p log1p(d^2) + log Z, so no log(q) pass is needed. Beyond P
 the step holds two scratch buffers of _BLOCK_ROWS x n, not n x n arrays.
+Only the descent safeguard reads the KL, so its log1p pass runs only from the
+last exaggerated iterate on (and at the final iterate); kl_trace covers those
+iterates, not the exaggeration phase before them.
 
 The default learning rate "auto" is max(n / (4 * exaggeration), 50): the
 n / exaggeration rule of Belkina et al. 2019 (Nat. Commun. 10:5415) and Kobak
@@ -198,22 +201,31 @@ def _conditional_probabilities(
         off_diag[np.arange(b), np.arange(s, s + b)] = False
         neg_rows = -d2[s:s + b][off_diag].reshape(b, n - 1)
         weights = np.empty_like(neg_rows)
+        d2_max = -neg_rows.min(axis=1)
         perp = np.full(b, np.nan)
         beta = np.ones(b)
         beta_min = np.full(b, -np.inf)
         beta_max = np.full(b, np.inf)
         active = np.arange(b)
-        for _ in range(_MAX_BISECTIONS):
-            w = neg_rows[active]
-            w *= beta[active, None]
+        for it in range(_MAX_BISECTIONS):
+            if active.size == b:
+                w = neg_rows * beta[:, None]
+            else:
+                w = neg_rows[active]
+                w *= beta[active, None]
             np.exp(w, out=w)
             total = w.sum(axis=1)
             np.divide(w, total[:, None], out=w, where=total[:, None] > 0.0)
-            # rows with a zero weight sum only their positive weights, one row
-            # at a time, so every sum sees the terms of the one-row loop
-            full = (w > 0.0).all(axis=1)
-            ragged = np.flatnonzero(~full)
+            # while beta * max d^2 <= 700 every weight is at least
+            # e^-700 / (n - 1) > 0. Rows with a zero weight sum only their
+            # positive weights, one row at a time, so every sum sees the terms
+            # of the one-row loop
+            ragged = np.flatnonzero(beta[active] * d2_max[active] > 700.0)
             if ragged.size:
+                ragged = ragged[~(w[ragged] > 0.0).all(axis=1)]
+            if ragged.size:
+                full = np.ones(active.size, dtype=bool)
+                full[ragged] = False
                 wf = w[full]
                 entropy = np.zeros(active.size)
                 entropy[full] = -(wf * np.log(wf)).sum(axis=1)
@@ -232,10 +244,14 @@ def _conditional_probabilities(
                 else:
                     nzw = w[r][w[r] > 0.0]
                     got[r] = np.exp(-(nzw * np.log(nzw)).sum())
-            weights[active] = w
             perp[active] = got
-            miss = ~(np.abs(got - perplexity) <= _PERPLEXITY_TOL)
-            active, got = active[miss], got[miss]
+            stop = np.abs(got - perplexity) <= _PERPLEXITY_TOL
+            if it == _MAX_BISECTIONS - 1:
+                stop[:] = True
+            # a row's weights are final once it stops bisecting
+            if stop.any():
+                weights[active[stop]] = w[stop]
+            active, got = active[~stop], got[~stop]
             if not active.size:
                 break
             bt, lo, hi = beta[active], beta_min[active], beta_max[active]
@@ -277,9 +293,10 @@ def _kl_gradient(p: np.ndarray):
 
     P is symmetric with a zero diagonal and sums to 1. It is copied into one
     contiguous strip P[s:e, s:] per block of _BLOCK_ROWS rows, so the caller
-    may drop it. Returns evaluate(y, boost) -> (kl, grad), where kl is the
-    KL of y against P and grad the gradient of the objective with P scaled
-    by boost. Each block forms d^2 from coordinate differences, which are
+    may drop it. Returns evaluate(y, boost, with_kl) -> (kl, grad), where grad
+    is the gradient of the objective with P scaled by boost and kl is the KL
+    of y against P, or None unless with_kl; the gradient's bits do not depend
+    on with_kl. Each block forms d^2 from coordinate differences, which are
     exactly symmetric, so the square on the diagonal counts once and the
     rest of the strip twice, and its transposed products feed the rows past
     the block:
@@ -304,8 +321,11 @@ def _kl_gradient(p: np.ndarray):
     width = min(_BLOCK_ROWS, n) * n
     buf_a, buf_b = np.empty(width), np.empty(width)
 
-    def evaluate(y: np.ndarray, boost: float) -> tuple[float, np.ndarray]:
+    def evaluate(
+        y: np.ndarray, boost: float, with_kl: bool = True
+    ) -> tuple[float | None, np.ndarray]:
         d = y.shape[1]
+        yt = np.ascontiguousarray(y.T)
         y1 = np.hstack([y, np.ones((n, 1))])
         attr = np.zeros((n, d + 1))
         rep = np.zeros((n, d + 1))
@@ -315,15 +335,16 @@ def _kl_gradient(p: np.ndarray):
             e = s + b
             num = buf_a[:b * m].reshape(b, m)
             tmp = buf_b[:b * m].reshape(b, m)
-            np.subtract(y[s:e, 0, None], y[None, s:, 0], out=num)
+            np.subtract(yt[0, s:e, None], yt[0, None, s:], out=num)
             np.square(num, out=num)
             for k in range(1, d):
-                np.subtract(y[s:e, k, None], y[None, s:, k], out=tmp)
+                np.subtract(yt[k, s:e, None], yt[k, None, s:], out=tmp)
                 np.square(tmp, out=tmp)
                 num += tmp
-            np.log1p(num, out=tmp)
-            tmp *= strip
-            p_log1p += float(tmp[:, :b].sum()) + 2.0 * float(tmp[:, b:].sum())
+            if with_kl:
+                np.log1p(num, out=tmp)
+                tmp *= strip
+                p_log1p += float(tmp[:, :b].sum()) + 2.0 * float(tmp[:, b:].sum())
             num += 1.0
             np.reciprocal(num, out=num)
             np.fill_diagonal(num[:, :b], 0.0)
@@ -336,7 +357,8 @@ def _kl_gradient(p: np.ndarray):
             rep[e:] += tmp[:, b:].T @ y1[s:e]
         w = boost * attr - rep / z
         grad = 4.0 * (y * w[:, d:] - w[:, :d])
-        return p_log_p + p_log1p + float(np.log(z)), grad
+        kl = p_log_p + p_log1p + float(np.log(z)) if with_kl else None
+        return kl, grad
 
     return evaluate
 
@@ -364,15 +386,19 @@ def tsne(
     rescaled to this gradient's factor 4 (as in scikit-learn); a number
     overrides it. params["learning_rate"] records the resolved number.
 
-    diagnostics["kl_trace"][t] is the KL (against the unexaggerated P) of the
-    iterate after t steps. After the exaggeration phase, a step whose iterate
-    has a higher KL than the one before is rejected: the run goes back to the
-    previous iterate and its gradient, zeroes the momentum, resets the gains
-    to 1 and halves the learning rate for the rest of the run. kl_trace then
-    repeats the previous KL at that index, so it never rises after the
-    exaggeration phase. diagnostics["rejected_steps"] counts the rejections.
-    The returned coordinates are the last iterate evaluated, so
-    diagnostics["final_kl"] (= kl_trace[-1]) is their KL.
+    KL (against the unexaggerated P) is evaluated only where it is read:
+    from the last exaggerated iterate (after exaggeration_iters - 1 steps) to
+    the end, and always at the final iterate. diagnostics["kl_trace_start"]
+    is the first iterate evaluated, min(max(exaggeration_iters - 1, 0),
+    iters - 1), and diagnostics["kl_trace"][i] is the KL of the iterate after
+    kl_trace_start + i steps. After the exaggeration phase, a step whose
+    iterate has a higher KL than the one before is rejected: the run goes
+    back to the previous iterate and its gradient, zeroes the momentum,
+    resets the gains to 1 and halves the learning rate for the rest of the
+    run. kl_trace then repeats the previous KL at that index, so it never
+    rises after the exaggeration phase. diagnostics["rejected_steps"] counts
+    the rejections. The returned coordinates are the last iterate evaluated,
+    so diagnostics["final_kl"] (= kl_trace[-1]) is their KL.
     """
     points = _as_points(x)
     n = points.shape[0]
@@ -417,7 +443,8 @@ def tsne(
 
     update = np.zeros_like(y)
     gains = np.ones_like(y)
-    kl_trace = np.empty(iters)
+    kl_start = min(max(exaggeration_iters - 1, 0), iters - 1)
+    kl_trace = np.empty(iters - kl_start)
     step = learning_rate
     rejected = 0
     y_prev = grad_prev = None
@@ -425,16 +452,17 @@ def tsne(
         boost = exaggeration if t < exaggeration_iters else 1.0
         momentum = MOMENTUM_EARLY if t < exaggeration_iters else MOMENTUM_LATE
 
-        kl, grad = kl_and_gradient(y, boost)
+        kl, grad = kl_and_gradient(y, boost, t >= kl_start)
 
         # descent safeguard: the step from y_prev was unexaggerated and raised KL
-        if t > exaggeration_iters and kl > kl_trace[t - 1]:
-            y, grad, kl = y_prev, grad_prev, kl_trace[t - 1]
+        if t > exaggeration_iters and kl > kl_trace[t - 1 - kl_start]:
+            y, grad, kl = y_prev, grad_prev, kl_trace[t - 1 - kl_start]
             update = np.zeros_like(y)
             gains = np.ones_like(y)
             step *= 0.5
             rejected += 1
-        kl_trace[t] = kl
+        if t >= kl_start:
+            kl_trace[t - kl_start] = kl
         if t == iters - 1:
             break
         y_prev, grad_prev = y, grad
@@ -459,6 +487,7 @@ def tsne(
     }
     diagnostics = {
         "kl_trace": kl_trace,
+        "kl_trace_start": kl_start,
         "achieved_perplexity": achieved,
         "final_kl": float(kl_trace[-1]),
         "rejected_steps": rejected,

@@ -16,6 +16,7 @@ from .matrix import CountMatrix, ExpressionMatrix
 
 ZERO_FRACTION_DEFAULT = 0.8
 CV_DROP_FRACTION_DEFAULT = 0.15
+_BLOCK_ROWS = 64
 
 
 def _as_fraction(x: float) -> Fraction:
@@ -101,7 +102,9 @@ def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMa
     axis="cells" treats each cell's expression profile as one distribution
     (the in-memory default); axis="genes" normalizes per-gene columns instead.
     Tied values within a distribution receive the average of the reference
-    values at the tied positions.
+    values at the tied positions. Ties are resolved for _BLOCK_ROWS
+    distributions at a time, one array call per step, with the same
+    arithmetic per run of ties as one distribution at a time.
     """
     if axis not in ("cells", "genes"):
         raise DataError(f"unknown normalization axis {axis!r}")
@@ -117,14 +120,19 @@ def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMa
     reference = sorted_vals.mean(axis=0)
 
     out = np.empty_like(values)
-    for i in range(n_dist):
-        row = sorted_vals[i]
-        boundaries = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        run_sums = np.add.reduceat(reference, boundaries)
-        run_lengths = np.diff(np.r_[boundaries, length])
-        run_means = run_sums / run_lengths
-        assigned = np.repeat(run_means, run_lengths)
-        out[i, order[i]] = assigned
+    tiled = np.tile(reference, min(_BLOCK_ROWS, n_dist))
+    for s in range(0, n_dist, _BLOCK_ROWS):
+        block = sorted_vals[s:s + _BLOCK_ROWS]
+        # a run of ties starts at each row's first value and at every change;
+        # runs never cross rows, so each sums the reference at its positions
+        starts = np.ones(block.shape, dtype=bool)
+        np.not_equal(block[:, 1:], block[:, :-1], out=starts[:, 1:])
+        starts = np.flatnonzero(starts)
+        run_sums = np.add.reduceat(tiled[:block.size], starts)
+        run_lengths = np.diff(starts, append=block.size)
+        assigned = np.repeat(run_sums / run_lengths, run_lengths)
+        np.put_along_axis(out[s:s + _BLOCK_ROWS], order[s:s + _BLOCK_ROWS],
+                          assigned.reshape(block.shape), axis=1)
     if axis == "genes":
         out = out.T
     return x.with_values(out)

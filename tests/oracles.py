@@ -8,7 +8,9 @@ detection averages over; `scan_agglomerate`, the library's former
 agglomeration loop, which does the same Lance-Williams arithmetic so that
 dendrograms can be compared exactly; and `loop_conditional_probabilities`,
 the former one-row-at-a-time perplexity bisection, whose arithmetic the
-lockstep calibration must reproduce bit for bit.
+lockstep calibration must reproduce bit for bit; and
+`loop_quantile_normalize`, the former one-distribution-at-a-time tie
+resolution, which the blocked quantile normalization must equal exactly.
 """
 import itertools
 import logging
@@ -228,6 +230,25 @@ def loop_conditional_probabilities(d2, perplexity):
         achieved[i] = perp
         p[i, np.arange(n) != i] = weights
     return p, achieved
+
+
+def loop_quantile_normalize(values):
+    """The library's former quantile normalization of the rows of `values`:
+    sort each row, average the sorted rows into the reference, and give each
+    run of tied values the mean of the reference over its positions, one row
+    at a time."""
+    n_dist, length = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(values, order, axis=1)
+    reference = sorted_vals.mean(axis=0)
+    out = np.empty_like(values)
+    for i in range(n_dist):
+        row = sorted_vals[i]
+        boundaries = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        run_sums = np.add.reduceat(reference, boundaries)
+        run_lengths = np.diff(np.r_[boundaries, length])
+        out[i, order[i]] = np.repeat(run_sums / run_lengths, run_lengths)
+    return out
 
 
 def scatter(points):

@@ -123,6 +123,25 @@ def test_pipeline_rerun_is_byte_identical(data_dir, pipeline_dir, tmp_path):
         assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
+def test_split_pool_size_does_not_change_the_bytes(data_dir, tmp_path, monkeypatch):
+    # two splits, run one after the other and then side by side on the pool
+    cells = two_replicates(data_dir, tmp_path / "cells.csv")
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SCBENCH_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        rc = cli_main(["pipeline", "--matrix", str(data_dir / "matrix.mtx"),
+                       "--cells", str(cells), *SPEED, "-o", str(out)])
+        assert rc == 0
+        outs.append(out)
+    splits = json.loads((outs[0] / "summary.json").read_text())["splits"]
+    assert len(splits) == 2
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_data_errors_report_json_envelope(capsys, tmp_path, pipeline_dir):
     rc = cli_main(["qc", "--matrix", str(tmp_path / "absent.mtx"),
                    "-o", str(tmp_path)])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import dense_kl_gradient, kl_divergence, loop_conditional_probabilities
 
+import scbench.embed
 from scbench import DataError, pca_fit_transform, tsne
 from scbench.embed import (
     Embedding,
@@ -198,15 +199,51 @@ def test_tsne_kl_tail_is_nonincreasing():
     assert emb.diagnostics["final_kl"] == tail[-1]
 
 
-def test_tsne_safeguard_keeps_kl_tail_monotone():
+def test_tsne_safeguard_keeps_kl_tail_monotone(monkeypatch):
     # at learning rate 50 without the safeguard this input's tail rises by 3.2e-4
     x = seeded_points(2, 200, 50)
-    emb = tsne(x, perplexity=30, seed=2, iters=600)
-    tail = emb.diagnostics["kl_trace"][-100:]
-    assert (np.diff(tail) <= 0.0).all()
-    assert emb.diagnostics["rejected_steps"] >= 1
-    fixed = tsne(x, perplexity=30, seed=2, iters=600, learning_rate=200)
-    assert emb.diagnostics["final_kl"] < fixed.diagnostics["final_kl"]
+    iters = 600
+    calls = []
+
+    def recording(p):
+        evaluate = _kl_gradient(p)
+
+        def recorded(y, boost, with_kl=True):
+            kl, grad = evaluate(y, boost, with_kl)
+            calls.append((y.copy(), kl, grad))
+            return kl, grad
+
+        return recorded
+
+    monkeypatch.setattr(scbench.embed, "_kl_gradient", recording)
+    emb = tsne(x, perplexity=30, seed=2, iters=iters)
+    trace = emb.diagnostics["kl_trace"]
+    start = emb.diagnostics["kl_trace_start"]
+    assert (np.diff(trace[-100:]) <= 0.0).all()
+    assert len(calls) == iters
+
+    # a step is rejected exactly when its iterate's KL is above the last
+    # accepted KL, and the trace then repeats that KL
+    first = emb.params["exaggeration_iters"] + 1
+    rejected = [t for t in range(first, iters) if calls[t][1] > trace[t - 1 - start]]
+    assert emb.diagnostics["rejected_steps"] == len(rejected) >= 1
+    for t in range(first, iters):
+        assert trace[t - start] == (trace[t - 1 - start] if t in rejected else calls[t][1])
+
+    # the k-th rejection restarts from the last accepted iterate with no
+    # momentum, gains reset to 1 (then decayed once to 0.8) and the learning
+    # rate halved k times
+    accepted = {}
+    for t, call in enumerate(calls):
+        accepted[t] = accepted[t - 1] if t in rejected else call
+    for k, t in enumerate(rejected, start=1):
+        if t + 1 == iters:
+            continue
+        y, _, grad = accepted[t - 1]
+        step = emb.params["learning_rate"] * 0.5 ** k
+        expected = y - step * (0.8 * grad)
+        expected -= expected.mean(axis=0)
+        assert np.allclose(calls[t + 1][0], expected, rtol=0.0, atol=1e-12 * np.abs(y).max())
 
 
 def test_tsne_returns_the_iterate_whose_kl_it_reports():
@@ -316,6 +353,23 @@ def test_blocked_step_matches_the_dense_step(n):
             kl_dense, grad_dense = dense_kl_gradient(p, y, boost)
             assert math.isclose(kl, kl_dense, rel_tol=1e-12)
             assert np.abs(grad - grad_dense).max() <= 1e-12 * np.abs(grad_dense).max()
+            # skipping the KL pass leaves the gradient's bits alone
+            no_kl, grad_no_kl = evaluate(y, boost, False)
+            assert no_kl is None and np.array_equal(grad, grad_no_kl)
+
+
+@pytest.mark.parametrize(
+    "iters, exaggeration_iters, start",
+    [(40, 60, 39), (60, 60, 59), (61, 60, 59), (40, 0, 0)],
+)
+def test_kl_is_evaluated_from_the_last_exaggerated_iterate(iters, exaggeration_iters, start):
+    x = seeded_points(26, 70, 8)
+    emb = tsne(x, perplexity=10, seed=1, iters=iters, exaggeration_iters=exaggeration_iters)
+    assert emb.diagnostics["kl_trace_start"] == start
+    assert len(emb.diagnostics["kl_trace"]) == iters - start
+    assert emb.diagnostics["final_kl"] == emb.diagnostics["kl_trace"][-1]
+    p, _ = joint_probabilities(x, 10)
+    assert math.isclose(kl_divergence(p, emb), emb.diagnostics["final_kl"], rel_tol=1e-12)
 
 
 def calibrations_agree(d2, perplexity, caplog):
@@ -346,6 +400,19 @@ def test_lockstep_calibration_equals_the_one_row_loop(caplog):
     calibrations_agree(_squared_distances(grid), 4.0, caplog)
     pairs = np.repeat(np.arange(30.0), 3)[:, None]
     calibrations_agree(_squared_distances(pairs), 2.0, caplog)
+    # two lines of 10 points 40 apart: some rows end with beta * max d^2 past
+    # 700 and every weight positive, the rest with their far weights at zero
+    lines = np.r_[np.arange(10.0), 40.0 + np.arange(10.0)][:, None]
+    d2 = _squared_distances(lines)
+    calibrations_agree(d2, 4.0, caplog)
+    p, _ = _conditional_probabilities(d2, 4.0)
+    off = ~np.eye(20, dtype=bool)
+    rows = np.flatnonzero((p > 0.0).sum(axis=1) == 19)
+    assert 0 < rows.size < 20
+    near = np.where(off, d2, np.inf).argmin(axis=1)[rows]
+    far = d2.argmax(axis=1)[rows]
+    beta = (np.log(p[rows, near]) - np.log(p[rows, far])) / (d2[rows, far] - d2[rows, near])
+    assert (beta * d2[rows, far] > 700.0).any()
 
 
 def test_concurrent_runs_equal_sequential_runs():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from conftest import random_dense, random_matrix, same_matrix
+from oracles import loop_quantile_normalize
 
 from scbench import (
     DataError,
@@ -199,6 +200,34 @@ def test_quantile_gene_axis_is_transposed_cells_axis():
     )
     by_gene = quantile_normalize(em, axis="genes")
     assert np.array_equal(by_gene.values, quantile_normalize(emt).values.T)
+
+
+def distributions(kind, n_dist, length, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "counts":
+        depth = rng.integers(1, 4, size=(n_dist, 1))
+        return (rng.poisson(0.7, size=(n_dist, length)) * depth).astype(np.float64)
+    if kind == "continuous":
+        return rng.normal(size=(n_dist, length)) * 10.0
+    return rng.integers(0, 3, size=(n_dist, length)).astype(np.float64)
+
+
+def labelled(values):
+    n, g = values.shape
+    return ExpressionMatrix(
+        values, tuple(f"c{i}" for i in range(n)), tuple(f"g{j}" for j in range(g))
+    )
+
+
+@pytest.mark.parametrize("kind", ["counts", "continuous", "tied"])
+@pytest.mark.parametrize("n_dist", [2, 63, 64, 65, 129])
+def test_blocked_quantile_normalization_equals_the_row_loop(kind, n_dist):
+    # blocks of 64 distributions: short, exact multiples and a 1-row tail
+    values = distributions(kind, n_dist, 37, n_dist)
+    out = quantile_normalize(labelled(values)).values
+    assert np.array_equal(out, loop_quantile_normalize(values))
+    by_gene = quantile_normalize(labelled(values.T), axis="genes").values
+    assert np.array_equal(by_gene, loop_quantile_normalize(values).T)
 
 
 def test_quantile_rejects_degenerate_input():
