@@ -1,8 +1,12 @@
-"""Shared helpers: seeding, worker caps, float formatting."""
+"""Shared helpers: seeding, worker caps, the BLAS thread pin, float formatting."""
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +25,41 @@ def worker_count() -> int:
     except ValueError:
         return os.cpu_count() or 1
     return max(1, n)
+
+
+@functools.cache
+def openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles under numpy.libs/, or None where numpy has no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the count.
+
+    LAPACK's eigh and the covariance product round differently at other
+    thread counts, and t-SNE amplifies that into different artifacts. Where
+    the library is not found, the block runs unpinned.
+    """
+    calls = openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:

@@ -4,14 +4,15 @@ Subcommands run single stages (split, qc, filter, normalize, embed, cluster,
 evaluate, report, synth) or the whole chain (pipeline). Stage commands accept
 the same inputs as pipeline and recompute the prefix they need, so every
 artifact is a pure function of (input files, flags, seed). Each stage command
-is one row of STAGES: its depth decides its flags, the keys of its
-`# config:` comment and how far `_compute_split` goes; its tables and its
-writer then give the artifacts.
+is one row of STAGES: its depth decides its flags, and so the keys of its
+`# config:` comment (every flag but --output-dir and --config), and how far
+`_compute_split` goes; its tables and its writer then give the artifacts.
 
 Exit codes: 0 success, 1 data/IO errors (JSON envelope on stderr), 2 usage.
 On-disk matrices are genes x cells; pass --transpose when a file already has
 cells as rows. SCBENCH_THREADS caps the per-split worker pool; results do not
-depend on its value.
+depend on its value. A run pins numpy's OpenBLAS to one thread (see
+`single_threaded_blas`), so they do not depend on OPENBLAS_NUM_THREADS either.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from ._util import canonical_json, fmt_float, worker_count
+from ._util import canonical_json, fmt_float, single_threaded_blas, worker_count
 from .cluster import (
     adjusted_rand_index,
     cut_dendrogram,
@@ -59,23 +60,9 @@ from .report import (
 )
 from .synth import SynthConfig, generate
 
-INPUT_KEYS = ("sample", "matrix", "cells", "genes", "transpose", "join_by_id")
-FILTER_KEYS = ("zero_threshold", "cv_fraction", "normalize_axis", "log1p")
-EMBED_KEYS = ("perplexity", "tsne_no_pca", "iters")
-CLUSTER_KEYS = ("k", "cluster_method", "linkage", "restarts")
-SEED_KEYS = ("seed",)
-
 
 def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", name)
-
-
-def _resolved_config(args, keys) -> dict:
-    out = {}
-    for k in keys:
-        v = getattr(args, k)
-        out[k] = str(v) if isinstance(v, Path) else v
-    return out
 
 
 def _load_inputs(args):
@@ -268,8 +255,9 @@ DEPTH_GROUPS = {
 
 
 def _run_stage(depth: str, tables, write, args) -> int:
-    keys = sum((k for _, k in FLAG_GROUPS[: DEPTH_GROUPS[depth]]), ()) + SEED_KEYS
-    config = _resolved_config(args, keys)
+    # every parsed option but the command, its runner and where output and config live
+    skip = ("command", "func", "output_dir", "config")
+    config = {k: v for k, v in vars(args).items() if k not in skip}
     splits = _stage_splits(args, depth)
     if write in PER_SPLIT_WRITERS:
         _check_stems(splits)
@@ -353,13 +341,8 @@ def _add_common_flags(p, output_required=True):
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
-# (flag adder, config keys) in help order; a stage command takes a prefix
-FLAG_GROUPS = (
-    (_add_input_flags, INPUT_KEYS),
-    (_add_filter_flags, FILTER_KEYS),
-    (_add_embed_flags, EMBED_KEYS),
-    (_add_cluster_flags, CLUSTER_KEYS),
-)
+# flag adders in help order; a stage command takes a prefix
+FLAG_GROUPS = (_add_input_flags, _add_filter_flags, _add_embed_flags, _add_cluster_flags)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -373,7 +356,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def stage_command(name, help_, depth, tables, write):
         p = sub.add_parser(name, help=help_)
-        for add, _ in FLAG_GROUPS[: DEPTH_GROUPS[depth]]:
+        for add in FLAG_GROUPS[: DEPTH_GROUPS[depth]]:
             add(p)
         _add_common_flags(p)
         p.set_defaults(func=functools.partial(_run_stage, depth, tables, write))
@@ -443,7 +426,7 @@ def _apply_config_file(parser, table, command, path, argv):
     actions = {a.dest: a for a in subparser._actions}
     defaults = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 s = line.strip()
                 if not s or s.startswith("#"):
@@ -476,7 +459,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        with single_threaded_blas():
+            return args.func(args)
     except (DataError, OSError, ValueError) as exc:
         envelope = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(envelope) + "\n")

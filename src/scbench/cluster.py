@@ -18,8 +18,8 @@ from .errors import DataError
 from .matrix import ExpressionMatrix
 
 KMEANS_RESTARTS_DEFAULT = 10
-KMEANS_MAX_ITERS_DEFAULT = 300
-KMEANS_TOL_DEFAULT = 1e-6
+KMEANS_MAX_ITERS = 300  # Lloyd iterations per restart, at most
+KMEANS_TOL = 1e-6  # a restart stops once an iteration lowers its SSE by less
 
 LINKAGES = ("single", "complete", "average", "ward")
 _NN_BLOCK_ROWS = 64  # rows per refresh of hierarchical's nearest-neighbour cache
@@ -114,13 +114,13 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     return d2, labels, sse
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     n, k = points.shape[0], centers.shape[0]
     centers = centers.copy()
     prev_sse = np.inf
     labels = np.zeros(n, dtype=np.int64)
     trace = []
-    for it in range(1, max_iters + 1):
+    for it in range(1, KMEANS_MAX_ITERS + 1):
         d2, labels, sse = _assign(points, centers)
 
         counts = np.bincount(labels, minlength=k)
@@ -142,9 +142,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
         np.add.at(new_centers, labels, points)
         new_centers /= np.bincount(labels, minlength=k)[:, None]
 
-        if prev_sse - sse < tol and np.array_equal(centers, new_centers):
+        if prev_sse - sse < KMEANS_TOL and np.array_equal(centers, new_centers):
             return labels, centers, sse, it, trace
-        if prev_sse - sse < tol or it == max_iters:
+        if prev_sse - sse < KMEANS_TOL or it == KMEANS_MAX_ITERS:
             centers = new_centers
             # recompute once so the reported sse matches the final centers
             _, labels, sse = _assign(points, centers)
@@ -160,8 +160,6 @@ def kmeans(
     k: int,
     seed: int = 0,
     restarts: int = KMEANS_RESTARTS_DEFAULT,
-    max_iters: int = KMEANS_MAX_ITERS_DEFAULT,
-    tol: float = KMEANS_TOL_DEFAULT,
 ) -> ClusterResult:
     """Lloyd's algorithm from k-means++ starts; best of `restarts` runs by SSE.
 
@@ -172,15 +170,15 @@ def kmeans(
     n = points.shape[0]
     if not (1 <= k <= n):
         raise DataError(f"k={k} out of range for {n} points")
-    if restarts < 1 or max_iters < 1:
-        raise DataError("restarts and max_iters must be positive")
+    if restarts < 1:
+        raise DataError("restarts must be positive")
 
     best = None
     sses = np.empty(restarts)
     for r in range(restarts):
         rng = seeded_rng(seed, r)
         init = _kmeans_pp_init(points, k, rng)
-        labels, centers, sse, n_iters, trace = _lloyd(points, init, max_iters, tol)
+        labels, centers, sse, n_iters, trace = _lloyd(points, init)
         sses[r] = sse
         if best is None or sse < best[2]:
             best = (labels, centers, sse, n_iters, trace)

@@ -1,11 +1,12 @@
 """Dimensionality reduction: PCA and exact t-SNE.
 
-PCA is computed by eigendecomposition of either the feature covariance or the
-cell Gram matrix, whichever is smaller; both routes produce the same model.
-t-SNE is the exact O(n^2) algorithm: per-point Gaussian bandwidths calibrated
-by bisection to a target perplexity, symmetrized joint probabilities, Student-t
-low-dimensional affinities, and momentum gradient descent with early
-exaggeration. A run is a pure function of (input, parameters, seed).
+PCA is computed by eigendecomposition of the feature covariance or of the
+cell Gram matrix, whichever is smaller; the shape alone picks the route.
+t-SNE is the exact O(n^2) algorithm started from PCA coordinates: per-point
+Gaussian bandwidths calibrated by bisection to a target perplexity,
+symmetrized joint probabilities, Student-t low-dimensional affinities, and
+momentum gradient descent with early exaggeration. A run is a pure function
+of (input, parameters, seed).
 
 Both O(n^2) parts work on blocks of _BLOCK_ROWS rows. Calibration bisects the
 rows of a block in lockstep, each with its own bracket, and gives the same P,
@@ -77,10 +78,6 @@ class Embedding:
     def n_points(self) -> int:
         return self.coordinates.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.coordinates.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
@@ -93,8 +90,6 @@ class PcaModel:
 def _as_points(x) -> np.ndarray:
     if isinstance(x, ExpressionMatrix):
         return x.values
-    if isinstance(x, Embedding):
-        return x.coordinates
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError("expected a 2-d array of points")
@@ -102,23 +97,21 @@ def _as_points(x) -> np.ndarray:
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
+    # a C-ordered copy: the bits of `centered @ components.T` depend on it
     out = components.copy()
-    for row in out:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
+    lead = out[np.arange(len(out)), np.abs(out).argmax(axis=1)]
+    out[lead < 0] *= -1.0
     return out
 
 
-def pca_fit_transform(
-    x, d: int, method: str = "auto"
-) -> tuple[Embedding, PcaModel]:
+def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     """Project mean-centered data onto its top-d principal directions.
 
-    method picks the eigendecomposition route: "covariance" works on the
-    genes x genes covariance, "gram" on the cells x cells Gram matrix, and
-    "auto" takes whichever is smaller. Component signs are fixed so the
-    largest-magnitude coefficient of each component is positive.
+    The shape picks the eigendecomposition: the genes x genes covariance when
+    there are no more genes than cells, else the cells x cells Gram matrix;
+    params["method"] names the route ("covariance" or "gram"). Component
+    signs are fixed so the largest-magnitude coefficient of each component is
+    positive.
     """
     v = _as_points(x)
     n, g = v.shape
@@ -128,10 +121,7 @@ def pca_fit_transform(
         raise DataError("pca needs at least 2 points")
     if not (1 <= d <= min(n, g)):
         raise DataError(f"d={d} out of range for a {n} x {g} matrix")
-    if method not in ("auto", "covariance", "gram"):
-        raise DataError(f"unknown pca method {method!r}")
-    if method == "auto":
-        method = "covariance" if g <= n else "gram"
+    method = "covariance" if g <= n else "gram"
 
     mu = v.mean(axis=0)
     centered = v - mu
@@ -163,10 +153,7 @@ def pca_fit_transform(
     scores = centered @ components.T
     ratio = eigvals / total_var if total_var > 0 else np.zeros_like(eigvals)
     model = PcaModel(components, eigvals, ratio, mu)
-    embedding = Embedding(
-        scores, "pca", {"d": d, "method": method}, seed=0
-    )
-    return embedding, model
+    return Embedding(scores, "pca", {"d": d, "method": method}, seed=0), model
 
 
 def _squared_distances(points: np.ndarray) -> np.ndarray:
@@ -372,12 +359,15 @@ def tsne(
     learning_rate: float | str = LEARNING_RATE_DEFAULT,
     exaggeration: float = EXAGGERATION_DEFAULT,
     exaggeration_iters: int = EXAGGERATION_ITERS_DEFAULT,
-    init: str = "pca",
 ) -> Embedding:
-    """Exact t-SNE embedding of `x` as given, deterministic for a given seed.
+    """Exact t-SNE embedding of `x` as given, a pure function of its arguments.
 
     Any PCA pre-reduction is the caller's: the CLI passes the first
-    TSNE_PCA_DIM_DEFAULT principal components. Momentum is 0.5 during the
+    TSNE_PCA_DIM_DEFAULT principal components. The start is the first d
+    principal components of `x`, scaled so the leading one has standard
+    deviation 1e-4. Where `x` has no columns or that leading coordinate has
+    no spread, the start is Gaussian noise of scale 1e-4 drawn from `seed`;
+    the seed matters only there. Momentum is 0.5 during the
     early-exaggeration phase and 0.8 after; per-coordinate gain factors
     follow the standard 0.2 up / 0.8 down rule.
 
@@ -420,26 +410,20 @@ def tsne(
         raise DataError(
             f"learning_rate must be 'auto' or positive, got {learning_rate!r}"
         )
-    if init not in ("pca", "random"):
-        raise DataError(f"unknown init {init!r}")
 
     p_joint, achieved = joint_probabilities(points, perplexity)
     kl_and_gradient = _kl_gradient(p_joint)
     del p_joint
 
-    rng = seeded_rng(seed, 0)
-    if init == "pca" and points.shape[1] >= 1:
+    y = np.zeros((n, d))
+    if points.shape[1] >= 1:
         k = min(d, points.shape[1], n)
-        emb, _ = pca_fit_transform(points, k)
-        y = np.zeros((n, d))
-        y[:, :k] = emb.coordinates
-        lead_std = float(np.std(y[:, 0]))
-        if lead_std > 0:
-            y *= 1e-4 / lead_std
-        else:
-            y = rng.normal(0.0, 1e-4, size=(n, d))
+        y[:, :k] = pca_fit_transform(points, k)[0].coordinates
+    lead_std = float(np.std(y[:, 0]))
+    if lead_std > 0:
+        y *= 1e-4 / lead_std
     else:
-        y = rng.normal(0.0, 1e-4, size=(n, d))
+        y = seeded_rng(seed, 0).normal(0.0, 1e-4, size=(n, d))
 
     update = np.zeros_like(y)
     gains = np.ones_like(y)
@@ -482,7 +466,6 @@ def tsne(
         "learning_rate": learning_rate,
         "exaggeration": exaggeration,
         "exaggeration_iters": exaggeration_iters,
-        "init": init,
         "momentum": [MOMENTUM_EARLY, MOMENTUM_LATE],
     }
     diagnostics = {

@@ -6,7 +6,7 @@ threshold zero fraction is never removed by floating-point accident.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,57 +43,8 @@ class FilterTrace:
     removed_by_sparsity: int
     removed_by_cv: int
     genes_out: int
-    removed_sparse_ids: tuple[str, ...] = field(default=())
-    removed_cv_ids: tuple[str, ...] = field(default=())
-
-
-def filter_sparse_genes(
-    m: CountMatrix, cfg: FilterConfig | None = None
-) -> tuple[CountMatrix, FilterTrace]:
-    """Drop genes whose zero fraction strictly exceeds the threshold."""
-    cfg = cfg or FilterConfig()
-    if m.n_cells < 1:
-        raise DataError("sparsity filter needs at least one cell")
-    # zeros / n <= num / den  <=>  zeros <= floor(num * n / den), in Python ints
-    threshold = _as_fraction(cfg.zero_fraction_threshold)
-    max_zeros = threshold.numerator * m.n_cells // threshold.denominator
-    keep = (m.n_cells - m.gene_nonzero_count()) <= max_zeros
-    removed_ids = tuple(g for g, k in zip(m.gene_ids, keep) if not k)
-    out = m.submatrix(np.ones(m.n_cells, dtype=bool), keep)
-    trace = FilterTrace(
-        genes_in=m.n_genes,
-        removed_by_sparsity=int((~keep).sum()),
-        removed_by_cv=0,
-        genes_out=out.n_genes,
-        removed_sparse_ids=removed_ids,
-    )
-    return out, trace
-
-
-def filter_low_cv(
-    m: CountMatrix, cfg: FilterConfig | None = None
-) -> tuple[CountMatrix, FilterTrace]:
-    """Drop the floor(fraction * n_genes) genes with the smallest coefficient
-    of variation; ties resolve toward the lower gene index."""
-    cfg = cfg or FilterConfig()
-    if m.n_cells < 2:
-        raise DataError("cv filter needs at least 2 cells")
-    k = int(_as_fraction(cfg.cv_drop_fraction) * m.n_genes)
-    keep = np.ones(m.n_genes, dtype=bool)
-    if k > 0:
-        cv = m.gene_stats().cv
-        drop = np.argsort(cv, kind="stable")[:k]
-        keep[drop] = False
-    removed_ids = tuple(g for g, kept in zip(m.gene_ids, keep) if not kept)
-    out = m.submatrix(np.ones(m.n_cells, dtype=bool), keep)
-    trace = FilterTrace(
-        genes_in=m.n_genes,
-        removed_by_sparsity=0,
-        removed_by_cv=int(k),
-        genes_out=out.n_genes,
-        removed_cv_ids=removed_ids,
-    )
-    return out, trace
+    removed_sparse_ids: tuple[str, ...] = ()
+    removed_cv_ids: tuple[str, ...] = ()
 
 
 def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMatrix:
@@ -141,19 +92,40 @@ def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMa
 def filter_genes(
     m: CountMatrix, cfg: FilterConfig | None = None
 ) -> tuple[CountMatrix, FilterTrace]:
-    """Sparsity filter then CV filter; the trace covers both."""
+    """Drop sparse genes, then the lowest-CV share of the genes left.
+
+    The sparsity filter drops genes whose zero fraction strictly exceeds the
+    threshold. Of the kept genes, the floor(cv_drop_fraction * kept) with the
+    smallest coefficient of variation go too; ties resolve toward the lower
+    gene index. A gene's statistics sum only its own entries, in entry order,
+    so CVs of the unfiltered matrix equal those of the sparsity-filtered one
+    bit for bit. The trace covers both filters.
+    """
     cfg = cfg or FilterConfig()
-    after_sparse, trace_sparse = filter_sparse_genes(m, cfg)
-    after_cv, trace_cv = filter_low_cv(after_sparse, cfg)
+    if m.n_cells < 1:
+        raise DataError("sparsity filter needs at least one cell")
+    if m.n_cells < 2:
+        raise DataError("cv filter needs at least 2 cells")
+    # zeros / n <= num / den  <=>  zeros <= floor(num * n / den), in Python ints
+    threshold = _as_fraction(cfg.zero_fraction_threshold)
+    max_zeros = threshold.numerator * m.n_cells // threshold.denominator
+    dense_enough = (m.n_cells - m.gene_nonzero_count()) <= max_zeros
+    kept = np.flatnonzero(dense_enough)
+    k = int(_as_fraction(cfg.cv_drop_fraction) * kept.size)
+    keep = dense_enough.copy()
+    if k > 0:
+        cv = m.gene_stats().cv[kept]
+        keep[kept[np.argsort(cv, kind="stable")[:k]]] = False
+    low_cv = dense_enough & ~keep
     trace = FilterTrace(
         genes_in=m.n_genes,
-        removed_by_sparsity=trace_sparse.removed_by_sparsity,
-        removed_by_cv=trace_cv.removed_by_cv,
-        genes_out=after_cv.n_genes,
-        removed_sparse_ids=trace_sparse.removed_sparse_ids,
-        removed_cv_ids=trace_cv.removed_cv_ids,
+        removed_by_sparsity=m.n_genes - kept.size,
+        removed_by_cv=k,
+        genes_out=kept.size - k,
+        removed_sparse_ids=tuple(g for g, d in zip(m.gene_ids, dense_enough) if not d),
+        removed_cv_ids=tuple(g for g, low in zip(m.gene_ids, low_cv) if low),
     )
-    return after_cv, trace
+    return m.submatrix(np.ones(m.n_cells, dtype=bool), keep), trace
 
 
 def preprocess_pipeline(

@@ -57,7 +57,7 @@ CONFIG_PREFIX = "# config: "
 
 
 def write_csv(path: Path, comment: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{CONFIG_PREFIX}{comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -71,7 +71,7 @@ def read_table(path) -> tuple[list[str], list[dict]]:
     strings; callers convert the columns they use. A row with more or fewer
     fields than the header raises FormatError naming the file and line.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         numbered = list(enumerate(fh, start=1))
     if numbered and numbered[0][1].startswith(CONFIG_PREFIX):
         numbered = numbered[1:]
@@ -89,7 +89,7 @@ def read_table(path) -> tuple[list[str], list[dict]]:
 
 
 def read_config_comment(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         first = fh.readline()
     if not first.startswith(CONFIG_PREFIX):
         raise DataError(f"{path} has no config comment line")
@@ -205,7 +205,7 @@ def write_summary(splits: list[SplitResult], path, config: dict) -> Path:
             entry["ari"] = s.ari
         entries.append(entry)
     path = Path(path)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json({"config": config, "splits": entries}))
         fh.write("\n")
     return path
@@ -332,5 +332,5 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     )
 
     for name, text in figures.items():
-        (outdir / name).write_text(text)
+        (outdir / name).write_text(text, encoding="utf-8")
     return [outdir / name for name in figures]

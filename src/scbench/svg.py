@@ -16,7 +16,9 @@ from .errors import DataError
 
 WIDTH = 800
 HEIGHT = 520
-MARGIN = {"left": 64.0, "right": 160.0, "top": 48.0, "bottom": 56.0}
+# edges of the plotting area; the right margin holds the legend
+LEFT, RIGHT = 64.0, WIDTH - 160.0
+TOP, BOTTOM = 48.0, HEIGHT - 56.0
 
 PALETTE = (
     "#4269d0",
@@ -52,11 +54,10 @@ class Canvas:
         self.comment = comment
         self.parts: list[str] = []
 
-    def line(self, x1, y1, x2, y2, color=_AXIS, width=1.0, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, color=_AXIS, width=1.0):
         self.parts.append(
             f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}"'
-            f' stroke="{color}" stroke-width="{_px(width)}"{d}/>'
+            f' stroke="{color}" stroke-width="{_px(width)}"/>'
         )
 
     def rect(self, x, y, w, h, fill="none", stroke=_AXIS):
@@ -71,20 +72,17 @@ class Canvas:
             f'<circle cx="{_px(cx)}" cy="{_px(cy)}" r="{_px(r)}" fill="{fill}"{op}/>'
         )
 
-    def polyline(self, xs, ys, color, width=1.5):
+    def polyline(self, xs, ys, color):
         pts = " ".join(f"{_px(x)},{_px(y)}" for x, y in zip(xs, ys))
         self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}"'
-            f' stroke-width="{_px(width)}"/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.50"/>'
         )
 
-    def text(self, x, y, s, anchor="start", color="#000000", rotate=None):
-        r = (
-            f' transform="rotate(-90 {_px(x)} {_px(y)})"' if rotate else ""
-        )
+    def text(self, x, y, s, anchor="start", rotate=False):
+        r = f' transform="rotate(-90 {_px(x)} {_px(y)})"' if rotate else ""
         self.parts.append(
             f'<text x="{_px(x)}" y="{_px(y)}" {_FONT} text-anchor="{anchor}"'
-            f' fill="{color}"{r}>{escape(s)}</text>'
+            f' fill="#000000"{r}>{escape(s)}</text>'
         )
 
     def render(self) -> str:
@@ -115,26 +113,23 @@ class _Scale:
 
 
 def _frame(canvas: Canvas, xlabel: str, ylabel: str, xs: _Scale, ys: _Scale):
-    left, right = MARGIN["left"], WIDTH - MARGIN["right"]
-    top, bottom = MARGIN["top"], HEIGHT - MARGIN["bottom"]
-    canvas.rect(left, top, right - left, bottom - top, stroke=_AXIS)
-    canvas.text((left + right) / 2, HEIGHT - 16, xlabel, anchor="middle")
-    canvas.text(18, (top + bottom) / 2, ylabel, anchor="middle", rotate=True)
-    canvas.text((left + right) / 2, 24, canvas.title, anchor="middle")
+    canvas.rect(LEFT, TOP, RIGHT - LEFT, BOTTOM - TOP, stroke=_AXIS)
+    canvas.text((LEFT + RIGHT) / 2, HEIGHT - 16, xlabel, anchor="middle")
+    canvas.text(18, (TOP + BOTTOM) / 2, ylabel, anchor="middle", rotate=True)
+    canvas.text((LEFT + RIGHT) / 2, 24, canvas.title, anchor="middle")
     for frac in (0.0, 0.5, 1.0):
         vy = ys.lo + frac * (ys.hi - ys.lo)
         py = float(ys(vy))
-        canvas.line(left - 4, py, left, py)
-        canvas.text(left - 8, py + 4, _tick(vy), anchor="end")
+        canvas.line(LEFT - 4, py, LEFT, py)
+        canvas.text(LEFT - 8, py + 4, _tick(vy), anchor="end")
         vx = xs.lo + frac * (xs.hi - xs.lo)
         px = float(xs(vx))
-        canvas.line(px, bottom, px, bottom + 4)
-        canvas.text(px, bottom + 18, _tick(vx), anchor="middle")
+        canvas.line(px, BOTTOM, px, BOTTOM + 4)
+        canvas.text(px, BOTTOM + 18, _tick(vx), anchor="middle")
 
 
 def _legend(canvas: Canvas, labels: list[str]):
-    x = WIDTH - MARGIN["right"] + 14
-    y = MARGIN["top"] + 8
+    x, y = RIGHT + 14, TOP + 8
     for i, label in enumerate(labels):
         color = PALETTE[i % len(PALETTE)]
         canvas.circle(x, y + 18 * i, 5, color)
@@ -162,18 +157,16 @@ def boxplot_chart(
     if allv.size == 0:
         raise DataError("boxplot groups must be non-empty")
     lo, hi = _span(allv)
-    left, right = MARGIN["left"], WIDTH - MARGIN["right"]
-    top, bottom = MARGIN["top"], HEIGHT - MARGIN["bottom"]
-    ys = _Scale(lo, hi, bottom, top)
-    xs = _Scale(0.0, float(len(groups)), left, right)
+    ys = _Scale(lo, hi, BOTTOM, TOP)
+    xs = _Scale(0.0, float(len(groups)), LEFT, RIGHT)
     _frame(canvas, "", ylabel, xs, ys)
 
-    slot = (right - left) / len(groups)
+    slot = (RIGHT - LEFT) / len(groups)
     box_w = slot * 0.4
     for i, (label, values) in enumerate(groups):
         values = np.asarray(values, dtype=np.float64)
         color = PALETTE[i % len(PALETTE)]
-        cx = left + slot * (i + 0.5)
+        cx = LEFT + slot * (i + 0.5)
         rng = seeded_rng(seed, 9, i)
         jitter = (rng.random(values.size) - 0.5) * box_w * 0.9
         for dx, v in zip(jitter, values):
@@ -182,7 +175,7 @@ def boxplot_chart(
         y1, ym, y3 = float(ys(q1)), float(ys(med)), float(ys(q3))
         canvas.rect(cx - box_w / 2, y3, box_w, y1 - y3, fill="none", stroke="#000000")
         canvas.line(cx - box_w / 2, ym, cx + box_w / 2, ym, color="#000000", width=2.0)
-        canvas.text(cx, bottom + 34, label, anchor="middle")
+        canvas.text(cx, BOTTOM + 34, label, anchor="middle")
     return canvas.render()
 
 
@@ -202,10 +195,8 @@ def line_chart(
         raise DataError("line chart series must be non-empty")
     xlo, xhi = _span(all_x)
     ylo, yhi = _span(all_y)
-    left, right = MARGIN["left"], WIDTH - MARGIN["right"]
-    top, bottom = MARGIN["top"], HEIGHT - MARGIN["bottom"]
-    xs = _Scale(xlo, xhi, left, right)
-    ys = _Scale(ylo, yhi, bottom, top)
+    xs = _Scale(xlo, xhi, LEFT, RIGHT)
+    ys = _Scale(ylo, yhi, BOTTOM, TOP)
     _frame(canvas, xlabel, ylabel, xs, ys)
     for i, (label, x, y) in enumerate(series):
         canvas.polyline(xs(x), ys(y), PALETTE[i % len(PALETTE)])
@@ -234,10 +225,8 @@ def scatter_chart(
     canvas = Canvas(title, comment)
     xlo, xhi = _span(points[:, 0])
     ylo, yhi = _span(points[:, 1])
-    left, right = MARGIN["left"], WIDTH - MARGIN["right"]
-    top, bottom = MARGIN["top"], HEIGHT - MARGIN["bottom"]
-    xs = _Scale(xlo, xhi, left, right)
-    ys = _Scale(ylo, yhi, bottom, top)
+    xs = _Scale(xlo, xhi, LEFT, RIGHT)
+    ys = _Scale(ylo, yhi, BOTTOM, TOP)
     _frame(canvas, xlabel, ylabel, xs, ys)
     px, py = xs(points[:, 0]), ys(points[:, 1])
     for i in range(points.shape[0]):
@@ -265,18 +254,16 @@ def bar_chart(
     lo = min(0.0, float(values.min()))
     hi = max(0.0, float(values.max()))
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
-    left, right = MARGIN["left"], WIDTH - MARGIN["right"]
-    top, bottom = MARGIN["top"], HEIGHT - MARGIN["bottom"]
-    ys = _Scale(lo, hi + pad, bottom, top)
-    xs = _Scale(0.0, float(len(bars)), left, right)
+    ys = _Scale(lo, hi + pad, BOTTOM, TOP)
+    xs = _Scale(0.0, float(len(bars)), LEFT, RIGHT)
     _frame(canvas, "", ylabel, xs, ys)
-    slot = (right - left) / len(bars)
+    slot = (RIGHT - LEFT) / len(bars)
     zero = float(ys(0.0))
     for i, (label, v) in enumerate(bars):
         color = PALETTE[i % len(PALETTE)]
-        x0 = left + slot * (i + 0.2)
+        x0 = LEFT + slot * (i + 0.2)
         y1 = float(ys(v))
         canvas.rect(x0, min(zero, y1), slot * 0.6, abs(zero - y1), fill=color, stroke="none")
-        canvas.text(left + slot * (i + 0.5), bottom + 34, label, anchor="middle")
-        canvas.text(left + slot * (i + 0.5), min(zero, y1) - 6, _tick(v), anchor="middle")
+        canvas.text(LEFT + slot * (i + 0.5), BOTTOM + 34, label, anchor="middle")
+        canvas.text(LEFT + slot * (i + 0.5), min(zero, y1) - 6, _tick(v), anchor="middle")
     return canvas.render()

@@ -10,16 +10,20 @@ dendrograms can be compared exactly; and `loop_conditional_probabilities`,
 the former one-row-at-a-time perplexity bisection, whose arithmetic the
 lockstep calibration must reproduce bit for bit; and
 `loop_quantile_normalize`, the former one-distribution-at-a-time tie
-resolution, which the blocked quantile normalization must equal exactly.
+resolution, which the blocked quantile normalization must equal exactly;
+and `filter_sparse_genes` and `filter_low_cv`, the former two-step gene
+filter, whose composition the one-pass `filter_genes` must equal exactly.
 """
 import itertools
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from scbench._util import seeded_rng
 from scbench.errors import DataError
+from scbench.preprocess import FilterConfig, FilterTrace
 
 
 def naive_distances(x):
@@ -249,6 +253,48 @@ def loop_quantile_normalize(values):
         run_lengths = np.diff(np.r_[boundaries, length])
         out[i, order[i]] = np.repeat(run_sums / run_lengths, run_lengths)
     return out
+
+
+def filter_sparse_genes(m, cfg=None):
+    """The library's former sparsity filter: drop genes whose zero fraction
+    strictly exceeds the threshold, compared as exact fractions."""
+    cfg = cfg or FilterConfig()
+    if m.n_cells < 1:
+        raise DataError("sparsity filter needs at least one cell")
+    threshold = Fraction(str(float(cfg.zero_fraction_threshold)))
+    max_zeros = threshold.numerator * m.n_cells // threshold.denominator
+    keep = (m.n_cells - m.gene_nonzero_count()) <= max_zeros
+    out = m.submatrix(np.ones(m.n_cells, dtype=bool), keep)
+    removed = tuple(g for g, k in zip(m.gene_ids, keep) if not k)
+    return out, FilterTrace(m.n_genes, len(removed), 0, out.n_genes, removed_sparse_ids=removed)
+
+
+def filter_low_cv(m, cfg=None):
+    """The library's former CV filter: drop the floor(fraction * n_genes)
+    genes with the smallest CV, ties toward the lower gene index."""
+    cfg = cfg or FilterConfig()
+    if m.n_cells < 2:
+        raise DataError("cv filter needs at least 2 cells")
+    k = int(Fraction(str(float(cfg.cv_drop_fraction))) * m.n_genes)
+    keep = np.ones(m.n_genes, dtype=bool)
+    if k > 0:
+        keep[np.argsort(m.gene_stats().cv, kind="stable")[:k]] = False
+    out = m.submatrix(np.ones(m.n_cells, dtype=bool), keep)
+    removed = tuple(g for g, kept in zip(m.gene_ids, keep) if not kept)
+    return out, FilterTrace(m.n_genes, 0, k, out.n_genes, removed_cv_ids=removed)
+
+
+def svd_pca(x, d):
+    """PCA by singular value decomposition of the centred data: the top-d
+    right singular vectors, each signed so its largest-magnitude coefficient
+    is positive. Returns (scores, components, explained variances)."""
+    x = np.asarray(x, dtype=np.float64)
+    centered = x - x.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    components = vt[:d].copy()
+    lead = components[np.arange(d), np.abs(components).argmax(axis=1)]
+    components *= np.where(lead < 0, -1.0, 1.0)[:, None]
+    return centered @ components.T, components, s[:d] ** 2 / (len(x) - 1)
 
 
 def scatter(points):

@@ -13,6 +13,7 @@ from oracles import (
     naive_agglomerate,
     naive_distances,
     naive_silhouette,
+    svd_pca,
 )
 
 from scbench import (
@@ -21,6 +22,7 @@ from scbench import (
     SynthConfig,
     adjusted_rand_index,
     dropout_rate,
+    filter_genes,
     from_dense,
     generate,
     hierarchical,
@@ -38,7 +40,6 @@ from scbench import (
     write_matrix_market,
 )
 from scbench.cli import cli_main
-from scbench.preprocess import filter_low_cv, filter_sparse_genes
 
 TABLES = [
     "dropout.csv", "detection.csv", "cumulative.csv", "embedding_pca.csv",
@@ -82,15 +83,14 @@ def test_criterion_02_filter_boundaries_are_exact():
     dense = np.zeros((100, 2), dtype=np.int64)
     dense[:20, 0] = 1  # exactly 80% zeros: kept
     dense[:19, 1] = 1  # exactly 81% zeros: removed
-    kept, trace = filter_sparse_genes(from_dense(dense))
+    kept, trace = filter_genes(from_dense(dense))
     assert kept.gene_ids == ("gene_0",)
     assert trace.removed_sparse_ids == ("gene_1",)
 
     wide = np.random.default_rng(2).integers(1, 11, size=(40, 100))
-    survivors, t1 = filter_sparse_genes(from_dense(wide))
-    assert t1.removed_by_sparsity == 0
-    survivors, t2 = filter_low_cv(survivors, FilterConfig(0.8, 0.15))
-    assert t2.genes_out == 85
+    survivors, trace = filter_genes(from_dense(wide), FilterConfig(0.8, 0.15))
+    assert trace.removed_by_sparsity == 0 and trace.removed_by_cv == 15
+    assert survivors.n_genes == trace.genes_out == 85
     print("criterion 2 PASS: 80% kept / 81% removed, 100 genes -> exactly 85")
 
 
@@ -162,10 +162,12 @@ def test_criterion_06_silhouette_matches_naive_oracle():
 def test_criterion_07_pca_variance_reconstruction_and_paths():
     x = np.random.default_rng(7).normal(size=(500, 200))
     t0 = time.perf_counter()
-    emb_cov, model_cov = pca_fit_transform(x, d=200, method="covariance")
-    emb_gram, model_gram = pca_fit_transform(x, d=200, method="gram")
+    emb_cov, model_cov = pca_fit_transform(x, d=200)  # genes <= cells: covariance
+    # genes > cells: Gram; 200 centred points have rank 199
+    emb_gram, model_gram = pca_fit_transform(x.T, d=199)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
+    assert (emb_cov.params["method"], emb_gram.params["method"]) == ("covariance", "gram")
 
     centered = x - model_cov.column_means
     pc1 = float(model_cov.explained_variance[0])
@@ -177,13 +179,19 @@ def test_criterion_07_pca_variance_reconstruction_and_paths():
     reconstructed = emb_cov.coordinates @ model_cov.components + model_cov.column_means
     assert np.abs(reconstructed - x).max() < 1e-8
 
-    assert np.abs(emb_cov.coordinates - emb_gram.coordinates).max() < 1e-8
-    assert np.abs(
-        model_cov.explained_variance - model_gram.explained_variance
-    ).max() < 1e-8
+    worst = 0.0
+    for data, emb, model in ((x, emb_cov, model_cov), (x.T, emb_gram, model_gram)):
+        scores, components, variances = svd_pca(data, emb.coordinates.shape[1])
+        worst = max(
+            worst,
+            float(np.abs(emb.coordinates - scores).max()),
+            float(np.abs(model.components - components).max()),
+            float(np.abs(model.explained_variance - variances).max()),
+        )
+    assert worst < 1e-8
     print(
-        "criterion 7 PASS: PC1 dominates 1000 directions, reconstruction "
-        f"and path agreement < 1e-8, both fits in {elapsed:.2f}s"
+        "criterion 7 PASS: PC1 dominates 1000 directions, reconstruction < 1e-8, "
+        f"both routes within {worst:.2g} of the SVD, fits in {elapsed:.2f}s"
     )
 
 

@@ -19,6 +19,7 @@ from scbench import (
     write_cell_annotations,
     write_matrix_market,
 )
+from scbench._util import openblas_thread_calls
 from scbench.cli import cli_main
 
 SYNTH_ARGS = [
@@ -398,6 +399,97 @@ def test_stage_command_writes_exactly_its_files(data_dir, tmp_path, command):
     args = [command, *input_args(data_dir), *STAGE_ARGS[command], "-o", str(tmp_path)]
     assert cli_main(args) == 0
     assert {p.name for p in tmp_path.iterdir()} == STAGE_FILES[command]
+
+
+INPUT_KEYS = {"sample", "matrix", "cells", "genes", "transpose", "join_by_id", "seed"}
+FILTER_KEYS = {"zero_threshold", "cv_fraction", "normalize_axis", "log1p"}
+EMBED_KEYS = {"perplexity", "tsne_no_pca", "iters"}
+CLUSTER_KEYS = {"k", "cluster_method", "linkage", "restarts"}
+STAGE_CONFIG_KEYS = {
+    "split": INPUT_KEYS,
+    "qc": INPUT_KEYS,
+    "filter": INPUT_KEYS | FILTER_KEYS,
+    "normalize": INPUT_KEYS | FILTER_KEYS,
+    "embed": INPUT_KEYS | FILTER_KEYS | EMBED_KEYS,
+    "cluster": INPUT_KEYS | FILTER_KEYS | EMBED_KEYS | CLUSTER_KEYS,
+    "evaluate": INPUT_KEYS | FILTER_KEYS | EMBED_KEYS | CLUSTER_KEYS,
+    "pipeline": INPUT_KEYS | FILTER_KEYS | EMBED_KEYS | CLUSTER_KEYS,
+}
+
+
+@pytest.mark.parametrize("command", list(STAGE_CONFIG_KEYS))
+def test_config_comment_holds_the_flags_of_the_stage(data_dir, tmp_path, command):
+    # every flag the command takes but --output-dir and --config
+    args = [command, *input_args(data_dir), *STAGE_ARGS[command], "-o", str(tmp_path)]
+    assert cli_main(args) == 0
+    configs = [read_config_comment(p) for p in sorted(tmp_path.glob("*.csv"))
+               if not p.name.startswith(("cells_", "genes_"))]
+    configs += [json.loads(p.read_text())["config"] for p in tmp_path.glob("*.json")]
+    assert configs
+    for config in configs:
+        assert set(config) == STAGE_CONFIG_KEYS[command]
+        assert config["matrix"] == str(data_dir / "matrix.mtx")
+
+
+def subprocess_env(**extra):
+    env = dict(os.environ)
+    src = str(Path(scbench.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def run_cli(args, env):
+    proc = subprocess.run([sys.executable, "-m", "scbench.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def same_tree(a: Path, b: Path) -> list[str]:
+    """Names of the files in a whose bytes differ from b's; all must exist in both."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    return [n for n in names if (a / n).read_bytes() != (b / n).read_bytes()]
+
+
+def test_artifacts_are_utf8_in_an_ascii_locale(data_dir, tmp_path):
+    anns = read_cell_annotations(data_dir / "cells.csv")
+    anns = [CellAnnotation("sÿnthé-c00000" if i == 0 else a.cell_id, "platé",
+                           a.replicate, a.cell_type) for i, a in enumerate(anns)]
+    write_cell_annotations(anns, tmp_path / "cells.csv")
+    args = ["--matrix", str(data_dir / "matrix.mtx"), "--cells", str(tmp_path / "cells.csv"),
+            *SPEED]
+    ascii_env = subprocess_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    outs = {}
+    for name, env in (("ascii", ascii_env), ("utf8", subprocess_env(PYTHONUTF8="1"))):
+        outs[name] = tmp_path / name
+        assert run_cli(["pipeline", *args, "-o", str(outs[name])], env) == (0, "")
+    assert same_tree(outs["ascii"], outs["utf8"]) == []
+    assert "sÿnthé-c00000" in (outs["ascii"] / "detection.csv").read_text(encoding="utf-8")
+    redrawn = tmp_path / "redrawn"
+    assert run_cli(["report", "--input-dir", str(outs["ascii"]), "-o", str(redrawn)],
+                   ascii_env) == (0, "")
+    for name in FIGURES:
+        assert (redrawn / name).read_bytes() == (outs["utf8"] / name).read_bytes(), name
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or openblas_thread_calls() is None,
+    reason="needs 2 cores and numpy's bundled OpenBLAS",
+)
+def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
+    # 300 cells x 400 genes: eigh and the covariance product round differently
+    # on 1 and 2 OpenBLAS threads unless the run pins one
+    data = tmp_path / "data"
+    assert cli_main(["synth", "--seed", "7", "--n-genes", "400", "-o", str(data)]) == 0
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        rc = run_cli(["pipeline", *input_args(data), "--iters", "300", "-o", str(out)],
+                     subprocess_env(OPENBLAS_NUM_THREADS=threads))
+        assert rc == (0, "")
+        outs.append(out)
+    assert same_tree(*outs) == []
 
 
 def test_report_names_the_file_and_line_of_a_malformed_row(pipeline_dir, tmp_path, capsys):

@@ -6,10 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import dense_kl_gradient, kl_divergence, loop_conditional_probabilities
+from oracles import dense_kl_gradient, kl_divergence, loop_conditional_probabilities, svd_pca
 
 import scbench.embed
 from scbench import DataError, pca_fit_transform, tsne
+from scbench._util import seeded_rng
 from scbench.embed import (
     Embedding,
     _conditional_probabilities,
@@ -92,31 +93,36 @@ def test_pca_variances_invariant_to_feature_rotation():
     assert np.abs(straight.explained_variance - rotated.explained_variance).max() < 1e-8
 
 
-def test_pca_covariance_and_gram_paths_agree():
-    for n, g in ((8, 20), (20, 8)):
+def test_pca_routes_picked_by_shape_match_svd():
+    # covariance when genes <= cells, else the Gram matrix
+    for n, g in ((8, 20), (20, 8), (30, 30)):
         x = seeded_points(9, n, g)
         d = min(n - 1, g)
-        emb_cov, m_cov = pca_fit_transform(x, d, method="covariance")
-        emb_gram, m_gram = pca_fit_transform(x, d, method="gram")
-        assert np.abs(m_cov.explained_variance - m_gram.explained_variance).max() < 1e-8
-        assert np.abs(m_cov.components - m_gram.components).max() < 1e-8
-        assert np.abs(emb_cov.coordinates - emb_gram.coordinates).max() < 1e-8
+        emb, model = pca_fit_transform(x, d)
+        assert emb.params["method"] == ("covariance" if g <= n else "gram")
+        scores, components, variances = svd_pca(x, d)
+        assert np.abs(model.explained_variance - variances).max() < 1e-8
+        assert np.abs(model.components - components).max() < 1e-8
+        assert np.abs(emb.coordinates - scores).max() < 1e-8
+        assert model.components.flags.c_contiguous
 
 
 def test_pca_leading_scores_do_not_depend_on_d():
     # the CLI's PCA view and t-SNE's 50-d input come from one decomposition
     for shape, method in (((60, 80), "gram"), ((80, 60), "covariance")):
         x = seeded_points(9, *shape)
-        two, _ = pca_fit_transform(x, 2, method=method)
-        fifty, _ = pca_fit_transform(x, 50, method=method)
+        two, _ = pca_fit_transform(x, 2)
+        fifty, _ = pca_fit_transform(x, 50)
+        assert two.params["method"] == fifty.params["method"] == method
         lead = fifty.coordinates[:, :2]
         assert np.abs(two.coordinates - lead).max() <= 1e-12 * np.abs(lead).max()
 
 
 def test_pca_gram_path_rejects_components_beyond_rank():
+    # 5 points in 10 dimensions take the Gram route; centred, they have rank 4
     x = seeded_points(10, 5, 10)
     with pytest.raises(DataError, match="rank"):
-        pca_fit_transform(x, 5, method="gram")
+        pca_fit_transform(x, 5)
 
 
 def test_pca_rejects_bad_inputs():
@@ -129,8 +135,6 @@ def test_pca_rejects_bad_inputs():
     bad[0, 0] = np.nan
     with pytest.raises(DataError, match="finite"):
         pca_fit_transform(bad, 2)
-    with pytest.raises(DataError, match="method"):
-        pca_fit_transform(x, 2, method="svd")
 
 
 def test_pca_column_means_recorded():
@@ -152,9 +156,21 @@ def test_tsne_deterministic_given_seed():
     x, _ = two_blobs(0)
     a = tsne(x, perplexity=10, seed=4, iters=120)
     b = tsne(x, perplexity=10, seed=4, iters=120)
-    c = tsne(x, perplexity=10, seed=5, iters=120, init="random")
     assert np.array_equal(a.coordinates, b.coordinates)
-    assert not np.array_equal(a.coordinates, c.coordinates)
+
+
+def test_tsne_identical_points_start_from_seeded_noise():
+    # no spread for PCA to start from: the start is N(0, 1e-4) noise from
+    # the seed's stream, and with one iteration the start is the result
+    x = np.ones((12, 3))
+    starts = {seed: tsne(x, perplexity=3, seed=seed, iters=1).coordinates for seed in (1, 2)}
+    for seed, y in starts.items():
+        expected = seeded_rng(seed, 0).normal(0.0, 1e-4, size=(12, 2))
+        assert np.array_equal(y, expected)
+    assert not np.array_equal(starts[1], starts[2])
+    a = tsne(x, perplexity=3, seed=1, iters=60)
+    assert np.array_equal(a.coordinates, tsne(x, perplexity=3, seed=1, iters=60).coordinates)
+    assert not np.array_equal(a.coordinates, tsne(x, perplexity=3, seed=2, iters=60).coordinates)
 
 
 def test_tsne_separates_distant_clusters():

@@ -2,17 +2,18 @@
 import numpy as np
 import pytest
 from conftest import random_dense, random_matrix, same_matrix
-from oracles import loop_quantile_normalize
+from oracles import filter_low_cv, filter_sparse_genes, loop_quantile_normalize
 
 from scbench import (
     DataError,
     ExpressionMatrix,
     FilterConfig,
+    FilterTrace,
+    filter_genes,
     from_dense,
     preprocess_pipeline,
     quantile_normalize,
 )
-from scbench.preprocess import filter_low_cv, filter_sparse_genes
 
 
 def matrix_with_zero_fractions(n_cells, fractions):
@@ -24,9 +25,65 @@ def matrix_with_zero_fractions(n_cells, fractions):
     return from_dense(np.array(cols, dtype=np.int64).T)
 
 
+def sparse_filter(m, threshold=0.8):
+    return filter_genes(m, FilterConfig(zero_fraction_threshold=threshold, cv_drop_fraction=0.0))
+
+
+def cv_filter(m, fraction=0.15):
+    out, trace = filter_genes(
+        m, FilterConfig(zero_fraction_threshold=0.99, cv_drop_fraction=fraction)
+    )
+    assert trace.removed_by_sparsity == 0
+    return out, trace
+
+
+def oracle_filter(m, cfg):
+    after_sparse, t1 = filter_sparse_genes(m, cfg)
+    out, t2 = filter_low_cv(after_sparse, cfg)
+    return out, FilterTrace(
+        m.n_genes, t1.removed_by_sparsity, t2.removed_by_cv, out.n_genes,
+        t1.removed_sparse_ids, t2.removed_cv_ids,
+    )
+
+
+def filter_cases():
+    """(name, dense counts, config) covering the filters' edge cases."""
+    boundary = np.zeros((100, 4), dtype=np.int64)
+    boundary[:20, 0] = 1  # exactly 80% zeros: kept
+    boundary[:19, 1] = 1  # exactly 81% zeros: removed
+    boundary[:, 2] = np.arange(1, 101)
+    boundary[:, 3] = 5
+    ties = random_dense(40, 12, 30, density=0.7)
+    ties[:, 10:16] = ties[:, [3]]  # six genes with one CV
+    ties[:, 20:24] = 7  # constant genes: CV 0
+    ties[:, 25:28] = 0  # all-zero genes
+    yield "boundary", boundary, FilterConfig(0.8, 0.5)
+    for fraction in (0.0, 0.15, 0.3, 0.67):
+        yield f"ties-{fraction}", ties, FilterConfig(0.5, fraction)
+    for seed in range(6):
+        dense = random_dense(seed + 50, 15, 60, density=0.1 + 0.15 * seed)
+        yield f"random-{seed}", dense, FilterConfig(0.7, 0.2)
+
+
+@pytest.mark.parametrize("dense, cfg", [pytest.param(d, c, id=n) for n, d, c in filter_cases()])
+def test_filter_genes_equals_the_two_filter_composition(dense, cfg):
+    m = from_dense(dense)
+    out, trace = filter_genes(m, cfg)
+    expected, expected_trace = oracle_filter(m, cfg)
+    assert same_matrix(out, expected)
+    assert trace == expected_trace
+
+
+def test_filter_genes_keeps_the_error_order():
+    with pytest.raises(DataError, match="sparsity filter needs at least one cell"):
+        filter_genes(from_dense(np.zeros((0, 3), dtype=np.int64)))
+    with pytest.raises(DataError, match="cv filter needs at least 2 cells"):
+        filter_genes(from_dense(np.ones((1, 3), dtype=np.int64)))
+
+
 def test_sparse_filter_boundary_is_strict():
     m = matrix_with_zero_fractions(10, [0.8, 0.9])
-    out, trace = filter_sparse_genes(m)
+    out, trace = sparse_filter(m)
     assert out.gene_ids == ("gene_0",)
     assert trace.removed_by_sparsity == 1
     assert trace.removed_sparse_ids == ("gene_1",)
@@ -34,13 +91,13 @@ def test_sparse_filter_boundary_is_strict():
     # 2 zeros of 3 exceed the written threshold 0.6666666666666666, though
     # the float 2/3 compares equal to it
     m = from_dense(np.array([[1], [0], [0]], dtype=np.int64))
-    out, trace = filter_sparse_genes(m, FilterConfig(zero_fraction_threshold=2 / 3))
+    out, trace = sparse_filter(m, 2 / 3)
     assert out.n_genes == 0 and trace.removed_sparse_ids == ("gene_0",)
 
 
 def test_sparse_filter_keeps_dense_matrix():
     m = from_dense(np.ones((6, 5), dtype=np.int64))
-    out, trace = filter_sparse_genes(m)
+    out, trace = sparse_filter(m)
     assert same_matrix(out, m) and trace.removed_by_sparsity == 0
 
 
@@ -48,7 +105,7 @@ def test_sparse_filter_matches_zero_counting():
     for seed in range(5):
         dense = random_dense(seed, 25, 60, density=0.25)
         m = from_dense(dense)
-        out, trace = filter_sparse_genes(m, FilterConfig(zero_fraction_threshold=0.7))
+        out, trace = sparse_filter(m, 0.7)
         expected = (dense == 0).mean(axis=0) <= 0.7
         assert out.gene_ids == tuple(np.array(m.gene_ids)[expected])
         assert trace.genes_out == int(expected.sum())
@@ -57,10 +114,7 @@ def test_sparse_filter_matches_zero_counting():
 
 def test_sparse_filter_monotone_in_threshold():
     m = random_matrix(9, 20, 50, density=0.3)
-    kept = [
-        filter_sparse_genes(m, FilterConfig(zero_fraction_threshold=t))[0].n_genes
-        for t in (0.0, 0.2, 0.4, 0.6, 0.8, 0.99)
-    ]
+    kept = [sparse_filter(m, t)[0].n_genes for t in (0.0, 0.2, 0.4, 0.6, 0.8, 0.99)]
     assert kept == sorted(kept)
 
 
@@ -68,10 +122,9 @@ def test_filters_commute_with_cell_permutation():
     rng = np.random.default_rng(10)
     dense = random_dense(None, 18, 40, density=0.3, rng=rng)
     perm = rng.permutation(18)
-    cfg = FilterConfig(zero_fraction_threshold=0.75, cv_drop_fraction=0.2)
-    for fn in (filter_sparse_genes, filter_low_cv):
-        straight = fn(from_dense(dense), cfg)[0]
-        permuted = fn(from_dense(dense[perm]), cfg)[0]
+    for cfg in (FilterConfig(0.75, 0.2), FilterConfig(0.75, 0.0), FilterConfig(0.99, 0.2)):
+        straight = filter_genes(from_dense(dense), cfg)[0]
+        permuted = filter_genes(from_dense(dense[perm]), cfg)[0]
         assert straight.gene_ids == permuted.gene_ids
 
 
@@ -84,23 +137,23 @@ def test_filter_config_validation():
 
 def test_cv_filter_keeps_85_of_100():
     m = random_matrix(11, 12, 100, density=0.9)
-    out, trace = filter_low_cv(m, FilterConfig(cv_drop_fraction=0.15))
+    out, trace = cv_filter(m, 0.15)
     assert out.n_genes == 85
     assert trace.removed_by_cv == 15
 
 
 def test_cv_filter_floor_semantics():
     m = random_matrix(12, 10, 10, density=0.9)
-    out, _ = filter_low_cv(m, FilterConfig(cv_drop_fraction=0.15))
+    out, _ = cv_filter(m, 0.15)
     assert out.n_genes == 9
-    out0, _ = filter_low_cv(m, FilterConfig(cv_drop_fraction=0.05))
+    out0, _ = cv_filter(m, 0.05)
     assert out0.n_genes == 10
 
 
 def test_cv_filter_drops_constant_gene_first():
     dense = random_dense(13, 8, 6, density=0.9)
     dense[:, 3] = 7
-    out, trace = filter_low_cv(from_dense(dense), FilterConfig(cv_drop_fraction=0.2))
+    out, trace = cv_filter(from_dense(dense), 0.2)
     assert "gene_3" in trace.removed_cv_ids
 
 
@@ -108,16 +161,16 @@ def test_cv_filter_breaks_ties_by_index():
     dense = np.column_stack(
         [np.full(6, 4), np.full(6, 9), np.arange(1, 7)]
     ).astype(np.int64)
-    out, trace = filter_low_cv(from_dense(dense), FilterConfig(cv_drop_fraction=0.67))
+    out, trace = cv_filter(from_dense(dense), 0.67)
     assert trace.removed_cv_ids == ("gene_0", "gene_1")
-    out1, trace1 = filter_low_cv(from_dense(dense), FilterConfig(cv_drop_fraction=0.34))
+    out1, trace1 = cv_filter(from_dense(dense), 0.34)
     assert trace1.removed_cv_ids == ("gene_0",)
 
 
 def test_cv_filter_matches_sort_oracle():
     for seed in range(5):
         m = random_matrix(seed + 20, 15, 37, density=0.5)
-        out, _ = filter_low_cv(m, FilterConfig(cv_drop_fraction=0.3))
+        out, _ = cv_filter(m, 0.3)
         cv = m.gene_stats().cv
         k = int(0.3 * 37)
         dropped = set(np.argsort(cv, kind="stable")[:k].tolist())
@@ -129,7 +182,7 @@ def test_cv_filter_matches_sort_oracle():
 
 def test_cv_filter_needs_two_cells():
     with pytest.raises(DataError):
-        filter_low_cv(random_matrix(14, 1, 5))
+        filter_genes(random_matrix(14, 1, 5))
 
 
 def test_quantile_identical_distributions_unchanged():
@@ -272,7 +325,7 @@ def test_pipeline_log1p_flag():
     m = random_matrix(26, 12, 15, density=0.9)
     cfg = FilterConfig(cv_drop_fraction=0.1)
     with_flag, _ = preprocess_pipeline(m, cfg, log1p=True)
-    kept, _ = filter_low_cv(filter_sparse_genes(m, cfg)[0], cfg)
+    kept, _ = filter_genes(m, cfg)
     manual = quantile_normalize(
         kept.to_dense().with_values(np.log1p(kept.to_dense().values))
     )
