@@ -6,6 +6,7 @@ import ctypes
 import functools
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,17 +15,21 @@ THREADS_ENV = "SCBENCH_THREADS"
 
 
 def worker_count() -> int:
-    """Worker cap taken from SCBENCH_THREADS, at least 1.
+    """Cap on the worker processes for chains that reach t-SNE, at least 1.
 
-    Only ever used to size pools over independent deterministic jobs, so
-    results never depend on the value.
+    SCBENCH_THREADS sets it; by default it is the number of cores this
+    process may run on (its CPU affinity, else the CPU count), since more
+    workers than cores only take turns. Only ever used to size pools over
+    independent deterministic jobs, so results never depend on the value.
     """
     raw = os.environ.get(THREADS_ENV, "")
     try:
-        n = int(raw)
+        return max(1, int(raw))
     except ValueError:
-        return os.cpu_count() or 1
-    return max(1, n)
+        pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @functools.cache
@@ -41,25 +46,40 @@ def openblas_thread_calls():
     return None
 
 
+# open pins and the thread count the first one found; the last to close restores it
+_pin_lock = threading.Lock()
+_pins = 0
+_unpinned = 1
+
+
 @contextlib.contextmanager
 def single_threaded_blas():
     """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
     LAPACK's eigh and the covariance product round differently at other
-    thread counts, and t-SNE amplifies that into different artifacts. Where
-    the library is not found, the block runs unpinned.
+    thread counts, and t-SNE amplifies that into different artifacts. Pins
+    nest and may overlap across threads: the count goes back only when the
+    last open pin closes. Where the library is not found, the block runs
+    unpinned.
     """
+    global _pins, _unpinned
     calls = openblas_thread_calls()
     if calls is None:
         yield
         return
     get_threads, set_threads = calls
-    previous = get_threads()
-    set_threads(1)
+    with _pin_lock:
+        if _pins == 0:
+            _unpinned = get_threads()
+            set_threads(1)
+        _pins += 1
     try:
         yield
     finally:
-        set_threads(previous)
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                set_threads(_unpinned)
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:

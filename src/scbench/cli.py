@@ -10,9 +10,10 @@ is one row of STAGES: its depth decides its flags, and so the keys of its
 
 Exit codes: 0 success, 1 data/IO errors (JSON envelope on stderr), 2 usage.
 On-disk matrices are genes x cells; pass --transpose when a file already has
-cells as rows. SCBENCH_THREADS caps the per-split worker pool; results do not
-depend on its value. A run pins numpy's OpenBLAS to one thread (see
-`single_threaded_blas`), so they do not depend on OPENBLAS_NUM_THREADS either.
+cells as rows. SCBENCH_THREADS caps the worker processes for chains that reach
+t-SNE; shorter chains run in-line. Results do not depend on its value. A run
+pins numpy's OpenBLAS to one thread (see `single_threaded_blas`), so they do
+not depend on OPENBLAS_NUM_THREADS either.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import functools
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ._util import canonical_json, fmt_float, single_threaded_blas, worker_count
@@ -81,13 +81,6 @@ def _load_inputs(args):
     return attach_annotations(
         m, annotations, gene_ids=gene_ids, join_by_id=args.join_by_id
     )
-
-
-def _parallel_map(fn, items):
-    if len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 def _truth_labels(annotations) -> list[str] | None:
@@ -164,12 +157,55 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     return SplitResult(**fields)
 
 
+# depths whose per-split chain reaches t-SNE: long enough to repay a forked
+# worker; the shorter chains are linear in the split and run in-line
+FORKED_DEPTHS = ("embed", "cluster", "pipeline")
+# (args, groups, depth) of the stage being run, set only while its splits run;
+# forked workers inherit it, since the job cannot be pickled to them
+_job = None
+
+
+def _split_job(key) -> SplitResult:
+    args, groups, depth = _job
+    return _compute_split(args, key, *groups[key], depth)
+
+
+def _parallel_map(keys, depth: str) -> list[SplitResult]:
+    """_split_job of each key, in key order.
+
+    Chains that reach t-SNE run in up to worker_count() processes started
+    with fork, where the platform has it; one split, one worker or a shorter
+    chain runs in-line. A worker that dies (a signal, the OOM killer) ends
+    the run with a DataError after every worker has been joined.
+    """
+    workers = min(worker_count(), len(keys))
+    if workers > 1 and depth in FORKED_DEPTHS:
+        # imported here: start-up that runs no pool does not pay for them
+        import multiprocessing
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                try:
+                    return list(pool.map(_split_job, keys))
+                except BrokenExecutor as exc:
+                    raise DataError(
+                        "a split worker ended abnormally (killed by a signal, "
+                        "out of memory, or exited)"
+                    ) from exc
+    return [_split_job(key) for key in keys]
+
+
 def _stage_splits(args, depth: str) -> list[SplitResult]:
+    global _job
     m, annotations = _load_inputs(args)
     groups = split_by_method_replicate(m, annotations)
-    return _parallel_map(
-        lambda key: _compute_split(args, key, *groups[key], depth), list(groups)
-    )
+    _job = (args, groups, depth)
+    try:
+        return _parallel_map(list(groups), depth)
+    finally:
+        _job = None
 
 
 # ------------------------------------------------------------------- writers

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import seeded_rng
+from ._util import seeded_rng, single_threaded_blas
 from .errors import DataError
 from .matrix import ExpressionMatrix
 
@@ -74,6 +74,13 @@ class Embedding:
         coords.flags.writeable = False
         object.__setattr__(self, "coordinates", coords)
 
+    def __reduce__(self):
+        # unpickle through __init__, so __post_init__ freezes the copy too
+        return (
+            Embedding,
+            (self.coordinates, self.method, self.params, self.seed, self.diagnostics),
+        )
+
     @property
     def n_points(self) -> int:
         return self.coordinates.shape[0]
@@ -104,6 +111,7 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
+@single_threaded_blas()
 def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     """Project mean-centered data onto its top-d principal directions.
 
@@ -111,7 +119,8 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     there are no more genes than cells, else the cells x cells Gram matrix;
     params["method"] names the route ("covariance" or "gram"). Component
     signs are fixed so the largest-magnitude coefficient of each component is
-    positive.
+    positive. It runs with numpy's OpenBLAS on one thread, so the bits do not
+    depend on OPENBLAS_NUM_THREADS.
     """
     v = _as_points(x)
     n, g = v.shape
@@ -350,6 +359,7 @@ def _kl_gradient(p: np.ndarray):
     return evaluate
 
 
+@single_threaded_blas()
 def tsne(
     x,
     perplexity: float = PERPLEXITY_DEFAULT,
@@ -388,7 +398,8 @@ def tsne(
     run. kl_trace then repeats the previous KL at that index, so it never
     rises after the exaggeration phase. diagnostics["rejected_steps"] counts
     the rejections. The returned coordinates are the last iterate evaluated,
-    so diagnostics["final_kl"] (= kl_trace[-1]) is their KL.
+    so diagnostics["final_kl"] (= kl_trace[-1]) is their KL. Like
+    pca_fit_transform, it runs with numpy's OpenBLAS on one thread.
     """
     points = _as_points(x)
     n = points.shape[0]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, stages, config files, exit codes."""
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import scbench
 from scbench import (
     CellAnnotation,
+    DataError,
     ExpressionMatrix,
     read_cell_annotations,
     read_config_comment,
@@ -19,7 +21,7 @@ from scbench import (
     write_cell_annotations,
     write_matrix_market,
 )
-from scbench._util import openblas_thread_calls
+from scbench._util import openblas_thread_calls, single_threaded_blas, worker_count
 from scbench.cli import cli_main
 
 SYNTH_ARGS = [
@@ -143,6 +145,84 @@ def test_split_pool_size_does_not_change_the_bytes(data_dir, tmp_path, monkeypat
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+def two_split_pipeline(data_dir, tmp_path):
+    cells = two_replicates(data_dir, tmp_path / "cells.csv")
+    return ["pipeline", "--matrix", str(data_dir / "matrix.mtx"), "--cells", str(cells),
+            *SPEED, "-o", str(tmp_path / "out")]
+
+
+@FORK
+def test_only_chains_that_reach_tsne_run_in_forked_workers(data_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("SCBENCH_THREADS", "2")
+    cells = two_replicates(data_dir, tmp_path / "cells.csv")
+    depths = []
+    compute = scbench.cli._compute_split
+
+    def recorded(*args):
+        depths.append(args[-1])  # appended in this process only
+        return compute(*args)
+
+    monkeypatch.setattr(scbench.cli, "_compute_split", recorded)
+    for command in ("split", "qc", "filter", "normalize", "embed", "evaluate"):
+        flags = SPEED[:4] if command == "embed" else SPEED if command == "evaluate" else []
+        rc = cli_main([command, "--matrix", str(data_dir / "matrix.mtx"), "--cells", str(cells),
+                       *flags, "-o", str(tmp_path / command)])
+        assert rc == 0
+    assert depths == ["split", "split", "qc", "qc", "filter", "filter",
+                      "normalize", "normalize"]
+
+
+@FORK
+def test_a_dead_split_worker_gets_the_envelope(data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCBENCH_THREADS", "2")
+    # runs in the forked workers, which inherit the patched module
+    monkeypatch.setattr(scbench.cli, "_compute_split", lambda *args: os._exit(3))
+    assert cli_main(two_split_pipeline(data_dir, tmp_path)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError",
+        "message": "a split worker ended abnormally (killed by a signal, out of memory, "
+                   "or exited)",
+    }
+    assert multiprocessing.active_children() == []
+
+
+@FORK
+def test_a_data_error_in_one_split_worker_joins_them_all(data_dir, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("SCBENCH_THREADS", "2")
+    compute = scbench.cli._compute_split
+
+    def second_fails(args, key, *rest):
+        if key[1] == "r2":
+            raise DataError("split r2 is bad")
+        return compute(args, key, *rest)
+
+    monkeypatch.setattr(scbench.cli, "_compute_split", second_fails)
+    assert cli_main(two_split_pipeline(data_dir, tmp_path)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError", "message": "split r2 is bad",
+    }
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_defaults_to_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("SCBENCH_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
+    assert worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count() == 8
+    monkeypatch.setenv("SCBENCH_THREADS", "0")
+    assert worker_count() == 1
+    monkeypatch.setenv("SCBENCH_THREADS", "5")
+    assert worker_count() == 5
+
+
 def test_data_errors_report_json_envelope(capsys, tmp_path, pipeline_dir):
     rc = cli_main(["qc", "--matrix", str(tmp_path / "absent.mtx"),
                    "-o", str(tmp_path)])
@@ -199,6 +279,8 @@ def test_cluster_and_evaluate_skip_qc(data_dir, tmp_path, monkeypatch):
 
 
 def test_one_distance_matrix_per_split(data_dir, tmp_path, monkeypatch):
+    # in-line splits: calls made in a forked worker do not reach `calls`
+    monkeypatch.setenv("SCBENCH_THREADS", "1")
     cells = two_replicates(data_dir, tmp_path / "cells.csv")
     calls = []
     original = scbench.cluster.pairwise_distances
@@ -227,6 +309,8 @@ def test_pipeline_runs_on_a_split_of_at_most_50_cells(wide_dir, tmp_path):
 
 
 def test_one_pca_of_the_normalized_matrix_per_split(wide_dir, tmp_path, monkeypatch):
+    # in-line splits: calls made in a forked worker do not reach `calls`
+    monkeypatch.setenv("SCBENCH_THREADS", "1")
     normalized_splits, calls = [], []
     preprocess = scbench.cli.preprocess_pipeline
     pca = scbench.embed.pca_fit_transform
@@ -473,23 +557,48 @@ def test_artifacts_are_utf8_in_an_ascii_locale(data_dir, tmp_path):
         assert (redrawn / name).read_bytes() == (outs["utf8"] / name).read_bytes(), name
 
 
-@pytest.mark.skipif(
+TWO_BLAS_THREADS = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2 or openblas_thread_calls() is None,
     reason="needs 2 cores and numpy's bundled OpenBLAS",
 )
+
+
+@TWO_BLAS_THREADS
 def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
-    # 300 cells x 400 genes: eigh and the covariance product round differently
-    # on 1 and 2 OpenBLAS threads unless the run pins one
+    # 300 cells x 400 genes in two splits, each in its own forked worker: eigh
+    # and the covariance product round differently on 1 and 2 OpenBLAS
+    # threads unless the run pins one
     data = tmp_path / "data"
     assert cli_main(["synth", "--seed", "7", "--n-genes", "400", "-o", str(data)]) == 0
+    cells = two_replicates(data, tmp_path / "cells.csv")
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
-        rc = run_cli(["pipeline", *input_args(data), "--iters", "300", "-o", str(out)],
-                     subprocess_env(OPENBLAS_NUM_THREADS=threads))
+        rc = run_cli(["pipeline", "--matrix", str(data / "matrix.mtx"), "--cells", str(cells),
+                      "--iters", "300", "-o", str(out)],
+                     subprocess_env(OPENBLAS_NUM_THREADS=threads, SCBENCH_THREADS="2"))
         assert rc == (0, "")
         outs.append(out)
     assert same_tree(*outs) == []
+
+
+@TWO_BLAS_THREADS
+def test_overlapping_blas_pins_restore_the_count_once():
+    # as when two threads each run tsne: the first pin to close keeps the pin
+    get_threads, set_threads = openblas_thread_calls()
+    before = get_threads()
+    set_threads(2)
+    try:
+        first, second = single_threaded_blas(), single_threaded_blas()
+        first.__enter__()
+        second.__enter__()
+        assert get_threads() == 1
+        first.__exit__(None, None, None)
+        assert get_threads() == 1
+        second.__exit__(None, None, None)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 def test_report_names_the_file_and_line_of_a_malformed_row(pipeline_dir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """PCA and exact t-SNE."""
 import logging
 import math
+import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -303,6 +304,16 @@ def test_tsne_records_params():
     ):
         with pytest.raises(DataError):
             tsne(x, perplexity=5, iters=5, **bad)
+
+
+def test_embedding_stays_read_only_through_pickle():
+    emb = tsne(seeded_points(26, 20, 4), perplexity=5, seed=2, iters=30)
+    back = pickle.loads(pickle.dumps(emb))
+    assert not back.coordinates.flags.writeable
+    assert np.array_equal(back.coordinates, emb.coordinates)
+    assert (back.method, back.params, back.seed) == (emb.method, emb.params, emb.seed)
+    assert back.diagnostics.keys() == emb.diagnostics.keys()
+    assert back.diagnostics["final_kl"] == emb.diagnostics["final_kl"]
 
 
 def test_kl_divergence_zero_when_q_matches_p():

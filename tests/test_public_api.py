@@ -6,23 +6,43 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import scbench
+from scbench._util import openblas_thread_calls
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_readme_library_example_runs():
+def run_readme_example(**extra_env) -> list[float]:
+    """Run README's library example in a fresh interpreter; the numbers it prints."""
     section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     env = dict(os.environ)
     src = str(Path(scbench.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra_env)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    ari, mean_width = (float(v) for v in proc.stdout.split())
+    return [float(v) for v in proc.stdout.split()]
+
+
+def test_readme_library_example_runs():
+    ari, mean_width = run_readme_example()
     assert ari >= 0.9 and -1.0 <= mean_width <= 1.0
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or openblas_thread_calls() is None,
+    reason="needs 2 cores and numpy's bundled OpenBLAS",
+)
+def test_readme_library_example_does_not_depend_on_blas_threads():
+    # pca_fit_transform and tsne pin OpenBLAS themselves, outside the CLI too
+    assert run_readme_example(OPENBLAS_NUM_THREADS="1") == run_readme_example(
+        OPENBLAS_NUM_THREADS="2"
+    )
 
 
 def test_all_is_the_set_of_public_names_imported():
