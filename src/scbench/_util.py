@@ -1,4 +1,5 @@
-"""Shared helpers: seeding, worker caps, the BLAS thread pin, float formatting."""
+"""Shared helpers: seeding, worker caps, the BLAS thread pin, read-only unpickling,
+float formatting."""
 from __future__ import annotations
 
 import contextlib
@@ -80,6 +81,22 @@ def single_threaded_blas():
             _pins -= 1
             if _pins == 0:
                 set_threads(_unpinned)
+
+
+def unpickle_read_only(*names: str):
+    """A __setstate__ that restores the fields and marks the named arrays read-only.
+
+    Pickle brings arrays back writeable. Unpickling skips __post_init__: its
+    checks passed where the object was made, and a forked worker's results
+    would otherwise be validated again in the parent.
+    """
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in names:
+            state[name].flags.writeable = False
+
+    return __setstate__
 
 
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import seeded_rng
+from ._util import seeded_rng, unpickle_read_only
 from .errors import DataError
 from .matrix import ExpressionMatrix
 
@@ -83,6 +83,8 @@ class ClusterResult:
         centers = np.array(self.centers, dtype=np.float64)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
+
+    __setstate__ = unpickle_read_only("labels", "centers")
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:

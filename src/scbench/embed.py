@@ -11,13 +11,14 @@ of (input, parameters, seed).
 Both O(n^2) parts work on blocks of _BLOCK_ROWS rows. Calibration bisects the
 rows of a block in lockstep, each with its own bracket, and gives the same P,
 bit for bit, as bisecting one row at a time. Each iteration visits only the
-upper triangle: P lives in one strip P[s:e, s:] per block, squared distances
-come from coordinate differences (exactly symmetric), and KL is
-sum p log p + sum p log1p(d^2) + log Z, so no log(q) pass is needed. Beyond P
-the step holds two scratch buffers of _BLOCK_ROWS x n, not n x n arrays.
-Only the descent safeguard reads the KL, so its log1p pass runs only from the
-last exaggerated iterate on (and at the final iterate); kl_trace covers those
-iterates, not the exaggeration phase before them.
+upper triangle: P lives in one strip P[s:e, s:] per block, and each block
+takes 1 + d^2 from one matrix product with d + 2 inner terms, clamped at 1.
+KL is sum p log p + sum p log(1 + d^2) + log Z, read from the same buffer, so
+no log(q) pass is needed. Beyond P the step holds two scratch buffers of
+_BLOCK_ROWS x n, not n x n arrays. Only the descent safeguard reads the KL,
+so its log pass runs only from the last exaggerated iterate on (and at the
+final iterate); kl_trace covers those iterates, not the exaggeration phase
+before them.
 
 The default learning rate "auto" is max(n / (4 * exaggeration), 50): the
 n / exaggeration rule of Belkina et al. 2019 (Nat. Commun. 10:5415) and Kobak
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import seeded_rng, single_threaded_blas
+from ._util import seeded_rng, single_threaded_blas, unpickle_read_only
 from .errors import DataError
 from .matrix import ExpressionMatrix
 
@@ -74,12 +75,7 @@ class Embedding:
         coords.flags.writeable = False
         object.__setattr__(self, "coordinates", coords)
 
-    def __reduce__(self):
-        # unpickle through __init__, so __post_init__ freezes the copy too
-        return (
-            Embedding,
-            (self.coordinates, self.method, self.params, self.seed, self.diagnostics),
-        )
+    __setstate__ = unpickle_read_only("coordinates")
 
     @property
     def n_points(self) -> int:
@@ -191,6 +187,7 @@ def _conditional_probabilities(
     n = d2.shape[0]
     p = np.zeros((n, n))
     achieved = np.empty(n)
+    scratch = np.empty((min(_BLOCK_ROWS, n), n - 1))
     for s in range(0, n, _BLOCK_ROWS):
         b = min(_BLOCK_ROWS, n - s)
         off_diag = np.ones((b, n), dtype=bool)
@@ -211,7 +208,10 @@ def _conditional_probabilities(
                 w *= beta[active, None]
             np.exp(w, out=w)
             total = w.sum(axis=1)
-            np.divide(w, total[:, None], out=w, where=total[:, None] > 0.0)
+            if (total > 0.0).all():
+                w /= total[:, None]
+            else:
+                np.divide(w, total[:, None], out=w, where=total[:, None] > 0.0)
             # while beta * max d^2 <= 700 every weight is at least
             # e^-700 / (n - 1) > 0. Rows with a zero weight sum only their
             # positive weights, one row at a time, so every sum sees the terms
@@ -219,15 +219,16 @@ def _conditional_probabilities(
             ragged = np.flatnonzero(beta[active] * d2_max[active] > 700.0)
             if ragged.size:
                 ragged = ragged[~(w[ragged] > 0.0).all(axis=1)]
+            full = slice(None)
             if ragged.size:
                 full = np.ones(active.size, dtype=bool)
                 full[ragged] = False
-                wf = w[full]
-                entropy = np.zeros(active.size)
-                entropy[full] = -(wf * np.log(wf)).sum(axis=1)
-            else:
-                entropy = -(w * np.log(w)).sum(axis=1)
-            got = np.exp(entropy)
+            wf = w[full]
+            w_log_w = scratch[:len(wf)]
+            np.log(wf, out=w_log_w)
+            w_log_w *= wf
+            got = np.empty(active.size)
+            got[full] = np.exp(-w_log_w.sum(axis=1))
             for r in ragged:
                 if total[r] <= 0.0:
                     # exp underflowed everywhere: the large-beta limit puts
@@ -292,16 +293,20 @@ def _kl_gradient(p: np.ndarray):
     may drop it. Returns evaluate(y, boost, with_kl) -> (kl, grad), where grad
     is the gradient of the objective with P scaled by boost and kl is the KL
     of y against P, or None unless with_kl; the gradient's bits do not depend
-    on with_kl. Each block forms d^2 from coordinate differences, which are
-    exactly symmetric, so the square on the diagonal counts once and the
-    rest of the strip twice, and its transposed products feed the rows past
-    the block:
+    on with_kl. Each block takes 1 + d^2 from one product of the rows
+    [y_i, |y_i|^2 + 1, 1] with the columns [-2 y_j; 1; |y_j|^2], clamped at 1:
+    this Gram form rounds at the scale of |y|^2, and coincident points far
+    from the origin can cancel to 0. A sum over all pairs is twice the
+    strip's sum less that of its square on the diagonal, whose two copies of
+    a pair come from different rows and may round apart; the strip past the
+    square feeds the rows past the block through its transposed products:
 
-        KL = sum p log p + sum p log1p(d^2) + log Z
+        KL = sum p log p + sum p log(1 + d^2) + log Z
         grad_i = 4 sum_j w_ij (y_i - y_j),  w = boost p t - t^2 / Z
 
     with t = 1 / (1 + d^2) off the diagonal and Z = sum t, so each block
-    contributes (p t) @ [y, 1] and t^2 @ [y, 1]. The two scratch buffers
+    contributes (p t) @ [y, 1] and t^2 @ [y, 1]; the KL's middle term is two
+    dot products of the strip with log(1 + d^2). The two scratch buffers
     belong to this call, so concurrent runs share nothing.
     """
     n = p.shape[0]
@@ -321,30 +326,36 @@ def _kl_gradient(p: np.ndarray):
         y: np.ndarray, boost: float, with_kl: bool = True
     ) -> tuple[float | None, np.ndarray]:
         d = y.shape[1]
-        yt = np.ascontiguousarray(y.T)
+        sq = (y * y).sum(axis=1)
+        # left[i] @ right[:, j] = |y_i|^2 + 1 + |y_j|^2 - 2 y_i . y_j = 1 + d_ij^2
+        left = np.empty((n, d + 2))
+        left[:, :d] = y
+        left[:, d] = sq + 1.0
+        left[:, d + 1] = 1.0
+        right = np.empty((d + 2, n))
+        right[:d] = -2.0 * y.T
+        right[d] = 1.0
+        right[d + 1] = sq
         y1 = np.hstack([y, np.ones((n, 1))])
         attr = np.zeros((n, d + 1))
         rep = np.zeros((n, d + 1))
-        z = p_log1p = 0.0
+        z = p_log_num = 0.0
         for s, strip in blocks:
             b, m = strip.shape
             e = s + b
             num = buf_a[:b * m].reshape(b, m)
             tmp = buf_b[:b * m].reshape(b, m)
-            np.subtract(yt[0, s:e, None], yt[0, None, s:], out=num)
-            np.square(num, out=num)
-            for k in range(1, d):
-                np.subtract(yt[k, s:e, None], yt[k, None, s:], out=tmp)
-                np.square(tmp, out=tmp)
-                num += tmp
+            np.matmul(left[s:e], right[:, s:], out=num)
+            # rounding can take the Gram form below 1 where points coincide
+            np.maximum(num, 1.0, out=num)
             if with_kl:
-                np.log1p(num, out=tmp)
-                tmp *= strip
-                p_log1p += float(tmp[:, :b].sum()) + 2.0 * float(tmp[:, b:].sum())
-            num += 1.0
+                np.log(num, out=tmp)
+                p_log_num += 2.0 * float(np.vdot(strip, tmp)) - float(
+                    np.vdot(strip[:, :b], tmp[:, :b]))
             np.reciprocal(num, out=num)
-            np.fill_diagonal(num[:, :b], 0.0)
-            z += float(num[:, :b].sum()) + 2.0 * float(num[:, b:].sum())
+            # the square's diagonal, through the flat buffer
+            buf_a[:b * m:m + 1] = 0.0
+            z += 2.0 * float(num.sum()) - float(num[:, :b].sum())
             np.multiply(strip, num, out=tmp)
             attr[s:e] += tmp @ y1[s:]
             attr[e:] += tmp[:, b:].T @ y1[s:e]
@@ -353,7 +364,7 @@ def _kl_gradient(p: np.ndarray):
             rep[e:] += tmp[:, b:].T @ y1[s:e]
         w = boost * attr - rep / z
         grad = 4.0 * (y * w[:, d:] - w[:, :d])
-        kl = p_log_p + p_log1p + float(np.log(z)) if with_kl else None
+        kl = p_log_p + p_log_num + float(np.log(z)) if with_kl else None
         return kl, grad
 
     return evaluate
@@ -462,9 +473,7 @@ def tsne(
             break
         y_prev, grad_prev = y, grad
 
-        flip = (update * grad) < 0.0
-        gains[flip] += 0.2
-        gains[~flip] *= 0.8
+        gains = np.where((update * grad) < 0.0, gains + 0.2, gains * 0.8)
         np.maximum(gains, 0.01, out=gains)
         update = momentum * update - step * (gains * grad)
         y = y + update

@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._util import unpickle_read_only
 from .errors import DataError
 
 DENSIFY_BUDGET_DEFAULT = 500_000_000
@@ -79,6 +80,8 @@ class ExpressionMatrix:
         object.__setattr__(
             self, "gene_ids", _validate_ids(self.gene_ids, vals.shape[1], "gene")
         )
+
+    __setstate__ = unpickle_read_only("values")
 
     @property
     def n_cells(self) -> int:
@@ -149,6 +152,8 @@ class CountMatrix:
         object.__setattr__(
             self, "gene_ids", _validate_ids(self.gene_ids, self.n_genes, "gene")
         )
+
+    __setstate__ = unpickle_read_only("cell_idx", "gene_idx", "counts")
 
     @classmethod
     def from_triplets(

@@ -7,8 +7,6 @@ inputs render byte-identical files. Charts accept an optional comment string
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from ._util import seeded_rng
@@ -36,6 +34,15 @@ PALETTE = (
 _AXIS = "#444444"
 _GRID = "#dddddd"
 _FONT = "font-family=\"monospace\" font-size=\"12\""
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils.escape does.
+
+    Importing xml.sax.saxutils would pull urllib and http.client into every
+    CLI start.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _px(v: float) -> str:

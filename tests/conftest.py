@@ -1,4 +1,7 @@
-"""Shared builders for seeded random test matrices, and matrix comparisons."""
+"""Shared builders for seeded random test matrices, matrix comparisons, and
+unpickling without validation."""
+import pickle
+
 import numpy as np
 
 from scbench.matrix import CountMatrix, from_dense
@@ -30,3 +33,17 @@ def same_entries(a: CountMatrix, b: CountMatrix) -> bool:
 def same_matrix(a: CountMatrix, b: CountMatrix) -> bool:
     """Equal entries and equal cell and gene ids."""
     return same_entries(a, b) and (a.cell_ids, a.gene_ids) == (b.cell_ids, b.gene_ids)
+
+
+def unpickle_without_post_init(obj, monkeypatch):
+    """pickle.loads(pickle.dumps(obj)), failing if __post_init__ runs on loading."""
+    # a forked worker's results come back through pickle; their checks ran
+    # in the worker and are not run again
+    data = pickle.dumps(obj)
+
+    def fail(self):
+        raise AssertionError("__post_init__ ran on unpickling")
+
+    with monkeypatch.context() as m:
+        m.setattr(type(obj), "__post_init__", fail)
+        return pickle.loads(data)

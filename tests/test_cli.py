@@ -756,3 +756,13 @@ def test_console_entry_point_runs():
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "pipeline" in proc.stdout
+
+
+def test_cli_start_imports_no_url_or_xml_machinery():
+    # xml.sax.saxutils would pull in urllib.request, http.client, email and ssl
+    code = ("import sys, scbench.cli; "
+            "print(sorted(m for m in ('urllib.request', 'xml.sax') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import unpickle_without_post_init
 from oracles import (
     best_two_partition_sse,
     mst_edge_weights,
@@ -16,6 +17,7 @@ from oracles import (
 )
 
 from scbench import (
+    ClusterResult,
     DataError,
     adjusted_rand_index,
     cut_dendrogram,
@@ -401,3 +403,14 @@ def test_ari_trivial_partitions():
 def test_ari_length_mismatch():
     with pytest.raises(DataError):
         adjusted_rand_index([0, 1], [0, 1, 2])
+
+
+def test_cluster_result_stays_read_only_through_pickle(monkeypatch):
+    result = kmeans(blob(32, 30), 3, seed=4)
+    assert isinstance(result, ClusterResult)
+    back = unpickle_without_post_init(result, monkeypatch)
+    assert not back.labels.flags.writeable and not back.centers.flags.writeable
+    assert np.array_equal(back.labels, result.labels)
+    assert np.array_equal(back.centers, result.centers)
+    assert (back.sse, back.n_iters, back.seed) == (result.sse, result.n_iters, result.seed)
+    assert np.array_equal(back.restart_sses, result.restart_sses)

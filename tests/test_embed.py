@@ -385,6 +385,37 @@ def test_blocked_step_matches_the_dense_step(n):
             assert no_kl is None and np.array_equal(grad, grad_no_kl)
 
 
+@pytest.mark.parametrize("n", [65, 200])
+def test_blocked_step_matches_the_dense_step_at_a_finished_embeddings_scale(n):
+    # a finished embedding spans tens of units, where the Gram form of 1 + d^2
+    # rounds at the scale of |y|^2 = 2500 and close pairs keep d^2 near 1
+    p = random_joint(n, n)
+    evaluate = _kl_gradient(p)
+    for d in (1, 2, 3):
+        y = np.random.default_rng(200 + d).normal(size=(n, d))
+        y *= 50.0 / np.sqrt((y * y).sum(axis=1)).max()
+        for boost in (12.0, 1.0):
+            kl, grad = evaluate(y, boost)
+            kl_dense, grad_dense = dense_kl_gradient(p, y, boost)
+            assert math.isclose(kl, kl_dense, rel_tol=1e-12)
+            assert np.abs(grad - grad_dense).max() <= 1e-12 * np.abs(grad_dense).max()
+
+
+def test_coincident_points_far_out_keep_unit_weights():
+    # at 2^27 every term of the Gram form is exact and 1 + d^2 cancels to 0
+    # for coincident points, on any BLAS kernel; clamped, it is 1, so t = 1,
+    # Z = n (n - 1) and the forces cancel
+    n = 70
+    p = random_joint(3, n)
+    evaluate = _kl_gradient(p)
+    plogp = float((p[p > 0] * np.log(p[p > 0])).sum())
+    for d in (1, 2, 3):
+        y = np.full((n, d), 2.0**27)
+        kl, grad = evaluate(y, 12.0)
+        assert math.isclose(kl, plogp + math.log(n * (n - 1)), rel_tol=1e-12)
+        assert np.abs(grad).max() <= 1e-12 * 2.0**27
+
+
 @pytest.mark.parametrize(
     "iters, exaggeration_iters, start",
     [(40, 60, 39), (60, 60, 59), (61, 60, 59), (40, 0, 0)],

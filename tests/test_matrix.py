@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_dense, random_matrix, same_matrix
+from conftest import random_dense, random_matrix, same_matrix, unpickle_without_post_init
 
 from scbench import CountMatrix, DataError, ExpressionMatrix, from_dense, vstack_cells
 
@@ -273,3 +273,18 @@ def test_matrices_are_immutable():
     em = m.to_dense()
     with pytest.raises(ValueError):
         em.values[0, 0] = 1.0
+
+
+def test_count_matrix_stays_read_only_through_pickle(monkeypatch):
+    m = random_matrix(31, 9, 7)
+    back = unpickle_without_post_init(m, monkeypatch)
+    assert same_matrix(back, m)
+    assert not any(a.flags.writeable for a in (back.cell_idx, back.gene_idx, back.counts))
+
+
+def test_expression_matrix_stays_read_only_through_pickle(monkeypatch):
+    m = ExpressionMatrix(np.arange(6.0).reshape(2, 3), ("c0", "c1"), ("g0", "g1", "g2"))
+    back = unpickle_without_post_init(m, monkeypatch)
+    assert not back.values.flags.writeable
+    assert np.array_equal(back.values, m.values)
+    assert (back.cell_ids, back.gene_ids) == (m.cell_ids, m.gene_ids)

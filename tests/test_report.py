@@ -324,6 +324,13 @@ def test_empty_chart_inputs_rejected():
         svg.bar_chart([], "t", "y")
 
 
+def test_svg_escape_equals_saxutils_escape():
+    from xml.sax.saxutils import escape as sax_escape
+
+    for text in ("&<>\"'", "a<b>&c", "&amp;&lt;", "x > 1 & y < 2", "platé", ""):
+        assert svg.escape(text) == sax_escape(text)
+
+
 def test_config_comment_is_escaped_in_svg():
     text = svg.bar_chart([("a", 1.0)], "t", "y", comment='{"x": "<&>"}')
     assert "<!-- config: " in text
