@@ -70,14 +70,17 @@ def _load_inputs(args):
     m = read_matrix_market(args.matrix)
     if not args.transpose:
         m = m.transpose()
-    m = m.with_ids(default_cell_ids(m.n_cells), default_gene_ids(m.n_genes))
+    # the reader's synthetic ids name the file's rows and columns; each axis
+    # gets its ids once, synthetic ones unless an annotation file gives them
+    cell_ids = default_cell_ids(m.n_cells)
+    if args.join_by_id:
+        # annotations are matched to the synthetic cell ids
+        m = m.with_ids(cell_ids=cell_ids)
     if args.cells:
         annotations = read_cell_annotations(args.cells)
     else:
-        annotations = [
-            CellAnnotation(cid, "all", "r1", None) for cid in m.cell_ids
-        ]
-    gene_ids = read_gene_annotations(args.genes) if args.genes else None
+        annotations = [CellAnnotation(cid, "all", "r1", None) for cid in cell_ids]
+    gene_ids = read_gene_annotations(args.genes) if args.genes else default_gene_ids(m.n_genes)
     return attach_annotations(
         m, annotations, gene_ids=gene_ids, join_by_id=args.join_by_id
     )

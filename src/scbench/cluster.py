@@ -345,7 +345,8 @@ def silhouette(distances: np.ndarray, labels) -> SilhouetteReport:
     n = d.shape[0]
     if labels.shape != (n,):
         raise DataError("labels must have one entry per point")
-    uniq = np.unique(labels)
+    # with counts asked for, np.unique does not import numpy.ma
+    uniq = np.unique(labels, return_counts=True)[0]
     if uniq.size < 2:
         raise DataError("silhouette needs at least 2 clusters")
     if uniq.size == n:

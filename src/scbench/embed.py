@@ -115,8 +115,10 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     there are no more genes than cells, else the cells x cells Gram matrix;
     params["method"] names the route ("covariance" or "gram"). Component
     signs are fixed so the largest-magnitude coefficient of each component is
-    positive. It runs with numpy's OpenBLAS on one thread, so the bits do not
-    depend on OPENBLAS_NUM_THREADS.
+    positive. Components past the numerical rank explain no variance: the
+    covariance route gives null-space directions for them, the Gram route
+    zero vectors. It runs with numpy's OpenBLAS on one thread, so the bits do
+    not depend on OPENBLAS_NUM_THREADS.
     """
     v = _as_points(x)
     n, g = v.shape
@@ -142,15 +144,15 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
         eigvals_all, u = np.linalg.eigh(gram)
         eigvals = eigvals_all[::-1][:d]
         u = u[:, ::-1][:, :d]
-        components = np.empty((d, g))
+        components = np.zeros((d, g))
         scale = np.abs(eigvals_all).max() if eigvals_all.size else 0.0
         for i in range(d):
             direction = centered.T @ u[:, i]
             norm = np.linalg.norm(direction)
             if eigvals[i] <= 1e-12 * max(scale, 1.0) or norm == 0.0:
-                raise DataError(
-                    "gram-path pca requested a component beyond the numerical rank"
-                )
+                # past the numerical rank: zero components with zero variance
+                eigvals[i:] = 0.0
+                break
             components[i] = direction / norm
 
     eigvals = np.maximum(eigvals, 0.0)

@@ -94,13 +94,15 @@ def _read_header(fh) -> tuple[str, int, int, int, int]:
     return field, n_rows, n_cols, nnz, lineno
 
 
-def _load_entries(fh, field: str, n_rows: int, n_cols: int, nnz: int):
-    """Whole-array pass over the entry body: 0-based (nnz, 3) int64 triplets.
+def _load_entries(fh, field: str, nnz: int):
+    """Whole-array parse of the entry body: 0-based (nnz, 3) int64 triplets.
 
-    Returns None when anything in the body fails a check, or when the body
-    holds a line that the per-line scanner treats specially (a `%` comment);
-    the caller then re-reads the file with `_scan_matrix_market`, which names
-    the offending line.
+    Each column is contiguous and read-only, so the matrix keeps them as
+    they are. Indices are not checked here: CountMatrix checks them once.
+    Returns None when the body does not parse as nnz integral entries, holds
+    a count above COUNT_MAX, or holds a line that the per-line scanner
+    treats specially (a `%` comment); the caller then re-reads the file with
+    `_scan_matrix_market`, which names the offending line.
     """
     import warnings
 
@@ -120,23 +122,23 @@ def _load_entries(fh, field: str, n_rows: int, n_cols: int, nnz: int):
     if integer:
         if body.shape != (nnz, 3):
             return None
-        rows, cols, vals = body[:, 0], body[:, 1], body[:, 2]
+        columns = body.T.copy()
     else:
         if body.shape != (nnz,):
             return None
-        rows, cols, vals = body["r"], body["c"], body["v"]
-        if not (np.isfinite(vals).all() and (np.trunc(vals) == vals).all()):
+        vals = body["v"]
+        # integral and in range, so the cast to int64 is exact
+        if not (
+            np.isfinite(vals).all() and (np.trunc(vals) == vals).all()
+            and 0 <= vals.min() and vals.max() <= COUNT_MAX
+        ):
             return None
-    if not (
-        1 <= rows.min() and rows.max() <= n_rows
-        and 1 <= cols.min() and cols.max() <= n_cols
-        and 0 <= vals.min() and vals.max() <= COUNT_MAX
-    ):
+        columns = np.stack([body["r"], body["c"], vals.astype(np.int64)])
+    if columns[2].max() > COUNT_MAX:
         return None
-    if integer:
-        body[:, :2] -= 1
-        return body
-    return np.column_stack([rows - 1, cols - 1, vals.astype(np.int64)])
+    columns[:2] -= 1
+    columns.flags.writeable = False
+    return columns.T
 
 
 def _scan_matrix_market(path) -> CountMatrix:
@@ -172,12 +174,8 @@ def _scan_matrix_market(path) -> CountMatrix:
             entries.append((r - 1, c - 1, v))
         if len(entries) != nnz:
             raise FormatError(f"expected {nnz} entries, found {len(entries)}")
-    return _count_matrix(np.array(entries, dtype=np.int64).reshape(-1, 3), n_rows, n_cols)
-
-
-def _count_matrix(entries: np.ndarray, n_rows: int, n_cols: int) -> CountMatrix:
     try:
-        return CountMatrix.from_triplets(entries, n_rows, n_cols)
+        return CountMatrix.from_triplets(np.array(entries, dtype=np.int64).reshape(-1, 3), n_rows, n_cols)
     except DataError as exc:
         raise FormatError(f"invalid matrix content: {exc}") from exc
 
@@ -192,43 +190,84 @@ def read_matrix_market(path) -> CountMatrix:
     """
     with _open_text(path) as fh:
         field, n_rows, n_cols, nnz, _ = _read_header(fh)
-        entries = _load_entries(fh, field, n_rows, n_cols, nnz)
-    if entries is None:
-        return _scan_matrix_market(path)
-    return _count_matrix(entries, n_rows, n_cols)
+        entries = _load_entries(fh, field, nnz)
+    if entries is not None:
+        try:
+            return CountMatrix.from_triplets(entries, n_rows, n_cols)
+        except DataError:
+            pass  # the per-line scan below names the fault
+    return _scan_matrix_market(path)
 
 
 # entries formatted per write call
 _WRITE_CHUNK_ROWS = 1 << 14
 
 
+def _digit_rows(values) -> np.ndarray:
+    """b"%d" of each value, NUL-padded to one width, as raw fixed-size items."""
+    text = np.array([b"%d" % v for v in values], dtype=bytes)
+    return text.view(np.dtype((np.void, text.itemsize)))
+
+
 def write_matrix_market(m: CountMatrix, path) -> None:
-    """Emit a coordinate-format integer Matrix Market file (1-based indices)."""
-    entries = m.triplets()
-    entries[:, :2] += 1  # 1-based coordinates
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("%%MatrixMarket matrix coordinate integer general\n")
-        fh.write(f"{m.n_cells} {m.n_genes} {m.nnz}\n")
+    """Emit a coordinate-format integer Matrix Market file (1-based indices).
+
+    Lines are assembled from tables of digit strings, one over each axis's
+    1-based indices and one over the distinct counts: a chunk of entries at
+    a time, as NUL-padded records that are written without the NULs.
+    """
+    values, value_of = np.unique(m.counts, return_inverse=True)
+    cells = _digit_rows(range(1, m.n_cells + 1))
+    genes = _digit_rows(range(1, m.n_genes + 1))
+    counts = _digit_rows(values.tolist())
+    lines = np.empty(min(m.nnz, _WRITE_CHUNK_ROWS), dtype=[
+        ("cell", cells.dtype), ("sep1", "S1"), ("gene", genes.dtype), ("sep2", "S1"),
+        ("count", counts.dtype), ("end", "S1"),
+    ])
+    lines["sep1"] = lines["sep2"] = b" "
+    lines["end"] = b"\n"
+    with open(path, "wb") as fh:
+        fh.write(b"%%MatrixMarket matrix coordinate integer general\n")
+        fh.write(b"%d %d %d\n" % (m.n_cells, m.n_genes, m.nnz))
         for start in range(0, m.nnz, _WRITE_CHUNK_ROWS):
-            block = entries[start : start + _WRITE_CHUNK_ROWS]
-            fh.write(("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
+            stop = min(start + _WRITE_CHUNK_ROWS, m.nnz)
+            block = lines[: stop - start]
+            block["cell"] = cells[m.cell_idx[start:stop]]
+            block["gene"] = genes[m.gene_idx[start:stop]]
+            block["count"] = counts[value_of[start:stop]]
+            text = block.view(np.uint8)
+            fh.write(np.compress(text != 0, text).tobytes())
+
+
+def _csv_columns(fh, names: Sequence[str]):
+    """Header positions of the named columns (None if absent), and the rows.
+
+    Read as csv.DictReader reads: a name given twice in the header is its
+    last column, blank rows are skipped and a short row's missing fields
+    are empty.
+    """
+    reader = csv.reader(fh)
+    where = {name: i for i, name in enumerate(next(reader, []))}
+    cols = [where.get(name) for name in names]
+    width = max((c + 1 for c in cols if c is not None), default=0)
+    return cols, (row + [""] * (width - len(row)) for row in reader if row)
 
 
 def read_cell_annotations(path) -> list[CellAnnotation]:
     """Read the cell annotation CSV (cell_id, method, replicate[, cell_type])."""
+    names = ("cell_id", "method", "replicate", "cell_type")
     with _open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for required in ("cell_id", "method", "replicate"):
-            if required not in fields:
-                raise FormatError(f"cell annotation file lacks column {required!r}")
-        has_type = "cell_type" in fields
+        cols, rows = _csv_columns(fh, names)
+        for name, col in zip(names[:3], cols):
+            if col is None:
+                raise FormatError(f"cell annotation file lacks column {name!r}")
+        id_col, method_col, replicate_col, type_col = cols
         out: list[CellAnnotation] = []
         ids: set[str] = set()
-        for row in reader:
-            cell_id = (row["cell_id"] or "").strip()
-            method = (row["method"] or "").strip()
-            replicate = (row["replicate"] or "").strip()
+        for row in rows:
+            cell_id = row[id_col].strip()
+            method = row[method_col].strip()
+            replicate = row[replicate_col].strip()
             if not cell_id:
                 raise FormatError("empty cell_id")
             if cell_id in ids:
@@ -236,7 +275,7 @@ def read_cell_annotations(path) -> list[CellAnnotation]:
             if not method or not replicate:
                 raise FormatError(f"cell {cell_id!r}: empty method or replicate")
             ids.add(cell_id)
-            cell_type = (row.get("cell_type") or "").strip() if has_type else ""
+            cell_type = row[type_col].strip() if type_col is not None else ""
             out.append(
                 CellAnnotation(cell_id, method, replicate, cell_type or None)
             )
@@ -254,13 +293,13 @@ def write_cell_annotations(annotations: Sequence[CellAnnotation], path) -> None:
 def read_gene_annotations(path) -> list[str]:
     """Read the gene annotation CSV; returns gene ids in file order."""
     with _open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if "gene_id" not in (reader.fieldnames or []):
+        (col,), rows = _csv_columns(fh, ("gene_id",))
+        if col is None:
             raise FormatError("gene annotation file lacks column 'gene_id'")
         out: list[str] = []
         seen: set[str] = set()
-        for row in reader:
-            gene_id = (row["gene_id"] or "").strip()
+        for row in rows:
+            gene_id = row[col].strip()
             if not gene_id:
                 raise FormatError("empty gene_id")
             if gene_id in seen:
@@ -315,7 +354,8 @@ def attach_annotations(
             f"gene annotations ({len(gene_ids)}) do not match matrix genes ({m.n_genes})"
         )
     annotated = m.with_ids(
-        cell_ids=[a.cell_id for a in ordered],
+        # joined annotations are in the order of the matrix's own ids
+        cell_ids=None if join_by_id else [a.cell_id for a in ordered],
         gene_ids=gene_ids,
     )
     return annotated, ordered
@@ -336,10 +376,25 @@ def split_by_method_replicate(
     groups: dict[tuple[str, str], list[int]] = {}
     for i, a in enumerate(annotations):
         groups.setdefault((a.method, a.replicate), []).append(i)
+    keys = sorted(groups)
+    # each cell's split and its row within the split
+    split_of = np.empty(m.n_cells, dtype=np.min_scalar_type(max(len(keys) - 1, 0)))
+    row_in_split = np.empty(m.n_cells, dtype=np.int64)
+    for k, key in enumerate(keys):
+        split_of[groups[key]] = k
+        row_in_split[groups[key]] = np.arange(len(groups[key]))
+    # a stable sort on the split keeps each split's entries gene-major
+    entry_split = split_of[m.cell_idx]
+    order = np.argsort(entry_split, kind="stable")
+    cuts = np.cumsum(np.bincount(entry_split, minlength=len(keys)))[:-1]
+    cells = np.split(row_in_split[m.cell_idx[order]], cuts)
+    genes = np.split(m.gene_idx[order], cuts)
+    counts = np.split(m.counts[order], cuts)
     out = {}
-    gene_mask = np.ones(m.n_genes, dtype=bool)
-    for key in sorted(groups):
-        cell_mask = np.zeros(m.n_cells, dtype=bool)
-        cell_mask[groups[key]] = True
-        out[key] = (m.submatrix(cell_mask, gene_mask), [annotations[i] for i in groups[key]])
+    for key, cell, gene, cnt in zip(keys, cells, genes, counts):
+        rows = groups[key]
+        sub = CountMatrix._derived(
+            len(rows), m.n_genes, cell, gene, cnt, tuple(m.cell_ids[i] for i in rows), m.gene_ids
+        )
+        out[key] = (sub, [annotations[i] for i in rows])
     return out

@@ -20,13 +20,6 @@ DENSIFY_BUDGET_DEFAULT = 500_000_000
 COUNT_MAX = 2**31 - 1
 
 
-def _owned(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mark freshly built arrays read-only so CountMatrix stores them uncopied."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def default_cell_ids(n: int) -> tuple[str, ...]:
     return tuple(f"cell_{i}" for i in range(n))
 
@@ -42,6 +35,14 @@ def _validate_ids(ids: Sequence[str], n: int, kind: str) -> tuple[str, ...]:
     if len(set(ids)) != len(ids):
         raise DataError(f"duplicate {kind} ids")
     return ids
+
+
+def _check_indices(n_cells: int, n_genes: int, cell: np.ndarray, gene: np.ndarray) -> None:
+    if cell.size:
+        if cell.min() < 0 or cell.max() >= n_cells:
+            raise DataError("cell index out of range")
+        if gene.min() < 0 or gene.max() >= n_genes:
+            raise DataError("gene index out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,13 +124,9 @@ class CountMatrix:
             raise DataError("entry arrays must have equal length")
         if self.n_cells < 0 or self.n_genes < 0:
             raise DataError("negative dimension")
-        if cell.size:
-            if cell.min() < 0 or cell.max() >= self.n_cells:
-                raise DataError("cell index out of range")
-            if gene.min() < 0 or gene.max() >= self.n_genes:
-                raise DataError("gene index out of range")
-            if cnt.min() < 1:
-                raise DataError("stored counts must be >= 1")
+        _check_indices(self.n_cells, self.n_genes, cell, gene)
+        if cnt.size and cnt.min() < 1:
+            raise DataError("stored counts must be >= 1")
         dg, dc = np.diff(gene), np.diff(cell)
         # strictly increasing (gene, cell) keys: canonical order, no duplicates
         if not ((dg > 0) | ((dg == 0) & (dc > 0))).all():
@@ -141,7 +138,7 @@ class CountMatrix:
                 raise DataError(f"duplicate entry at cell {cell[k]}, gene {gene[k]}")
         else:
             # a writeable input is the caller's to change; read-only ones are
-            # another matrix's entries or arrays handed over by _owned
+            # another matrix's entries or the reader's own columns
             cell, gene, cnt = (a.copy() if a.flags.writeable else a for a in (cell, gene, cnt))
         for name, arr in (("cell_idx", cell), ("gene_idx", gene), ("counts", cnt)):
             arr.flags.writeable = False
@@ -154,6 +151,21 @@ class CountMatrix:
         )
 
     __setstate__ = unpickle_read_only("cell_idx", "gene_idx", "counts")
+
+    @classmethod
+    def _derived(cls, n_cells, n_genes, cell_idx, gene_idx, counts, cell_ids, gene_ids):
+        """A matrix whose entries and ids come from one that passed the checks.
+
+        Like unpickling, it skips __post_init__: the arrays are stored as given
+        and marked read-only, so they must already be in canonical order.
+        """
+        m = cls.__new__(cls)
+        m.__setstate__({
+            "n_cells": n_cells, "n_genes": n_genes, "cell_idx": cell_idx,
+            "gene_idx": gene_idx, "counts": counts, "cell_ids": cell_ids,
+            "gene_ids": gene_ids,
+        })
+        return m
 
     @classmethod
     def from_triplets(
@@ -180,14 +192,11 @@ class CountMatrix:
         cell, gene, cnt = arr[:, 0], arr[:, 1], arr[:, 2]
         if cnt.size and cnt.min() < 0:
             raise DataError("negative count in triplets")
-        if cell.size:
-            if cell.min() < 0 or cell.max() >= n_cells:
-                raise DataError("cell index out of range")
-            if gene.min() < 0 or gene.max() >= n_genes:
-                raise DataError("gene index out of range")
         keep = cnt > 0
         if not keep.all():
-            cell, gene, cnt = _owned(cell[keep], gene[keep], cnt[keep])
+            # the constructor checks the kept entries; dropped ones must fit too
+            _check_indices(n_cells, n_genes, cell, gene)
+            cell, gene, cnt = cell[keep], gene[keep], cnt[keep]
         return cls(
             n_cells,
             n_genes,
@@ -202,23 +211,20 @@ class CountMatrix:
     def nnz(self) -> int:
         return int(self.counts.size)
 
-    def triplets(self) -> np.ndarray:
-        """Stored entries as an (nnz, 3) array in canonical order."""
-        return np.column_stack([self.cell_idx, self.gene_idx, self.counts])
-
     def with_ids(
         self,
         cell_ids: Sequence[str] | None = None,
         gene_ids: Sequence[str] | None = None,
     ) -> "CountMatrix":
-        return CountMatrix(
+        """Same entries, new ids for the axes given (checked like the constructor's)."""
+        return CountMatrix._derived(
             self.n_cells,
             self.n_genes,
             self.cell_idx,
             self.gene_idx,
             self.counts,
-            tuple(cell_ids) if cell_ids is not None else self.cell_ids,
-            tuple(gene_ids) if gene_ids is not None else self.gene_ids,
+            self.cell_ids if cell_ids is None else _validate_ids(cell_ids, self.n_cells, "cell"),
+            self.gene_ids if gene_ids is None else _validate_ids(gene_ids, self.n_genes, "gene"),
         )
 
     def submatrix(self, cell_mask: Sequence[bool], gene_mask: Sequence[bool]) -> "CountMatrix":
@@ -232,14 +238,12 @@ class CountMatrix:
         new_cell = np.cumsum(cm) - 1
         new_gene = np.cumsum(gm) - 1
         keep = cm[self.cell_idx] & gm[self.gene_idx]
-        return CountMatrix(
+        return CountMatrix._derived(
             int(cm.sum()),
             int(gm.sum()),
-            *_owned(
-                new_cell[self.cell_idx[keep]],
-                new_gene[self.gene_idx[keep]],
-                self.counts[keep],
-            ),
+            new_cell[self.cell_idx[keep]],
+            new_gene[self.gene_idx[keep]],
+            self.counts[keep],
             tuple(i for i, m in zip(self.cell_ids, cm) if m),
             tuple(i for i, m in zip(self.gene_ids, gm) if m),
         )
@@ -281,10 +285,12 @@ class CountMatrix:
         # canonical order; a cell index of 16 bits or less sorts by radix
         key = self.cell_idx.astype(np.min_scalar_type(max(self.n_cells - 1, 0)))
         order = np.argsort(key, kind="stable")
-        return CountMatrix(
+        return CountMatrix._derived(
             self.n_genes,
             self.n_cells,
-            *_owned(self.gene_idx[order], self.cell_idx[order], self.counts[order]),
+            self.gene_idx[order],
+            self.cell_idx[order],
+            self.counts[order],
             self.gene_ids,
             self.cell_ids,
         )

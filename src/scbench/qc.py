@@ -10,7 +10,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._util import seeded_rng
+from ._util import quartiles, seeded_rng
 from .errors import DataError
 from .matrix import CountMatrix
 
@@ -64,7 +64,7 @@ def detection_stats(m: CountMatrix) -> DetectionStats:
     if m.n_cells < 1:
         raise DataError("detection stats need at least one cell")
     detected = m.cell_nonzero_count()
-    q1, med, q3 = np.percentile(detected, [25.0, 50.0, 75.0])
+    q1, med, q3 = quartiles(detected)
     return DetectionStats(detected, float(med), float(q1), float(q3))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import seeded_rng
+from ._util import quartiles, seeded_rng
 from .errors import DataError
 
 WIDTH = 800
@@ -178,7 +178,7 @@ def boxplot_chart(
         jitter = (rng.random(values.size) - 0.5) * box_w * 0.9
         for dx, v in zip(jitter, values):
             canvas.circle(cx + dx, float(ys(v)), 2, color, opacity=0.45)
-        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        q1, med, q3 = quartiles(values)
         y1, ym, y3 = float(ys(q1)), float(ys(med)), float(ys(q3))
         canvas.rect(cx - box_w / 2, y3, box_w, y1 - y3, fill="none", stroke="#000000")
         canvas.line(cx - box_w / 2, ym, cx + box_w / 2, ym, color="#000000", width=2.0)

@@ -1,9 +1,15 @@
-"""Shared builders for seeded random test matrices, matrix comparisons, and
-unpickling without validation."""
+"""Shared builders for seeded random test matrices, matrix comparisons,
+unpickling without validation, and fresh-interpreter runs."""
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import scbench
 from scbench.matrix import CountMatrix, from_dense
 
 
@@ -18,6 +24,11 @@ def random_dense(seed, n_cells, n_genes, density=0.4, max_count=20, rng=None):
 
 def random_matrix(seed, n_cells, n_genes, density=0.4, max_count=20) -> CountMatrix:
     return from_dense(random_dense(seed, n_cells, n_genes, density, max_count))
+
+
+def triplets(m: CountMatrix) -> np.ndarray:
+    """Stored entries as an (nnz, 3) array of (cell, gene, count) rows, in canonical order."""
+    return np.column_stack([m.cell_idx, m.gene_idx, m.counts])
 
 
 def same_entries(a: CountMatrix, b: CountMatrix) -> bool:
@@ -47,3 +58,15 @@ def unpickle_without_post_init(obj, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(type(obj), "__post_init__", fail)
         return pickle.loads(data)
+
+
+def modules_imported_by(code: str) -> set[str]:
+    """Names in sys.modules after `code` runs in a fresh interpreter that
+    imports scbench from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(scbench.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import modules_imported_by
 
 import scbench
 from scbench import (
@@ -760,9 +761,18 @@ def test_console_entry_point_runs():
 
 def test_cli_start_imports_no_url_or_xml_machinery():
     # xml.sax.saxutils would pull in urllib.request, http.client, email and ssl
-    code = ("import sys, scbench.cli; "
-            "print(sorted(m for m in ('urllib.request', 'xml.sax') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=subprocess_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    modules = modules_imported_by("import scbench.cli")
+    assert {"urllib.request", "xml.sax"}.isdisjoint(modules)
+
+
+@pytest.mark.parametrize("command", ["qc", "pipeline"])
+def test_a_run_imports_no_numpy_ma(data_dir, tmp_path, command):
+    # np.percentile and a bare np.unique(x) import numpy.ma on first use,
+    # 17 ms in a fresh process; one split, so the pipeline runs in-line
+    speed = SPEED if command == "pipeline" else []
+    args = [command, *input_args(data_dir), *speed, "-o", str(tmp_path)]
+    modules = modules_imported_by(
+        f"from scbench.cli import cli_main\nassert cli_main({args!r}) == 0"
+    )
+    assert "numpy.ma" not in modules
+    assert (tmp_path / "detection.csv").exists()

@@ -119,11 +119,32 @@ def test_pca_leading_scores_do_not_depend_on_d():
         assert np.abs(two.coordinates - lead).max() <= 1e-12 * np.abs(lead).max()
 
 
-def test_pca_gram_path_rejects_components_beyond_rank():
-    # 5 points in 10 dimensions take the Gram route; centred, they have rank 4
-    x = seeded_points(10, 5, 10)
-    with pytest.raises(DataError, match="rank"):
-        pca_fit_transform(x, 5)
+def test_pca_gives_zero_variance_components_beyond_the_rank_on_both_routes():
+    # rank 2 once centred: 8 x 20 takes the Gram route, its transpose the covariance one
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 20)) + 3.0
+    for data, method in ((x, "gram"), (x.T, "covariance")):
+        emb, model = pca_fit_transform(data, 6)
+        assert emb.params["method"] == method
+        scores, components, variances = svd_pca(data, 2)
+        assert np.abs(model.explained_variance[:2] - variances).max() < 1e-8
+        assert np.abs(model.components[:2] - components).max() < 1e-8
+        assert np.abs(emb.coordinates[:, :2] - scores).max() < 1e-8
+        scale = variances[0]
+        assert np.abs(model.explained_variance[2:]).max() <= 1e-12 * scale
+        assert np.abs(emb.coordinates[:, 2:]).max() <= 1e-6 * np.sqrt(scale)
+    # the Gram route cannot name null-space directions: it gives zero vectors
+    _, model = pca_fit_transform(x, 6)
+    assert not model.components[2:].any() and not model.explained_variance[2:].any()
+
+
+def test_tsne_of_points_without_variance_starts_from_seeded_noise_on_both_routes():
+    # all-equal points: PCA finds no direction, so t-SNE starts from noise
+    for shape in ((10, 20), (12, 3)):
+        first = tsne(np.ones(shape), perplexity=2, iters=20, seed=4)
+        again = tsne(np.ones(shape), perplexity=2, iters=20, seed=4)
+        assert np.isfinite(first.coordinates).all()
+        assert np.array_equal(first.coordinates, again.coordinates)
 
 
 def test_pca_rejects_bad_inputs():

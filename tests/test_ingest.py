@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_dense, random_matrix, same_entries, same_matrix
+from conftest import random_dense, random_matrix, same_entries, same_matrix, triplets
 from oracles import naive_write_matrix_market
 
 import scbench.ingest
 from scbench import (
     CellAnnotation,
+    CountMatrix,
     DataError,
     FormatError,
     attach_annotations,
@@ -26,7 +27,7 @@ from scbench import (
 )
 from scbench.cli import cli_main
 from scbench.ingest import _WRITE_CHUNK_ROWS, _scan_matrix_market
-from scbench.matrix import default_cell_ids, default_gene_ids, from_dense
+from scbench.matrix import COUNT_MAX, default_cell_ids, default_gene_ids, from_dense
 
 PROTOCOLS = [
     "10x-Chromium-v2",
@@ -243,7 +244,7 @@ def outcome(read, path):
         m = read(path)
     except FormatError as exc:
         return "error", str(exc)
-    return "matrix", (m.n_cells, m.n_genes, m.triplets().tolist())
+    return "matrix", (m.n_cells, m.n_genes, triplets(m).tolist())
 
 
 @pytest.mark.parametrize("name", sorted(READER_CORPUS))
@@ -292,6 +293,17 @@ def test_writer_matches_per_entry_writer_byte_for_byte(tmp_path):
     rng = np.random.default_rng(37)
     cases = [random_matrix(seed, 13, 9, density=0.3) for seed in range(3)]
     cases.append(from_dense(np.zeros((4, 3), dtype=np.int64)))
+    cases.append(CountMatrix.from_triplets([], 0, 0))
+    cases.append(CountMatrix.from_triplets([(2, 1, 7)], 3, 2))
+    # the widest count beside one-digit ones
+    cases.append(CountMatrix.from_triplets(
+        [(0, 0, COUNT_MAX), (1, 0, 1), (0, 1, 9), (1, 1, COUNT_MAX - 1)], 2, 2))
+    # indices of 6 digits and more, at both ends of each axis
+    n_cells, n_genes = 150_000, 200_000
+    cells = np.r_[0, rng.choice(n_cells, 40, replace=False), n_cells - 1]
+    genes = np.r_[n_genes - 1, rng.choice(n_genes, 40, replace=False), 0]
+    cases.append(CountMatrix.from_triplets(
+        np.column_stack([cells, genes, rng.integers(1, 50, cells.size)]), n_cells, n_genes))
     big = from_dense(random_dense(None, 300, 200, density=0.6, max_count=10**6, rng=rng))
     assert big.nnz > 2 * _WRITE_CHUNK_ROWS
     cases.append(big)
@@ -420,6 +432,49 @@ def test_split_single_group_is_identity():
     assert list(splits) == [("only", "r1")]
     sub, sub_anns = splits[("only", "r1")]
     assert same_matrix(sub, m) and sub_anns == anns
+
+
+def test_split_matrices_equal_the_validating_constructor():
+    # the one-pass grouping skips the entry checks; each split must store
+    # what checked construction of its rows gives
+    rng = np.random.default_rng(35)
+    dense = random_dense(None, 30, 9, rng=rng)
+    m = from_dense(dense)
+    anns = [CellAnnotation(cid, f"m{rng.integers(3)}", "r1") for cid in m.cell_ids]
+    splits = split_by_method_replicate(m, anns)
+    assert len(splits) == 3
+    for key, (sub, sub_anns) in splits.items():
+        rows = [i for i, a in enumerate(anns) if (a.method, a.replicate) == key]
+        built = from_dense(dense[rows], [m.cell_ids[i] for i in rows], m.gene_ids)
+        assert same_matrix(sub, built)
+        assert sub_anns == [anns[i] for i in rows]
+        for name in ("cell_idx", "gene_idx", "counts"):
+            got = getattr(sub, name)
+            assert got.dtype == np.int64 and not got.flags.writeable
+
+
+def test_a_split_run_checks_the_input_entries_once(tmp_path, monkeypatch):
+    # the reader's matrix is checked; the transposes, id changes and
+    # splits that follow reuse its checked entries
+    m = random_matrix(36, 24, 11)
+    write_matrix_market(m.transpose(), tmp_path / "matrix.mtx")
+    write_cell_annotations(
+        [CellAnnotation(cid, "plate", f"r{i % 3}") for i, cid in enumerate(m.cell_ids)],
+        tmp_path / "cells.csv",
+    )
+    checked = []
+    check = CountMatrix.__post_init__
+
+    def spy(self):
+        check(self)
+        checked.append(self.nnz)
+
+    monkeypatch.setattr(CountMatrix, "__post_init__", spy)
+    args = ["split", "--matrix", str(tmp_path / "matrix.mtx"),
+            "--cells", str(tmp_path / "cells.csv"), "-o", str(tmp_path / "out")]
+    assert cli_main(args) == 0
+    assert checked == [m.nnz]
+    assert len(list((tmp_path / "out").glob("matrix_*.mtx"))) == 3
 
 
 def test_split_membership_matches_annotation_filter():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_dense, random_matrix, same_matrix, unpickle_without_post_init
+from conftest import random_dense, random_matrix, same_matrix, triplets, unpickle_without_post_init
 
 from scbench import CountMatrix, DataError, ExpressionMatrix, from_dense, vstack_cells
 
@@ -50,19 +50,19 @@ def test_entries_kept_in_gene_major_order():
     m = CountMatrix.from_triplets(
         [(1, 1, 5), (0, 0, 1), (1, 0, 2), (0, 1, 3)], 2, 2
     )
-    assert m.triplets().tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 3], [1, 1, 5]]
+    assert triplets(m).tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 3], [1, 1, 5]]
 
 
 def test_unsorted_triplets_are_put_in_canonical_order():
     rng = np.random.default_rng(65)
     m = random_matrix(65, 30, 20, density=0.3)
-    shuffled = m.triplets()[rng.permutation(m.nnz)]
+    shuffled = triplets(m)[rng.permutation(m.nnz)]
     again = CountMatrix.from_triplets(shuffled, 30, 20)
-    assert np.array_equal(again.triplets(), m.triplets())
+    assert np.array_equal(triplets(again), triplets(m))
     # the same cell twice in a gene run, or a gene run out of order
     for entries in ([(1, 0, 1), (0, 0, 2), (2, 0, 3)], [(0, 1, 1), (0, 0, 2)]):
         expected = sorted(entries, key=lambda t: (t[1], t[0]))
-        got = CountMatrix.from_triplets(entries, 3, 2).triplets().tolist()
+        got = triplets(CountMatrix.from_triplets(entries, 3, 2)).tolist()
         assert got == [list(t) for t in expected]
 
 
@@ -80,7 +80,7 @@ def test_stored_entries_do_not_alias_caller_arrays():
     m = CountMatrix(2, 2, cell, gene, cnt, ("a", "b"), ("x", "y"))
     cnt[0] = 99
     cell[0] = 1
-    assert m.triplets().tolist() == [[0, 0, 4], [1, 0, 5], [0, 1, 6]]
+    assert triplets(m).tolist() == [[0, 0, 4], [1, 0, 5], [0, 1, 6]]
     # an already-canonical immutable matrix is re-identified without copying
     renamed = m.with_ids(cell_ids=("c", "d"))
     assert np.shares_memory(renamed.counts, m.counts)
@@ -112,11 +112,11 @@ def test_submatrix_matches_triplet_filter():
     gmap = {old: new for new, old in enumerate(np.flatnonzero(gm))}
     expected = sorted(
         (gmap[g], cmap[c], v)
-        for c, g, v in m.triplets()
+        for c, g, v in triplets(m)
         if c in cmap and g in gmap
     )
     sub = m.submatrix(cm, gm)
-    got = [(g, c, v) for c, g, v in sub.triplets()]
+    got = [(g, c, v) for c, g, v in triplets(sub)]
     assert got == expected
     assert sub.cell_ids == tuple(np.array(m.cell_ids)[cm])
     assert sub.gene_ids == tuple(np.array(m.gene_ids)[gm])
@@ -288,3 +288,52 @@ def test_expression_matrix_stays_read_only_through_pickle(monkeypatch):
     assert not back.values.flags.writeable
     assert np.array_equal(back.values, m.values)
     assert (back.cell_ids, back.gene_ids) == (m.cell_ids, m.gene_ids)
+
+
+def assert_as_constructed(derived, dense, cell_ids, gene_ids):
+    """`derived` stores what the validating constructor makes of these entries."""
+    built = from_dense(dense, cell_ids, gene_ids)
+    assert same_matrix(derived, built)
+    for name in ("cell_idx", "gene_idx", "counts"):
+        got, want = getattr(derived, name), getattr(built, name)
+        assert got.dtype == want.dtype == np.int64
+        assert not got.flags.writeable and not want.flags.writeable
+        assert got.flags.c_contiguous
+
+
+def test_derived_matrices_equal_the_validating_constructor():
+    # transpose, submatrix and with_ids skip the entry checks; what they
+    # store must still be what checked construction gives
+    dense = random_dense(40, 9, 7, density=0.5)
+    m = from_dense(dense)
+    cells, genes = m.cell_ids, m.gene_ids
+    assert_as_constructed(m.transpose(), dense.T, genes, cells)
+    cm = np.arange(9) % 3 != 1
+    gm = np.arange(7) % 2 == 0
+    assert_as_constructed(
+        m.submatrix(cm, gm), dense[cm][:, gm],
+        [c for c, k in zip(cells, cm) if k], [g for g, k in zip(genes, gm) if k],
+    )
+    new_cells = [f"c{i}" for i in range(9)]
+    assert_as_constructed(m.with_ids(cell_ids=new_cells), dense, new_cells, genes)
+    new_genes = [f"g{i}" for i in range(7)]
+    assert_as_constructed(m.with_ids(gene_ids=new_genes), dense, cells, new_genes)
+
+
+def test_with_ids_still_checks_new_ids():
+    m = random_matrix(41, 3, 2)
+    with pytest.raises(DataError, match="expected 3"):
+        m.with_ids(cell_ids=("a", "b"))
+    with pytest.raises(DataError, match="expected 2"):
+        m.with_ids(gene_ids=("a", "b", "c"))
+    with pytest.raises(DataError, match="duplicate cell ids"):
+        m.with_ids(cell_ids=("a", "b", "a"))
+    with pytest.raises(DataError, match="duplicate gene ids"):
+        m.with_ids(gene_ids=("g", "g"))
+
+
+def test_from_triplets_rejects_out_of_range_indices_of_dropped_zero_counts():
+    with pytest.raises(DataError, match="cell index out of range"):
+        CountMatrix.from_triplets([(0, 0, 1), (5, 0, 0)], 2, 1)
+    with pytest.raises(DataError, match="gene index out of range"):
+        CountMatrix.from_triplets([(0, 3, 0)], 2, 1)

@@ -16,6 +16,7 @@ from scbench import (
     from_dense,
     vstack_cells,
 )
+from scbench._util import quartiles
 
 
 def test_dropout_half_zero():
@@ -76,6 +77,29 @@ def test_detection_quartiles_interpolate():
     stats = detection_stats(m)
     assert sorted(stats.per_cell_detected.tolist()) == [1, 2, 3, 4, 5]
     assert (stats.q1, stats.median, stats.q3) == (2.0, 3.0, 4.0)
+
+
+def quartile_corpus():
+    rng = np.random.default_rng(44)
+    for n in range(1, 6):
+        yield np.arange(n)  # ints, no ties
+        yield np.full(n, 3)  # all tied
+        yield rng.integers(0, 3, n)  # ints with ties
+        yield rng.normal(size=n) * 1e3  # floats
+        yield np.round(rng.normal(size=n), 1)  # floats with ties
+    for n in (6, 7, 8, 9, 10, 11, 101, 1000):
+        yield rng.integers(0, 50, n)
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
+    yield [2, 1, 4]  # a list, unsorted
+    yield np.array([0.1, 0.2, 0.7, 1e300, -1e300])
+
+
+def test_quartiles_equal_np_percentile_bit_for_bit():
+    for values in quartile_corpus():
+        got = quartiles(values)
+        want = np.percentile(values, [25, 50, 75])
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), values
 
 
 def test_detection_identical_cells_collapse_quartiles():
