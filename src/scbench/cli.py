@@ -25,15 +25,6 @@ import sys
 from pathlib import Path
 
 from ._util import canonical_json, fmt_float, single_threaded_blas, worker_count
-from .cluster import (
-    adjusted_rand_index,
-    cut_dendrogram,
-    hierarchical,
-    kmeans,
-    pairwise_distances,
-    silhouette,
-)
-from .embed import TSNE_PCA_DIM_DEFAULT, Embedding, pca_fit_transform, tsne
 from .errors import DataError
 from .ingest import (
     CellAnnotation,
@@ -47,7 +38,6 @@ from .ingest import (
     write_matrix_market,
 )
 from .matrix import default_cell_ids, default_gene_ids
-from .preprocess import FilterConfig, filter_genes, preprocess_pipeline
 from .qc import cumulative_detection, detection_stats, dropout_rate
 from .report import (
     PIPELINE_TABLES,
@@ -58,7 +48,40 @@ from .report import (
     write_csv,
     write_summary,
 )
-from .synth import SynthConfig, generate
+
+# What `_compute_split` calls from the modules that split and qc never load,
+# one tuple per FLAG_GROUPS entry: a stage that takes a group's flags runs the
+# module they configure (preprocess, embed, cluster). `_run_synth` calls
+# SYNTH_CALLS. None is imported here: on first access, or when a command binds
+# what it calls, each is read from scbench's table of public names (which
+# imports its module) and bound as a global of this module.
+GROUP_CALLS = (
+    (),
+    ("FilterConfig", "filter_genes", "preprocess_pipeline"),
+    ("Embedding", "pca_fit_transform", "tsne"),
+    ("adjusted_rand_index", "cut_dendrogram", "hierarchical", "kmeans", "pairwise_distances",
+     "silhouette"),
+)
+SYNTH_CALLS = ("SynthConfig", "generate")
+
+
+def __getattr__(name):
+    if name not in SYNTH_CALLS and not any(name in group for group in GROUP_CALLS):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _bind(names) -> None:
+    """Bind each name as a global here, keeping any a caller has replaced.
+
+    Bound as attributes, the names stay replaceable by callers (tests,
+    perfbench's tracer); bound before the splits run, forked workers inherit
+    them with their modules and import nothing again.
+    """
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 def _safe(name: str) -> str:
@@ -124,6 +147,8 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     fields["normalized"] = normalized
     if depth == "normalize":
         return SplitResult(**fields)
+
+    from .embed import TSNE_PCA_DIM_DEFAULT  # loaded by _bind before any fork
 
     # one decomposition per split: t-SNE's pre-reduction keeps at most n - 1
     # components (the rank of centred points) and at least the two that the
@@ -202,6 +227,7 @@ def _parallel_map(keys, depth: str) -> list[SplitResult]:
 
 def _stage_splits(args, depth: str) -> list[SplitResult]:
     global _job
+    _bind(name for group in GROUP_CALLS[: DEPTH_GROUPS[depth]] for name in group)
     m, annotations = _load_inputs(args)
     groups = split_by_method_replicate(m, annotations)
     _job = (args, groups, depth)
@@ -314,6 +340,7 @@ def _run_report(args) -> int:
 
 
 def _run_synth(args) -> int:
+    _bind(SYNTH_CALLS)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = SynthConfig(

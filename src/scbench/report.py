@@ -12,18 +12,20 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._util import canonical_json, fmt_float
-from .cluster import SilhouetteReport
-from .embed import Embedding
 from .errors import DataError, FormatError
 from .ingest import CellAnnotation
 from .matrix import CountMatrix, ExpressionMatrix
-from .preprocess import FilterTrace
 from .qc import CumulativeCurve, DetectionStats, DropoutReport
-from . import svg
+
+if TYPE_CHECKING:  # annotations only: split and qc runs never load these
+    from .cluster import SilhouetteReport
+    from .embed import Embedding
+    from .preprocess import FilterTrace
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,8 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     DataError. Every figure is drawn before any file is written, so a
     failing table leaves the output directory as it was.
     """
+    from . import svg  # only the commands that draw figures load it
+
     indir = Path(indir)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

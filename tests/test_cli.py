@@ -1,4 +1,6 @@
 """End-to-end CLI behavior: artifacts, stages, config files, exit codes."""
+import ast
+import builtins
 import json
 import multiprocessing
 import os
@@ -776,3 +778,62 @@ def test_a_run_imports_no_numpy_ma(data_dir, tmp_path, command):
     )
     assert "numpy.ma" not in modules
     assert (tmp_path / "detection.csv").exists()
+
+
+NOT_RUN_BY = {
+    "split": ("embed", "cluster", "preprocess", "svg", "synth"),
+    "qc": ("embed", "cluster", "preprocess", "svg", "synth"),
+    "filter": ("embed", "cluster", "svg", "synth"),
+    "normalize": ("embed", "cluster", "svg", "synth"),
+    "report": ("embed", "cluster", "preprocess", "synth"),
+    "synth": ("embed", "cluster", "preprocess", "svg"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_RUN_BY))
+def test_a_command_loads_only_the_modules_it_runs(data_dir, pipeline_dir, tmp_path, command):
+    if command == "report":
+        args = ["report", "--input-dir", str(pipeline_dir), "-o", str(tmp_path)]
+    elif command == "synth":
+        args = [*SYNTH_ARGS, "-o", str(tmp_path)]
+    else:
+        args = [command, *input_args(data_dir), "-o", str(tmp_path)]
+    modules = modules_imported_by(
+        f"from scbench.cli import cli_main\nassert cli_main({args!r}) == 0"
+    )
+    assert {f"scbench.{m}" for m in NOT_RUN_BY[command]}.isdisjoint(modules)
+
+
+@FORK
+def test_a_stage_binds_what_its_splits_call_before_the_pool_forks(data_dir, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.setenv("SCBENCH_THREADS", "2")
+    source = Path(scbench.cli.__file__).read_text()
+    called = sorted({
+        node.func.id
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_compute_split", "_run_synth")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and not hasattr(builtins, node.func.id)
+    })
+    assert {"tsne", "pca_fit_transform", "pairwise_distances", "generate"} <= set(called)
+    # on a fresh import, before any command has bound them
+    modules_imported_by(
+        "import scbench.cli as cli\n"
+        f"missing = [name for name in {called!r} if not hasattr(cli, name)]\n"
+        "assert missing == [], missing\n"
+    )
+    lazy = ["scbench.embed", "scbench.cluster", "scbench.preprocess"]
+    modules_imported_by(
+        "import sys\n"
+        "import scbench.cli as cli\n"
+        "loaded, run = [], cli._parallel_map\n"
+        "def spy(keys, depth):\n"
+        f"    loaded.append([m for m in {lazy!r} if m in sys.modules])\n"
+        "    return run(keys, depth)\n"
+        "cli._parallel_map = spy\n"
+        f"assert cli.cli_main({two_split_pipeline(data_dir, tmp_path)!r}) == 0\n"
+        f"assert loaded == [{lazy!r}], loaded\n"
+    )
+    assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["splits"]) == 2

@@ -1,5 +1,6 @@
 """The documented library surface: README's example and `scbench.__all__`."""
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import modules_imported_by
 
 import scbench
 from scbench._util import openblas_thread_calls
@@ -46,15 +48,64 @@ def test_readme_library_example_does_not_depend_on_blas_threads():
 
 
 def test_all_is_the_set_of_public_names_imported():
+    # _HOME is built from dict.fromkeys(names, module) parts; read the names
+    # from its source, where a name listed twice still shows
     tree = ast.parse(Path(scbench.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_HOME"
+    )
+    listed = [
+        elt.value
+        for call in ast.walk(table) if isinstance(call, ast.Call)
+        for elt in call.args[0].elts
+    ]
+    assert len(set(listed)) == len(listed)
+    assert [name for name in listed if name.startswith("_")] == []
+    assert set(listed) == set(scbench._HOME) == set(scbench.__all__)
     assert len(set(scbench.__all__)) == len(scbench.__all__)
-    assert set(scbench.__all__) == {n for n in imported if not n.startswith("_")}
+
+
+def test_every_public_name_is_the_object_its_home_module_defines():
+    for name, home in scbench._HOME.items():
+        module = importlib.import_module(f"scbench.{home}")
+        assert getattr(scbench, name) is getattr(module, name), name
+        assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from scbench import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(scbench.__all__)
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert {m for m in modules_imported_by("import scbench") if m.startswith("scbench.")} == set()
+
+
+def test_submodules_and_names_load_on_first_access():
+    modules_imported_by(
+        "import scbench\n"
+        "assert scbench.embed.tsne is scbench.tsne\n"
+        "assert scbench.svg.bar_chart and scbench.cli.cli_main and scbench._util.quartiles\n"
+        "assert {'tsne', 'embed', 'cli'} <= set(dir(scbench))\n"
+        "assert not hasattr(scbench, 'no_such_name')\n"
+    )
+
+
+def test_a_broken_submodule_raises_its_own_import_error():
+    # None in sys.modules makes the import of scbench.cluster fail
+    modules_imported_by(
+        "import sys\n"
+        "sys.modules['scbench.cluster'] = None\n"
+        "import scbench\n"
+        "try:\n"
+        "    scbench.kmeans\n"
+        "except ImportError as exc:\n"
+        "    assert exc.name == 'scbench.cluster', exc\n"
+        "else:\n"
+        "    raise AssertionError('no ImportError')\n"
+    )
 
 
 def test_every_public_name_is_used_outside_the_tests():
