@@ -24,6 +24,7 @@ import re
 import sys
 from pathlib import Path
 
+from . import _HOME
 from ._util import canonical_json, fmt_float, single_threaded_blas, worker_count
 from .errors import DataError
 from .ingest import (
@@ -49,38 +50,31 @@ from .report import (
     write_summary,
 )
 
-# What `_compute_split` calls from the modules that split and qc never load,
-# one tuple per FLAG_GROUPS entry: a stage that takes a group's flags runs the
-# module they configure (preprocess, embed, cluster). `_run_synth` calls
-# SYNTH_CALLS. None is imported here: on first access, or when a command binds
-# what it calls, each is read from scbench's table of public names (which
-# imports its module) and bound as a global of this module.
-GROUP_CALLS = (
-    (),
-    ("FilterConfig", "filter_genes", "preprocess_pipeline"),
-    ("Embedding", "pca_fit_transform", "tsne"),
-    ("adjusted_rand_index", "cut_dendrogram", "hierarchical", "kmeans", "pairwise_distances",
-     "silhouette"),
-)
-SYNTH_CALLS = ("SynthConfig", "generate")
+# The module each FLAG_GROUPS entry configures, which a stage that takes the
+# group's flags runs; `_run_synth` runs synth. Split and qc load none of them.
+# None is imported here: on first access, or when a command binds the modules
+# it runs, each of their public names is read from scbench's table of public
+# names (which imports its module) and bound as a global of this module.
+GROUP_MODULES = (None, "preprocess", "embed", "cluster")
+_LAZY_MODULES = frozenset({*GROUP_MODULES[1:], "synth"})
 
 
 def __getattr__(name):
-    if name not in SYNTH_CALLS and not any(name in group for group in GROUP_CALLS):
+    if _HOME.get(name) not in _LAZY_MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
-def _bind(names) -> None:
-    """Bind each name as a global here, keeping any a caller has replaced.
+def _bind(modules) -> None:
+    """Bind every public name of `modules` here, keeping any a caller replaced.
 
     Bound as attributes, the names stay replaceable by callers (tests,
     perfbench's tracer); bound before the splits run, forked workers inherit
     them with their modules and import nothing again.
     """
-    for name in names:
-        if name not in globals():
+    for name, home in _HOME.items():
+        if home in modules and name not in globals():
             __getattr__(name)
 
 
@@ -185,9 +179,6 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     return SplitResult(**fields)
 
 
-# depths whose per-split chain reaches t-SNE: long enough to repay a forked
-# worker; the shorter chains are linear in the split and run in-line
-FORKED_DEPTHS = ("embed", "cluster", "pipeline")
 # (args, groups, depth) of the stage being run, set only while its splits run;
 # forked workers inherit it, since the job cannot be pickled to them
 _job = None
@@ -201,13 +192,15 @@ def _split_job(key) -> SplitResult:
 def _parallel_map(keys, depth: str) -> list[SplitResult]:
     """_split_job of each key, in key order.
 
-    Chains that reach t-SNE run in up to worker_count() processes started
-    with fork, where the platform has it; one split, one worker or a shorter
-    chain runs in-line. A worker that dies (a signal, the OOM killer) ends
-    the run with a DataError after every worker has been joined.
+    Chains that reach t-SNE (a depth that takes embed's flags) are long
+    enough to repay a forked worker: they run in up to worker_count()
+    processes started with fork, where the platform has it. One split, one
+    worker or a shorter chain, linear in the split, runs in-line. A worker
+    that dies (a signal, the OOM killer) ends the run with a DataError after
+    every worker has been joined.
     """
     workers = min(worker_count(), len(keys))
-    if workers > 1 and depth in FORKED_DEPTHS:
+    if workers > 1 and "embed" in GROUP_MODULES[: DEPTH_GROUPS[depth]]:
         # imported here: start-up that runs no pool does not pay for them
         import multiprocessing
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -227,7 +220,7 @@ def _parallel_map(keys, depth: str) -> list[SplitResult]:
 
 def _stage_splits(args, depth: str) -> list[SplitResult]:
     global _job
-    _bind(name for group in GROUP_CALLS[: DEPTH_GROUPS[depth]] for name in group)
+    _bind(GROUP_MODULES[: DEPTH_GROUPS[depth]])
     m, annotations = _load_inputs(args)
     groups = split_by_method_replicate(m, annotations)
     _job = (args, groups, depth)
@@ -340,7 +333,7 @@ def _run_report(args) -> int:
 
 
 def _run_synth(args) -> int:
-    _bind(SYNTH_CALLS)
+    _bind(("synth",))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = SynthConfig(

@@ -10,9 +10,13 @@ of (input, parameters, seed).
 
 Both O(n^2) parts work on blocks of _BLOCK_ROWS rows. Calibration bisects the
 rows of a block in lockstep, each with its own bracket, and gives the same P,
-bit for bit, as bisecting one row at a time. Each iteration visits only the
-upper triangle: P lives in one strip P[s:e, s:] per block, and each block
-takes 1 + d^2 from one matrix product with d + 2 inner terms, clamped at 1.
+bit for bit, as bisecting one row at a time. It takes a row's entropy as
+log S + beta <w, d^2> / S for the weights w = exp(-beta d^2) and their sum S
+(van der Maaten & Hinton 2008, JMLR 9:2579): that is -sum p log p for
+p = w / S without a log of any weight, so weights that underflow to 0 need no
+separate path. Each iteration visits only the upper triangle: P lives in one
+strip P[s:e, s:] per block, and each block takes 1 + d^2 from one matrix
+product with d + 2 inner terms, clamped at 1.
 KL is sum p log p + sum p log(1 + d^2) + log Z, read from the same buffer, so
 no log(q) pass is needed. Beyond P the step holds two scratch buffers of
 _BLOCK_ROWS x n, not n x n arrays. Only the descent safeguard reads the KL,
@@ -183,66 +187,39 @@ def _conditional_probabilities(
     block of _BLOCK_ROWS bisect in lockstep, each with its own bracket, and a
     row stops once it hits the target; every row does exactly the arithmetic
     of a one-row loop, so P and the achieved perplexities do not depend on the
-    blocking. Rows that cannot reach the target (degenerate geometry) keep
-    their last bracket value and are logged.
+    blocking. Only a row whose weights all underflow takes its own path.
+    Rows that cannot reach the target (degenerate geometry) keep their last
+    bracket value and are logged.
     """
     n = d2.shape[0]
     p = np.zeros((n, n))
     achieved = np.empty(n)
-    scratch = np.empty((min(_BLOCK_ROWS, n), n - 1))
     for s in range(0, n, _BLOCK_ROWS):
         b = min(_BLOCK_ROWS, n - s)
         off_diag = np.ones((b, n), dtype=bool)
         off_diag[np.arange(b), np.arange(s, s + b)] = False
-        neg_rows = -d2[s:s + b][off_diag].reshape(b, n - 1)
-        weights = np.empty_like(neg_rows)
-        d2_max = -neg_rows.min(axis=1)
+        rows = d2[s:s + b][off_diag].reshape(b, n - 1)
+        weights = np.empty_like(rows)
         perp = np.full(b, np.nan)
         beta = np.ones(b)
         beta_min = np.full(b, -np.inf)
         beta_max = np.full(b, np.inf)
         active = np.arange(b)
         for it in range(_MAX_BISECTIONS):
-            if active.size == b:
-                w = neg_rows * beta[:, None]
-            else:
-                w = neg_rows[active]
-                w *= beta[active, None]
+            r = rows if active.size == b else rows[active]
+            bt = beta[active]
+            w = r * -bt[:, None]
             np.exp(w, out=w)
             total = w.sum(axis=1)
-            if (total > 0.0).all():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = np.exp(np.log(total) + bt * (w * r).sum(axis=1) / total)
                 w /= total[:, None]
-            else:
-                np.divide(w, total[:, None], out=w, where=total[:, None] > 0.0)
-            # while beta * max d^2 <= 700 every weight is at least
-            # e^-700 / (n - 1) > 0. Rows with a zero weight sum only their
-            # positive weights, one row at a time, so every sum sees the terms
-            # of the one-row loop
-            ragged = np.flatnonzero(beta[active] * d2_max[active] > 700.0)
-            if ragged.size:
-                ragged = ragged[~(w[ragged] > 0.0).all(axis=1)]
-            full = slice(None)
-            if ragged.size:
-                full = np.ones(active.size, dtype=bool)
-                full[ragged] = False
-            wf = w[full]
-            w_log_w = scratch[:len(wf)]
-            np.log(wf, out=w_log_w)
-            w_log_w *= wf
-            got = np.empty(active.size)
-            got[full] = np.exp(-w_log_w.sum(axis=1))
-            for r in ragged:
-                if total[r] <= 0.0:
-                    # exp underflowed everywhere: the large-beta limit puts
-                    # equal mass on the row's nearest points and nothing
-                    # elsewhere
-                    row = neg_rows[active[r]]
-                    nearest = row == row.max()
-                    w[r] = nearest / nearest.sum()
-                    got[r] = float(nearest.sum())
-                else:
-                    nzw = w[r][w[r] > 0.0]
-                    got[r] = np.exp(-(nzw * np.log(nzw)).sum())
+            for i in np.flatnonzero(total <= 0.0):
+                # exp underflowed everywhere: the large-beta limit puts equal
+                # mass on the row's nearest points and nothing elsewhere
+                nearest = r[i] == r[i].min()
+                w[i] = nearest / nearest.sum()
+                got[i] = nearest.sum()
             perp[active] = got
             stop = np.abs(got - perplexity) <= _PERPLEXITY_TOL
             if it == _MAX_BISECTIONS - 1:
@@ -250,10 +227,10 @@ def _conditional_probabilities(
             # a row's weights are final once it stops bisecting
             if stop.any():
                 weights[active[stop]] = w[stop]
-            active, got = active[~stop], got[~stop]
+            active, got, bt = active[~stop], got[~stop], bt[~stop]
             if not active.size:
                 break
-            bt, lo, hi = beta[active], beta_min[active], beta_max[active]
+            lo, hi = beta_min[active], beta_max[active]
             up = got > perplexity
             lo = np.where(up, bt, lo)
             hi = np.where(up, hi, bt)

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import csv
 import gzip
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from .matrix import COUNT_MAX, CountMatrix
 MM_BANNER = "%%MatrixMarket"
 
 
-@dataclass(frozen=True)
-class CellAnnotation:
+class CellAnnotation(NamedTuple):
     cell_id: str
     method: str
     replicate: str

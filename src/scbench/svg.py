@@ -32,7 +32,6 @@ PALETTE = (
 )
 
 _AXIS = "#444444"
-_GRID = "#dddddd"
 _FONT = "font-family=\"monospace\" font-size=\"12\""
 
 

@@ -191,10 +191,12 @@ def dense_kl_gradient(p, y, boost):
 
 
 def loop_conditional_probabilities(d2, perplexity):
-    """The library's former perplexity calibration: bisection on each row's
-    precision beta, one row at a time. Returns (P, achieved perplexities) and
-    logs the same warnings, under the library's logger name. Tolerance 1e-5
-    and 50 bisections, as in the library."""
+    """The library's perplexity calibration one row at a time: bisection on
+    each row's precision beta, with the row's entropy taken as
+    log S + beta <w, d^2> / S for w = exp(-beta d^2) and S = sum w, as the
+    library takes it. Returns (P, achieved perplexities) and logs the same
+    warnings, under the library's logger name. Tolerance 1e-5 and 50
+    bisections, as in the library."""
     tol = 1e-5
     log = logging.getLogger("scbench.embed")
     n = d2.shape[0]
@@ -213,9 +215,8 @@ def loop_conditional_probabilities(d2, perplexity):
                 weights = nearest / nearest.sum()
                 perp = float(nearest.sum())
             else:
+                perp = float(np.exp(np.log(total) + beta * (weights * row).sum() / total))
                 weights = weights / total
-                nzw = weights[weights > 0.0]
-                perp = float(np.exp(float(-(nzw * np.log(nzw)).sum())))
             if abs(perp - perplexity) <= tol:
                 break
             if perp > perplexity:

@@ -479,8 +479,9 @@ def test_lockstep_calibration_equals_the_one_row_loop(caplog):
     calibrations_agree(_squared_distances(grid), 4.0, caplog)
     pairs = np.repeat(np.arange(30.0), 3)[:, None]
     calibrations_agree(_squared_distances(pairs), 2.0, caplog)
-    # two lines of 10 points 40 apart: some rows end with beta * max d^2 past
-    # 700 and every weight positive, the rest with their far weights at zero
+    # two lines of 10 points 40 apart: some rows end with every weight
+    # positive although beta * max d^2 is past 700, the rest with their far
+    # weights underflowed to zero
     lines = np.r_[np.arange(10.0), 40.0 + np.arange(10.0)][:, None]
     d2 = _squared_distances(lines)
     calibrations_agree(d2, 4.0, caplog)
@@ -492,6 +493,24 @@ def test_lockstep_calibration_equals_the_one_row_loop(caplog):
     far = d2.argmax(axis=1)[rows]
     beta = (np.log(p[rows, near]) - np.log(p[rows, far])) / (d2[rows, far] - d2[rows, near])
     assert (beta * d2[rows, far] > 700.0).any()
+
+
+def test_achieved_perplexity_is_exp_of_the_entropy_of_p():
+    # the calibration's entropy identity against -sum p log p over positive p
+    rng = np.random.default_rng(22)
+    cases = [
+        (rng.normal(size=(n, g)) * rng.random(n)[:, None] * 20.0, perplexity)
+        for n, g, perplexity in ((40, 5, 8.0), (130, 4, 5.0), (200, 20, 30.0))
+    ]
+    # four groups 200 apart: every row's far weights underflow to zero
+    groups = np.repeat(np.arange(4.0) * 200.0, 40)[:, None] + rng.normal(size=(160, 50))
+    cases.append((groups, 10.0))
+    for x, perplexity in cases:
+        p, achieved = _conditional_probabilities(_squared_distances(x), perplexity)
+        for row, perp in zip(p, achieved):
+            nz = row[row > 0.0]
+            assert math.isclose(perp, math.exp(-(nz * np.log(nz)).sum()), rel_tol=1e-12)
+    assert ((p > 0.0).sum(axis=1) < 159).all()
 
 
 def test_concurrent_runs_equal_sequential_runs():
