@@ -493,6 +493,53 @@ def test_lockstep_calibration_equals_the_one_row_loop(caplog):
     far = d2.argmax(axis=1)[rows]
     beta = (np.log(p[rows, near]) - np.log(p[rows, far])) / (d2[rows, far] - d2[rows, near])
     assert (beta * d2[rows, far] > 700.0).any()
+    # degenerate rows, which Newton gives no tolerance window: 40 copies of
+    # one point (more duplicates than the perplexity), identical points, and
+    # perplexity at and near 1
+    copies = np.r_[np.zeros((40, 3)), rng.normal(size=(60, 3))]
+    calibrations_agree(_squared_distances(copies), 30.0, caplog)
+    calibrations_agree(_squared_distances(np.ones((20, 4))), 5.0, caplog)
+    spread = rng.normal(size=(60, 4))
+    for perplexity in (1.0, 1.01):
+        calibrations_agree(_squared_distances(spread), perplexity, caplog)
+    # coordinate scales far from 1: at 1e4 the first steps underflow every weight
+    for scale in (1e4, 1e-6):
+        calibrations_agree(_squared_distances(spread * scale), 10.0, caplog)
+    # four 50-d groups 200 apart: every row's far weights underflow to zero
+    groups = np.repeat(np.arange(4.0) * 200.0, 40)[:, None] + rng.normal(size=(160, 50))
+    calibrations_agree(_squared_distances(groups), 10.0, caplog)
+
+
+def test_a_bisection_step_on_a_window_edge_is_evaluated_exactly(caplog):
+    # every row of a regular polygon has the same distances; the perplexity is
+    # set 1e-14 inside the tolerance window at the first step, beta = 1, so
+    # that step sits on an edge of each row's window, closer than Newton
+    # locates it, and only the exact evaluation can decide it
+    for n in (24, 40, 56):
+        for radius in (1.0, 1.5, 2.0):
+            angle = 2.0 * np.pi * np.arange(n) / n
+            d2 = _squared_distances(radius * np.c_[np.cos(angle), np.sin(angle)])
+            row = d2[0, 1:]
+            weights = np.exp(-row)
+            at_one = math.exp(math.log(weights.sum()) + (weights * row).sum() / weights.sum())
+            for perplexity in (at_one - 1e-5 + 1e-14, at_one + 1e-5 - 1e-14):
+                calibrations_agree(d2, perplexity, caplog)
+
+
+def test_calibration_evaluates_few_rows_exactly(monkeypatch):
+    # Newton's windows settle most bisection steps; bisecting every row
+    # exactly takes about 25 evaluations per row here
+    evaluated = []
+    exact = scbench.embed._row_perplexities
+
+    def counted(rows, beta):
+        evaluated.append(len(beta))
+        return exact(rows, beta)
+
+    monkeypatch.setattr(scbench.embed, "_row_perplexities", counted)
+    x = seeded_points(27, 300, 50)
+    _conditional_probabilities(_squared_distances(x), 30.0)
+    assert sum(evaluated) <= 3 * 300
 
 
 def test_achieved_perplexity_is_exp_of_the_entropy_of_p():
