@@ -18,6 +18,7 @@ not depend on OPENBLAS_NUM_THREADS either.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -113,16 +114,13 @@ def _truth_labels(annotations) -> list[str] | None:
 def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     """Run the per-split chain up to `depth`; later fields stay None.
 
-    The QC tables are computed only at the depths whose artifacts hold them.
+    The result leaves out the split's counts and annotations, which the
+    caller holds, so a forked worker sends back only what the artifacts
+    read. The QC tables are computed only at the depths whose artifacts hold
+    them, and the normalized matrix is kept only at the depth that writes it.
     """
     method, replicate = key
-    fields = {
-        "sample": args.sample,
-        "method": method,
-        "replicate": replicate,
-        "matrix": sub,
-        "annotations": annotations,
-    }
+    fields = {"sample": args.sample, "method": method, "replicate": replicate}
     if depth in ("qc", "pipeline"):
         fields["dropout"] = dropout_rate(sub)
         fields["detection"] = detection_stats(sub)
@@ -138,9 +136,8 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
         sub, cfg, normalize_axis=args.normalize_axis, log1p=args.log1p
     )
     fields["trace"] = trace
-    fields["normalized"] = normalized
     if depth == "normalize":
-        return SplitResult(**fields)
+        return SplitResult(**fields, normalized=normalized)
 
     from .embed import TSNE_PCA_DIM_DEFAULT  # loaded by _bind before any fork
 
@@ -152,8 +149,12 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     reduced, model = pca_fit_transform(normalized, dim)
     view = (normalized.values - model.column_means) @ model.components[:2].T
     fields["pca"] = Embedding(view, "pca", {**reduced.params, "d": 2}, seed=0)
+    # the normalized matrix and the components are not held through t-SNE,
+    # unless t-SNE reads the matrix itself
+    points = reduced.coordinates if reduce else normalized
+    del normalized, model
     tsne_emb = tsne(
-        reduced.coordinates if reduce else normalized,
+        points,
         perplexity=args.perplexity,
         d=2,
         seed=args.seed,
@@ -219,15 +220,23 @@ def _parallel_map(keys, depth: str) -> list[SplitResult]:
 
 
 def _stage_splits(args, depth: str) -> list[SplitResult]:
+    """Each split's result, in key order, with its counts and annotations.
+
+    The whole input matrix is dropped once the splits are made, so neither
+    this process nor a forked worker holds it while the splits run.
+    """
     global _job
     _bind(GROUP_MODULES[: DEPTH_GROUPS[depth]])
-    m, annotations = _load_inputs(args)
-    groups = split_by_method_replicate(m, annotations)
+    groups = split_by_method_replicate(*_load_inputs(args))
     _job = (args, groups, depth)
     try:
-        return _parallel_map(list(groups), depth)
+        results = _parallel_map(list(groups), depth)
     finally:
         _job = None
+    return [
+        dataclasses.replace(r, matrix=sub, annotations=annotations)
+        for r, (sub, annotations) in zip(results, groups.values())
+    ]
 
 
 # ------------------------------------------------------------------- writers

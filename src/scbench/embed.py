@@ -217,11 +217,13 @@ def _tolerance_windows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's tolerance window in beta, widened by _EDGE_MARGIN: (a, b).
 
-    The bisection's exact evaluation gives a perplexity above the window
-    (beta goes up) wherever beta < a, and below it (beta goes down) wherever
-    beta > b while the evaluation's sum is a normal float or all its weights
-    underflow. Both are NaN where that is not established; such a row is
-    evaluated at every step.
+    Wherever the evaluation's sum is a normal float or all its weights
+    underflow, the bisection's exact evaluation gives a perplexity above the
+    window (beta goes up) for beta < a, and below it (beta goes down) for
+    beta > b. Both are NaN where that is not established; such a row is
+    evaluated at every step. A row whose d^2 are all equal has equal
+    weights, so its perplexity is its length m at every beta: where m is
+    above the window, a is +inf and b NaN, and every step goes up.
 
     Newton runs in u = log beta on H(u) = log S + beta <w, c> / S, with
     c = d^2 - min d^2 and w = exp(-beta c): the exact path's entropy, shifted
@@ -246,7 +248,12 @@ def _tolerance_windows(
         u = -np.log(rows.mean(axis=1))
         # as beta grows the perplexity falls to the count of nearest points,
         # so a target at or below it has no window
-        u[(rows == 0.0).sum(axis=1) >= perplexity - _PERPLEXITY_TOL] = np.nan
+        nearest = (rows == 0.0).sum(axis=1)
+        u[nearest >= perplexity - _PERPLEXITY_TOL] = np.nan
+        # a row whose d^2 are all equal evaluates to m, up to a rounding far
+        # inside _EDGE_MARGIN, wherever its sum is normal or all-underflow
+        equal = (nearest == m) & (m * (1.0 - _EDGE_MARGIN) > perplexity + _PERPLEXITY_TOL)
+        a_edge[equal] = np.inf
         target = np.log(perplexity)
         h_a = np.log(perplexity + _PERPLEXITY_TOL)
         h_b = np.log(perplexity - _PERPLEXITY_TOL)
@@ -353,14 +360,15 @@ def _conditional_probabilities(
     active = np.arange(n)
     for it in range(_MAX_BISECTIONS):
         bt = beta[active]
-        # a step outside its row's window takes the known outcome without an
-        # evaluation: +inf sends beta up, -inf down; NaN is evaluated
+        # a step outside its row's window, where the evaluation's sum is not
+        # subnormal, takes the known outcome without an evaluation: +inf
+        # sends beta up, -inf down; NaN is evaluated
         got = np.full(active.size, np.nan)
         if it < _MAX_BISECTIONS - 1:
             exponent = bt * r_min[active]
-            got[bt < up_below[active]] = np.inf
-            got[(bt > down_above[active])
-                & ((exponent < _EXP_NORMAL) | (exponent > _EXP_ZERO))] = -np.inf
+            known = (exponent < _EXP_NORMAL) | (exponent > _EXP_ZERO)
+            got[(bt < up_below[active]) & known] = np.inf
+            got[(bt > down_above[active]) & known] = -np.inf
         ev = np.flatnonzero(np.isnan(got))
         stop = np.zeros(active.size, dtype=bool)
         for c in range(0, ev.size, _BLOCK_ROWS):

@@ -84,6 +84,18 @@ class ExpressionMatrix:
 
     __setstate__ = unpickle_read_only("values")
 
+    @classmethod
+    def _derived(cls, values, cell_ids, gene_ids):
+        """A matrix of values scbench has just computed, under checked ids.
+
+        Like unpickling, it skips __post_init__: `values` is stored as given,
+        not copied, and marked read-only, so it must be a finite 2-d float64
+        array that nothing else writes to.
+        """
+        m = cls.__new__(cls)
+        m.__setstate__({"values": values, "cell_ids": cell_ids, "gene_ids": gene_ids})
+        return m
+
     @property
     def n_cells(self) -> int:
         return self.values.shape[0]
@@ -91,13 +103,6 @@ class ExpressionMatrix:
     @property
     def n_genes(self) -> int:
         return self.values.shape[1]
-
-    def with_values(self, values: np.ndarray) -> "ExpressionMatrix":
-        """Same ids, new values (dimensions must match)."""
-        values = np.asarray(values)
-        if values.shape != self.values.shape:
-            raise DataError("replacement values have wrong shape")
-        return ExpressionMatrix(values, self.cell_ids, self.gene_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +282,7 @@ class CountMatrix:
             )
         dense = np.zeros((self.n_cells, self.n_genes))
         dense[self.cell_idx, self.gene_idx] = self.counts
-        return ExpressionMatrix(dense, self.cell_ids, self.gene_ids)
+        return ExpressionMatrix._derived(dense, self.cell_ids, self.gene_ids)
 
     def transpose(self) -> "CountMatrix":
         """Swap the cell and gene axes (ids move with their axis)."""

@@ -53,9 +53,16 @@ def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMa
     axis="cells" treats each cell's expression profile as one distribution
     (the in-memory default); axis="genes" normalizes per-gene columns instead.
     Tied values within a distribution receive the average of the reference
-    values at the tied positions. Ties are resolved for _BLOCK_ROWS
-    distributions at a time, one array call per step, with the same
-    arithmetic per run of ties as one distribution at a time.
+    values at the tied positions.
+
+    It works on _BLOCK_ROWS distributions at a time, so besides its input and
+    output it holds only each value's rank order, in the smallest unsigned
+    type that indexes a distribution. The first pass sorts each block and adds
+    its sorted rows into the reference one row at a time, in row order, which
+    gives the bits of the sorted rows' mean over axis 0. The second gathers
+    each block again through the stored order and resolves its ties, one
+    array call per step, with the same arithmetic per run of ties as one
+    distribution at a time.
     """
     if axis not in ("cells", "genes"):
         raise DataError(f"unknown normalization axis {axis!r}")
@@ -66,14 +73,25 @@ def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMa
     if length == 0:
         raise DataError("quantile normalization needs non-empty distributions")
 
-    order = np.argsort(values, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(values, order, axis=1)
-    reference = sorted_vals.mean(axis=0)
+    # cells x genes in C order on either axis, as the constructor's copy was
+    out = np.empty(x.values.shape)
+    dest = out if axis == "cells" else out.T
+    order = np.empty(values.shape, dtype=np.min_scalar_type(length - 1))
+    reference = None
+    for s in range(0, n_dist, _BLOCK_ROWS):
+        block = values[s:s + _BLOCK_ROWS]
+        order[s:s + _BLOCK_ROWS] = block_order = np.argsort(block, axis=1, kind="stable")
+        for row in np.take_along_axis(block, block_order, axis=1):
+            if reference is None:
+                reference = row.copy()
+            else:
+                reference += row
+    reference /= n_dist
 
-    out = np.empty_like(values)
     tiled = np.tile(reference, min(_BLOCK_ROWS, n_dist))
     for s in range(0, n_dist, _BLOCK_ROWS):
-        block = sorted_vals[s:s + _BLOCK_ROWS]
+        block_order = order[s:s + _BLOCK_ROWS]
+        block = np.take_along_axis(values[s:s + _BLOCK_ROWS], block_order, axis=1)
         # a run of ties starts at each row's first value and at every change;
         # runs never cross rows, so each sums the reference at its positions
         starts = np.ones(block.shape, dtype=bool)
@@ -82,11 +100,11 @@ def quantile_normalize(x: ExpressionMatrix, axis: str = "cells") -> ExpressionMa
         run_sums = np.add.reduceat(tiled[:block.size], starts)
         run_lengths = np.diff(starts, append=block.size)
         assigned = np.repeat(run_sums / run_lengths, run_lengths)
-        np.put_along_axis(out[s:s + _BLOCK_ROWS], order[s:s + _BLOCK_ROWS],
+        if not np.isfinite(assigned).all():
+            raise DataError("expression values must be finite")
+        np.put_along_axis(dest[s:s + _BLOCK_ROWS], block_order,
                           assigned.reshape(block.shape), axis=1)
-    if axis == "genes":
-        out = out.T
-    return x.with_values(out)
+    return ExpressionMatrix._derived(out, x.cell_ids, x.gene_ids)
 
 
 def filter_genes(
@@ -139,6 +157,9 @@ def preprocess_pipeline(
     if kept.n_genes == 0:
         raise DataError("all genes removed by filtering; nothing to normalize")
     dense = kept.to_dense()
+    del kept  # the filtered entries are not held through normalization
     if log1p:
-        dense = dense.with_values(np.log1p(dense.values))
+        dense = ExpressionMatrix._derived(
+            np.log1p(dense.values), dense.cell_ids, dense.gene_ids
+        )
     return quantile_normalize(dense, axis=normalize_axis), trace

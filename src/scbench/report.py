@@ -33,14 +33,16 @@ class SplitResult:
     """What the pipeline computed for one (method, replicate) split.
 
     Stage subcommands fill only the fields up to their stage; the full
-    pipeline fills everything but `filtered`, which only the filter stage
-    keeps. Each table's row function touches only the fields it needs.
+    pipeline fills everything but `filtered` and `normalized`, which only
+    the filter and normalize stages keep. `_compute_split` leaves out
+    `matrix` and `annotations`, the split's input, and the CLI puts back its
+    own. Each table's row function touches only the fields it needs.
     """
 
     sample: str
     method: str
     replicate: str
-    matrix: CountMatrix
+    matrix: CountMatrix | None = None
     annotations: list[CellAnnotation] | None = None
     dropout: DropoutReport | None = None
     detection: DetectionStats | None = None
@@ -112,7 +114,7 @@ def _cumulative_rows(s: SplitResult) -> list[list[str]]:
 
 
 def _embedding_rows(which: str, s: SplitResult) -> list[list[str]]:
-    cell_ids, coords = s.normalized.cell_ids, getattr(s, which).coordinates
+    cell_ids, coords = s.matrix.cell_ids, getattr(s, which).coordinates
     if coords.shape != (len(cell_ids), 2):
         raise DataError(
             f"split {s.method}/{s.replicate}: {which} embedding is "
@@ -122,7 +124,7 @@ def _embedding_rows(which: str, s: SplitResult) -> list[list[str]]:
 
 
 def _cluster_rows(s: SplitResult) -> list[list[str]]:
-    cells = zip(s.normalized.cell_ids, s.labels, s.silhouettes.widths)
+    cells = zip(s.matrix.cell_ids, s.labels, s.silhouettes.widths)
     return [[cid, str(int(lab)), fmt_float(w)] for cid, lab, w in cells]
 
 

@@ -1,10 +1,11 @@
 """Shared builders for seeded random test matrices, matrix comparisons,
-unpickling without validation, and fresh-interpreter runs."""
+unpickling without validation, traced memory peaks, and fresh-interpreter runs."""
 import json
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,17 @@ def unpickle_without_post_init(obj, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(type(obj), "__post_init__", fail)
         return pickle.loads(data)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs; numpy reports its
+    array buffers to it, and what was allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def modules_imported_by(code: str) -> set[str]:

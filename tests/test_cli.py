@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, stages, config files, exit codes."""
 import ast
 import builtins
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import modules_imported_by
 
@@ -211,6 +213,62 @@ def test_a_data_error_in_one_split_worker_joins_them_all(data_dir, tmp_path, cap
         "error": "DataError", "message": "split r2 is bad",
     }
     assert multiprocessing.active_children() == []
+
+
+def arrays_in(obj):
+    """Every numpy array reachable from `obj` through dataclass fields, dicts,
+    lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_in(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from arrays_in(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from arrays_in(v)
+
+
+@FORK
+def test_a_forked_worker_returns_no_cells_by_genes_array_and_no_entries(data_dir, tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.setenv("SCBENCH_THREADS", "2")
+    in_parent, returned = [], []
+    compute, run = scbench.cli._compute_split, scbench.cli._parallel_map
+
+    def recorded(*args):
+        in_parent.append(args[1])  # appended in this process only
+        return compute(*args)
+
+    def kept(keys, depth):
+        returned.extend(run(keys, depth))
+        return returned
+
+    monkeypatch.setattr(scbench.cli, "_compute_split", recorded)
+    monkeypatch.setattr(scbench.cli, "_parallel_map", kept)
+    args = two_split_pipeline(data_dir, tmp_path)
+    assert cli_main(args) == 0
+    assert in_parent == [] and len(returned) == 2
+    splits = scbench.split_by_method_replicate(
+        read_matrix_market(data_dir / "matrix.mtx").transpose(),
+        read_cell_annotations(tmp_path / "cells.csv"),
+    )
+    for r, (sub, _) in zip(returned, splits.values()):
+        assert r.matrix is r.annotations is r.filtered is r.normalized is None
+        for a in arrays_in(r):
+            # per-cell and per-gene vectors and 2-d coordinates only
+            assert a.ndim == 1 or a.shape[1:] == (2,), a.shape
+            assert a.size < sub.nnz, a.shape
+    # the parent puts its own counts back: the artifacts do not change
+    monkeypatch.setenv("SCBENCH_THREADS", "1")
+    inline = tmp_path / "inline"
+    assert cli_main([*args[:-1], str(inline)]) == 0
+    names = sorted(p.name for p in inline.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "out").iterdir())
+    for name in names:
+        assert (inline / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
 
 def test_worker_count_defaults_to_the_usable_cores(monkeypatch):

@@ -1,11 +1,10 @@
 """k-means, hierarchical clustering, silhouettes, and ARI."""
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import unpickle_without_post_init
+from conftest import traced_peak, unpickle_without_post_init
 from oracles import (
     best_two_partition_sse,
     mst_edge_weights,
@@ -200,12 +199,7 @@ def test_hierarchical_memory_stays_near_one_working_copy():
     # temporary on top of the working copy would roughly double the peak
     d = pairwise_distances(blob(80, 600, 2))
     for linkage in LINKAGES:
-        tracemalloc.start()
-        try:
-            hierarchical(d, linkage=linkage)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: hierarchical(d, linkage=linkage))
         assert peak <= 1.3 * d.nbytes, (linkage, peak / d.nbytes)
 
 

@@ -2,11 +2,11 @@
 import logging
 import math
 import pickle
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from oracles import dense_kl_gradient, kl_divergence, loop_conditional_probabilities, svd_pca
 
 import scbench.embed
@@ -542,6 +542,32 @@ def test_calibration_evaluates_few_rows_exactly(monkeypatch):
     assert sum(evaluated) <= 3 * 300
 
 
+def test_rows_with_all_distances_equal_are_evaluated_once(monkeypatch, caplog):
+    # such a row's perplexity is its length at every beta, above the target,
+    # so every bisection step goes up; only the last is evaluated exactly
+    evaluated = []
+    exact = scbench.embed._row_perplexities
+
+    def counted(rows, beta):
+        evaluated.append(len(beta))
+        return exact(rows, beta)
+
+    monkeypatch.setattr(scbench.embed, "_row_perplexities", counted)
+    calibrations_agree(_squared_distances(np.ones((300, 4))), 30.0, caplog)
+    assert sum(evaluated) <= 300
+    # at a target of the row's length the first step is within tolerance
+    calibrations_agree(1.0 - np.eye(20), 19.0, caplog)
+    # a regular simplex whose doubling beta meets a subnormal sum at 512:
+    # the exact evaluation there reads a perplexity below the target, and
+    # the bisection turns down as the one-row loop does
+    r = 1.4406064453125
+    row = np.full(39, r)
+    weights = np.exp(-512.0 * row)
+    total = weights.sum()
+    assert 0.0 < total and math.exp(math.log(total) + 512.0 * (weights * row).sum() / total) < 30.0
+    calibrations_agree(r * (1.0 - np.eye(40)), 30.0, caplog)
+
+
 def test_achieved_perplexity_is_exp_of_the_entropy_of_p():
     # the calibration's entropy identity against -sum p log p over positive p
     rng = np.random.default_rng(22)
@@ -579,12 +605,7 @@ def test_concurrent_runs_equal_sequential_runs():
 def test_tsne_holds_no_n_by_n_arrays_beyond_p():
     n = 600
     x = seeded_points(25, n, 10)
-    tracemalloc.start()
-    try:
-        tsne(x, perplexity=30, seed=0, iters=20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: tsne(x, perplexity=30, seed=0, iters=20))
     # about 2.7 n^2 float64 here: P with the table it is symmetrized from,
     # then P with its upper strips, plus 64-row temporaries; the former
     # full-matrix step peaked at 6.15 n^2

@@ -3,7 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_dense, random_matrix, same_matrix, triplets, unpickle_without_post_init
+from conftest import (
+    random_dense,
+    random_matrix,
+    same_matrix,
+    traced_peak,
+    triplets,
+    unpickle_without_post_init,
+)
 
 from scbench import CountMatrix, DataError, ExpressionMatrix, from_dense, vstack_cells
 
@@ -258,12 +265,16 @@ def test_expression_matrix_rejects_nonfinite():
         ExpressionMatrix(np.array([[1.0, np.nan]]), ("c0",), ("g0", "g1"))
 
 
-def test_expression_matrix_with_values_shape_check():
-    em = ExpressionMatrix(np.ones((2, 3)), ("a", "b"), ("x", "y", "z"))
-    with pytest.raises(DataError, match="shape"):
-        em.with_values(np.ones((3, 2)))
-    swapped = em.with_values(np.zeros((2, 3)))
-    assert swapped.cell_ids == em.cell_ids and not swapped.values.any()
+def test_the_constructor_copies_and_to_dense_does_not_copy_again():
+    arr = np.arange(6.0).reshape(2, 3)
+    em = ExpressionMatrix(arr, ("a", "b"), ("x", "y", "z"))
+    assert not np.shares_memory(arr, em.values) and not em.values.flags.writeable
+    assert arr.flags.writeable
+    arr[0, 0] = 9.0
+    assert em.values[0, 0] == 0.0
+    # the array to_dense fills is the matrix's own; a copy would double the peak
+    m = random_matrix(15, 200, 300)
+    assert traced_peak(m.to_dense) <= 1.5 * m.n_cells * m.n_genes * 8
 
 
 def test_matrices_are_immutable():

@@ -1,7 +1,7 @@
 """Gene filters and quantile normalization."""
 import numpy as np
 import pytest
-from conftest import random_dense, random_matrix, same_matrix
+from conftest import random_dense, random_matrix, same_matrix, traced_peak
 from oracles import filter_low_cv, filter_sparse_genes, loop_quantile_normalize
 
 from scbench import (
@@ -283,6 +283,32 @@ def test_blocked_quantile_normalization_equals_the_row_loop(kind, n_dist):
     assert np.array_equal(by_gene, loop_quantile_normalize(values).T)
 
 
+@pytest.mark.parametrize("length", [256, 257])
+def test_quantile_normalization_equals_the_row_loop_on_either_rank_type(length):
+    # each value's rank is held in 8 bits up to 256 values per distribution,
+    # in 16 from 257 on; square inputs give both axes that length
+    for kind in ("counts", "continuous", "tied"):
+        values = distributions(kind, length, length, length)
+        out = quantile_normalize(labelled(values))
+        assert np.array_equal(out.values, loop_quantile_normalize(values))
+        # cells x genes in C order, as the pipeline holds it: the genes axis
+        # normalizes strided columns and still returns C-ordered values
+        by_gene = quantile_normalize(labelled(values), axis="genes")
+        assert np.array_equal(by_gene.values, loop_quantile_normalize(values.T).T)
+        for em in (out, by_gene):
+            assert em.values.flags.c_contiguous and not em.values.flags.writeable
+
+
+def test_quantile_normalization_holds_its_output_and_the_ranks():
+    # the output, each value's rank in 16 bits and 64-row temporaries; the
+    # whole-matrix form held about 4.4 copies of the input, and one more
+    # when its result was copied into the returned matrix
+    values = distributions("counts", 300, 1000, 5)
+    em = labelled(values)
+    for axis in ("cells", "genes"):
+        assert traced_peak(lambda: quantile_normalize(em, axis=axis)) <= 2.5 * values.nbytes
+
+
 def test_quantile_rejects_degenerate_input():
     one_row = ExpressionMatrix(np.ones((1, 3)), ("c0",), ("a", "b", "c"))
     with pytest.raises(DataError):
@@ -327,7 +353,7 @@ def test_pipeline_log1p_flag():
     with_flag, _ = preprocess_pipeline(m, cfg, log1p=True)
     kept, _ = filter_genes(m, cfg)
     manual = quantile_normalize(
-        kept.to_dense().with_values(np.log1p(kept.to_dense().values))
+        ExpressionMatrix(np.log1p(kept.to_dense().values), kept.cell_ids, kept.gene_ids)
     )
     assert np.array_equal(with_flag.values, manual.values)
 
