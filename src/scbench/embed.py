@@ -3,25 +3,22 @@
 PCA is computed by eigendecomposition of the feature covariance or of the
 cell Gram matrix, whichever is smaller; the shape alone picks the route.
 t-SNE is the exact O(n^2) algorithm started from PCA coordinates: per-point
-Gaussian bandwidths calibrated by bisection to a target perplexity,
+Gaussian bandwidths calibrated to a target perplexity by a root-find,
 symmetrized joint probabilities, Student-t low-dimensional affinities, and
 momentum gradient descent with early exaggeration. A run is a pure function
 of (input, parameters, seed).
 
-Both O(n^2) parts work on blocks of _BLOCK_ROWS rows. Calibration bisects all
-rows in lockstep, each with its own bracket, and gives the same P, bit for
-bit, as bisecting one row at a time. It takes a row's entropy as
-log S + beta <w, d^2> / S for the weights w = exp(-beta d^2) and their sum S
-(van der Maaten & Hinton 2008, JMLR 9:2579): that is -sum p log p for
-p = w / S without a log of any weight, so weights that underflow to 0 need no
-separate path. Before bisecting, Newton on that entropy locates each row's
-tolerance window, the betas whose perplexity is within tolerance of the
-target, and the bisection replays against it: a step clearly outside the
-window takes its known outcome, so the exact evaluation runs only near the
-window's edges, on rows Newton gives no window, and at each row's final
-beta. Each iteration visits only the upper triangle: P lives in one
-strip P[s:e, s:] per block, and each block takes 1 + d^2 from one matrix
-product with d + 2 inner terms, clamped at 1.
+Both O(n^2) parts work on blocks of _BLOCK_ROWS rows. Calibration runs a
+bracket-safeguarded Newton in log beta on all rows of a block at once, and
+gives the same P, bit for bit, as running it one row at a time. It takes a
+row's entropy as log S + beta <w, c> / S for c = d^2 - min d^2, the weights
+w = exp(-beta c) and their sum S (van der Maaten & Hinton 2008, JMLR
+9:2579): that is -sum p log p for p = w / S without a log of any weight, and
+the nearest weight is 1, so no row underflows. A row with at least as many
+nearest points as the perplexity has no finite root and takes the limit,
+equal mass on those points. Each iteration visits only the upper triangle:
+P lives in one strip P[s:e, s:] per block, and each block takes 1 + d^2 from
+one matrix product with d + 2 inner terms, clamped at 1.
 KL is sum p log p + sum p log(1 + d^2) + log Z, read from the same buffer, so
 no log(q) pass is needed. Beyond P the step holds two scratch buffers of
 _BLOCK_ROWS x n, not n x n arrays. Only the descent safeguard reads the KL,
@@ -60,15 +57,9 @@ TSNE_PCA_DIM_DEFAULT = 50
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 
-_PERPLEXITY_TOL = 1e-5
-_MAX_BISECTIONS = 50
+_ENTROPY_TOL = 1e-10
+_MAX_NEWTON = 50
 _BLOCK_ROWS = 64
-_MAX_NEWTON = 30
-# relative widening of each tolerance window edge found by Newton
-_EDGE_MARGIN = 1e-9
-# exp(-x) is a normal float for x below the first and 0 for x above the second
-_EXP_NORMAL = 700.0
-_EXP_ZERO = 750.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +138,22 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
 
     mu = v.mean(axis=0)
     centered = v - mu
-    total_var = float((centered * centered).sum()) / (n - 1)
+    total_var = float(np.einsum("ij,ij->", centered, centered)) / (n - 1)
+    if method == "covariance":
+        square = centered.T @ centered / (n - 1)
+    else:
+        square = centered @ centered.T / (n - 1)
+    # eigh's input and output take the centred copy's place; it is made again
+    del centered
+    eigvals_all, eigvecs = np.linalg.eigh(square)
+    del square
+    centered = v - mu
+    eigvals = eigvals_all[::-1][:d]
 
     if method == "covariance":
-        cov = centered.T @ centered / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        eigvals = eigvals[::-1][:d]
         components = eigvecs[:, ::-1][:, :d].T
     else:
-        gram = centered @ centered.T / (n - 1)
-        eigvals_all, u = np.linalg.eigh(gram)
-        eigvals = eigvals_all[::-1][:d]
-        u = u[:, ::-1][:, :d]
+        u = eigvecs[:, ::-1][:, :d]
         components = np.zeros((d, g))
         scale = np.abs(eigvals_all).max() if eigvals_all.size else 0.0
         for i in range(d):
@@ -189,225 +184,98 @@ def _squared_distances(points: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _row_perplexities(
-    rows: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The exact evaluation: each row's affinities at its beta, and their perplexity.
-
-    The entropy is log S + beta <w, d^2> / S for the weights w = exp(-beta d^2)
-    and their sum S, which is -sum p log p for p = w / S without a log of any
-    weight. A row whose weights all underflow puts equal mass on its nearest
-    points. Each row's bits do not depend on the other rows given.
-    """
-    w = rows * -beta[:, None]
-    np.exp(w, out=w)
-    total = w.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = np.exp(np.log(total) + beta * (w * rows).sum(axis=1) / total)
-        w /= total[:, None]
-    for i in np.flatnonzero(total <= 0.0):
-        nearest = rows[i] == rows[i].min()
-        w[i] = nearest / nearest.sum()
-        got[i] = nearest.sum()
-    return w, got
-
-
-def _tolerance_windows(
-    rows: np.ndarray, r_min: np.ndarray, perplexity: float, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's tolerance window in beta, widened by _EDGE_MARGIN: (a, b).
-
-    Wherever the evaluation's sum is a normal float or all its weights
-    underflow, the bisection's exact evaluation gives a perplexity above the
-    window (beta goes up) for beta < a, and below it (beta goes down) for
-    beta > b. Both are NaN where that is not established; such a row is
-    evaluated at every step. A row whose d^2 are all equal has equal
-    weights, so its perplexity is its length m at every beta: where m is
-    above the window, a is +inf and b NaN, and every step goes up.
-
-    Newton runs in u = log beta on H(u) = log S + beta <w, c> / S, with
-    c = d^2 - min d^2 and w = exp(-beta c): the exact path's entropy, shifted
-    so that no weight underflows, with dH/du = -beta^2 Var_p(d^2). It starts
-    at beta = 1 / mean c, keeps each row inside the bracket its steps have
-    found, and stops once H is within the window's half-width of log
-    perplexity. One Newton step from there reaches each edge, where exp H is
-    perplexity +- _PERPLEXITY_TOL. A row keeps its window only if that
-    step's curvature error (bounded by the third raw moment of c, which
-    cannot cancel as c >= 0) and a bound on the exact path's rounding are
-    each a quarter of the margin or less, and if exp(-b min d^2) is a normal
-    float. `rows` (each row's d^2 to the other points) is overwritten; r_min
-    is its row minimum and `work` scratch of at least its shape.
-    """
-    n_rows, m = rows.shape
-    a_edge = np.full(n_rows, np.nan)
-    b_edge = np.full(n_rows, np.nan)
-    rounding = 64.0 * np.finfo(float).eps * np.log2(m + 1.0)
-    # a row that divides by 0 or overflows here gets no window, not a warning
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows -= r_min[:, None]
-        u = -np.log(rows.mean(axis=1))
-        # as beta grows the perplexity falls to the count of nearest points,
-        # so a target at or below it has no window
-        nearest = (rows == 0.0).sum(axis=1)
-        u[nearest >= perplexity - _PERPLEXITY_TOL] = np.nan
-        # a row whose d^2 are all equal evaluates to m, up to a rounding far
-        # inside _EDGE_MARGIN, wherever its sum is normal or all-underflow
-        equal = (nearest == m) & (m * (1.0 - _EDGE_MARGIN) > perplexity + _PERPLEXITY_TOL)
-        a_edge[equal] = np.inf
-        target = np.log(perplexity)
-        h_a = np.log(perplexity + _PERPLEXITY_TOL)
-        h_b = np.log(perplexity - _PERPLEXITY_TOL)
-        close = min(h_a - target, target - h_b)
-        active = kept = np.flatnonzero(np.isfinite(u))
-        u = u[active]
-        lo = np.full(active.size, -np.inf)
-        hi = np.full(active.size, np.inf)
-        for _ in range(_MAX_NEWTON):
-            k = active.size
-            if not k:
-                break
-            # the active rows' c move up to sit compacted at the top of `rows`
-            for dst, src in enumerate(kept):
-                if dst < src:
-                    rows[dst] = rows[src]
-            beta = np.exp(u)
-            c, w = rows[:k], work[:k]
-            np.multiply(c, -beta[:, None], out=w)
-            # a weight below exp(-700) of the largest changes no sum here, and
-            # exp is many times slower where it underflows
-            np.maximum(w, -_EXP_NORMAL, out=w)
-            np.exp(w, out=w)
-            total = w.sum(axis=1)
-            m1 = np.einsum("ij,ij->i", w, c) / total
-            w *= c
-            m2 = np.einsum("ij,ij->i", w, c) / total
-            h = np.log(total) + beta * m1
-            slope = beta * beta * (m2 - m1 * m1)
-            f = h - target
-            done = np.abs(f) <= close
-            if done.any():
-                m3 = np.einsum("ij,ij,ij->i", w[done], c[done], c[done]) / total[done]
-                bt, v, m1d, m2d = beta[done], slope[done], m1[done], m2[done]
-                r_lo = r_min[active[done]]
-                to_a, to_b = (h[done] - h_a) / v, (h[done] - h_b) / v
-                a, b = np.exp(u[done] + to_a), np.exp(u[done] + to_b)
-                curvature = 2.0 * v + bt ** 3 * (m3 + 3.0 * m1d * m2d + 2.0 * m1d ** 3)
-                error = np.maximum(
-                    curvature * np.maximum(to_a * to_a, to_b * to_b) / (2.0 * v),
-                    rounding * (1.0 + bt * (m1d + r_lo)) / v,
-                )
-                ok = ((v > 0.0) & (a > 0.0) & (a < b) & (b < np.inf)
-                      & (error <= _EDGE_MARGIN / 4.0) & (b * r_lo <= _EXP_NORMAL))
-                a_edge[active[done][ok]] = a[ok] * (1.0 - _EDGE_MARGIN)
-                b_edge[active[done][ok]] = b[ok] * (1.0 + _EDGE_MARGIN)
-            # H falls as beta grows: f > 0 puts the root above u
-            above = f > 0.0
-            lo = np.where(above, u, lo)
-            hi = np.where(above, hi, u)
-            step = u + np.clip(f / slope, -2.0, 2.0)
-            fallback = np.where(
-                np.isinf(lo) | np.isinf(hi), np.where(above, u + 2.0, u - 2.0), (lo + hi) / 2.0
-            )
-            u = np.where((step > lo) & (step < hi), step, fallback)
-            kept = np.flatnonzero(~done)
-            active, u, lo, hi = active[kept], u[kept], lo[kept], hi[kept]
-    return a_edge, b_edge
-
-
 def _conditional_probabilities(
     d2: np.ndarray, perplexity: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row Gaussian affinities whose perplexity matches the target.
 
-    Bandwidths come from bisection on the precision beta. All rows bisect in
-    lockstep, each with its own bracket, and a row stops once it hits the
-    target; every row does exactly the arithmetic of a one-row loop, so P and
-    the achieved perplexities do not depend on which rows share a step.
-    Newton first locates each row's tolerance window (_tolerance_windows, on
-    blocks of _BLOCK_ROWS rows), and the bisection replays against it: a
-    step whose beta lies clearly below or above the window takes its known
-    outcome without an evaluation. The exact evaluation (_row_perplexities,
-    on at most _BLOCK_ROWS rows at once) runs only near the window's edges,
-    on rows without a window, and at each row's final beta, which gives its
-    affinities, so the result is the bisection's bit for bit. Rows that
-    cannot reach the target (degenerate geometry) keep their last bracket
-    value and are logged.
+    Each row's precision beta is the root of H(beta) = log perplexity, for
+    its entropy H = log S + beta <w, c> / S with c = d^2 - min d^2, the
+    weights w = exp(-beta c) and their sum S (van der Maaten & Hinton 2008):
+    that is -sum p log p for p = w / S without a log of any weight, and the
+    shift leaves the nearest weight at 1, so no row underflows. H falls from
+    log m (m other points) to the log of the count of nearest points as beta
+    grows, with dH/du = -beta^2 Var_p(c) in u = log beta. Newton runs in u
+    from beta = 1 / mean c on blocks of _BLOCK_ROWS rows, keeps each row
+    inside the bracket its steps have found, and stops a row once H is
+    within _ENTROPY_TOL of log perplexity (or after _MAX_NEWTON passes); P
+    is p from that pass. Every row does exactly the arithmetic of a one-row
+    loop, so P and the achieved perplexities do not depend on which rows
+    share a block. A row with as many nearest points as the perplexity or
+    more (duplicates, perplexity <= 1) has no finite root: it takes the
+    beta -> infinity limit, equal mass on its nearest points, with no Newton
+    pass. Rows that miss the target are logged.
     """
     n = d2.shape[0]
-
-    def off_diagonal(idx):
-        keep = np.ones((idx.size, n), dtype=bool)
-        keep[np.arange(idx.size), idx] = False
-        return keep
-
-    r_min = np.empty(n)
-    up_below = np.empty(n)
-    down_above = np.empty(n)
-    work = np.empty((min(_BLOCK_ROWS, n), n - 1))
-    for s in range(0, n, _BLOCK_ROWS):
-        idx = np.arange(s, min(s + _BLOCK_ROWS, n))
-        rows = d2[s:s + idx.size][off_diagonal(idx)].reshape(idx.size, n - 1)
-        r_min[idx] = rows.min(axis=1)
-        up_below[idx], down_above[idx] = _tolerance_windows(
-            rows, r_min[idx], perplexity, work
-        )
-    del rows, work  # the exact evaluations below take their place
+    target = np.log(perplexity)
     p = np.zeros((n, n))
-    perp = np.full(n, np.nan)
-    beta = np.ones(n)
-    beta_min = np.full(n, -np.inf)
-    beta_max = np.full(n, np.inf)
-    active = np.arange(n)
-    for it in range(_MAX_BISECTIONS):
-        bt = beta[active]
-        # a step outside its row's window, where the evaluation's sum is not
-        # subnormal, takes the known outcome without an evaluation: +inf
-        # sends beta up, -inf down; NaN is evaluated
-        got = np.full(active.size, np.nan)
-        if it < _MAX_BISECTIONS - 1:
-            exponent = bt * r_min[active]
-            known = (exponent < _EXP_NORMAL) | (exponent > _EXP_ZERO)
-            got[(bt < up_below[active]) & known] = np.inf
-            got[(bt > down_above[active]) & known] = -np.inf
-        ev = np.flatnonzero(np.isnan(got))
-        stop = np.zeros(active.size, dtype=bool)
-        for c in range(0, ev.size, _BLOCK_ROWS):
-            part = ev[c:c + _BLOCK_ROWS]
-            idx = active[part]
-            keep = off_diagonal(idx)
-            w, got[part] = _row_perplexities(
-                d2[idx][keep].reshape(idx.size, n - 1), bt[part]
-            )
-            perp[idx] = got[part]
-            done = (np.abs(got[part] - perplexity) <= _PERPLEXITY_TOL) | (
-                it == _MAX_BISECTIONS - 1)
-            # a row's weights are final once it stops bisecting
-            if done.any():
-                rows = np.zeros((done.sum(), n))
-                rows[keep[done]] = w[done].ravel()
-                p[idx[done]] = rows
-                stop[part[done]] = True
-        active, got, bt = active[~stop], got[~stop], bt[~stop]
-        if not active.size:
-            break
-        lo, hi = beta_min[active], beta_max[active]
-        up = got > perplexity
-        lo = np.where(up, bt, lo)
-        hi = np.where(up, hi, bt)
-        beta_min[active], beta_max[active] = lo, hi
-        beta[active] = np.where(
-            up,
-            np.where(hi == np.inf, bt * 2.0, (bt + hi) / 2.0),
-            np.where(lo == -np.inf, bt / 2.0, (bt + lo) / 2.0),
-        )
-    for r in np.flatnonzero(np.abs(perp - perplexity) > _PERPLEXITY_TOL):
+    achieved = np.empty(n)
+    w_buf = np.empty((min(_BLOCK_ROWS, n), n - 1))
+    t_buf = np.empty_like(w_buf)
+    for s in range(0, n, _BLOCK_ROWS):
+        b = min(_BLOCK_ROWS, n - s)
+        keep = np.ones((b, n), dtype=bool)
+        keep[np.arange(b), np.arange(s, s + b)] = False
+        c = d2[s:s + b][keep].reshape(b, n - 1)
+        c -= c.min(axis=1)[:, None]
+        nearest = (c == 0.0).sum(axis=1)
+        q = np.empty_like(c)
+        # no root (a row of equal d^2 has none either): the limit beta -> inf
+        limit = (nearest >= perplexity) | (nearest == n - 1)
+        q[limit] = (c[limit] == 0.0) / nearest[limit, None]
+        achieved[s:s + b][limit] = nearest[limit]
+        active = kept = np.flatnonzero(~limit)
+        lo = np.full(active.size, -np.inf)
+        hi = np.full(active.size, np.inf)
+        # a row whose Newton step is not finite falls back to the bracket
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = -np.log(c.mean(axis=1)[active])
+            for it in range(_MAX_NEWTON):
+                k = active.size
+                if not k:
+                    break
+                # the active rows move up to sit compacted at the top of c
+                for dst, src in enumerate(kept):
+                    if dst < src:
+                        c[dst] = c[src]
+                beta = np.exp(u)
+                cc, w, t = c[:k], w_buf[:k], t_buf[:k]
+                np.multiply(cc, -beta[:, None], out=w)
+                np.exp(w, out=w)
+                total = w.sum(axis=1)
+                np.multiply(w, cc, out=t)
+                m1 = t.sum(axis=1) / total
+                h = np.log(total) + beta * m1
+                f = h - target
+                done = (np.abs(f) <= _ENTROPY_TOL) | (it == _MAX_NEWTON - 1)
+                # row by row, so no temporary of the finished rows is made
+                for j in np.flatnonzero(done):
+                    np.divide(w[j], total[j], out=q[active[j]])
+                achieved[s + active[done]] = np.exp(h[done])
+                t *= cc
+                m2 = t.sum(axis=1) / total
+                slope = beta * beta * (m2 - m1 * m1)
+                # H falls as beta grows: f > 0 puts the root above u
+                above = f > 0.0
+                lo = np.where(above, u, lo)
+                hi = np.where(above, hi, u)
+                step = u + np.clip(f / slope, -2.0, 2.0)
+                fallback = np.where(
+                    np.isinf(lo) | np.isinf(hi), np.where(above, u + 2.0, u - 2.0), (lo + hi) / 2.0
+                )
+                u = np.where((step > lo) & (step < hi), step, fallback)
+                kept = np.flatnonzero(~done)
+                active, u, lo, hi = active[kept], u[kept], lo[kept], hi[kept]
+        p[s:s + b][keep] = q.ravel()
+        del c, q  # before the next block's are made
+    for r in np.flatnonzero(np.abs(np.log(achieved) - target) > _ENTROPY_TOL):
         log.warning(
             "perplexity calibration for point %d stopped at %.6f (target %.6f)",
             r,
-            perp[r],
+            achieved[r],
             perplexity,
         )
-    return p, perp
+    return p, achieved
 
 
 def joint_probabilities(x, perplexity: float) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,11 @@ code with the package under test. Some pieces share the library's definitions
 on purpose: `seeded_rng`, which defines the cell orderings cumulative
 detection averages over; `scan_agglomerate`, the library's former
 agglomeration loop, which does the same Lance-Williams arithmetic so that
-dendrograms can be compared exactly; and `loop_conditional_probabilities`,
-the former one-row-at-a-time perplexity bisection, whose arithmetic the
-lockstep calibration must reproduce bit for bit; and
+dendrograms can be compared exactly; `loop_conditional_probabilities`,
+the perplexity root-find run one row at a time, whose arithmetic the
+blocked calibration must reproduce bit for bit, beside
+`bisect_conditional_probabilities`, the former bisection, whose tolerance
+window the root-find must land in;
 `loop_quantile_normalize`, the former one-distribution-at-a-time tie
 resolution, which the blocked quantile normalization must equal exactly;
 and `filter_sparse_genes` and `filter_low_cv`, the former two-step gene
@@ -191,14 +193,72 @@ def dense_kl_gradient(p, y, boost):
 
 
 def loop_conditional_probabilities(d2, perplexity):
-    """The library's perplexity calibration one row at a time: bisection on
-    each row's precision beta, with the row's entropy taken as
-    log S + beta <w, d^2> / S for w = exp(-beta d^2) and S = sum w, as the
-    library takes it. Returns (P, achieved perplexities) and logs the same
-    warnings, under the library's logger name. Tolerance 1e-5 and 50
-    bisections, as in the library."""
-    tol = 1e-5
+    """The library's perplexity calibration one row at a time: Newton in
+    u = log beta on the row's shifted entropy H = log S + beta <w, c> / S,
+    for c = d^2 - min d^2, w = exp(-beta c) and S = sum w, safeguarded by the
+    bracket its steps have found, until |H - log perplexity| <= 1e-10 or 50
+    passes, as the library does it. A row with at least perplexity nearest
+    points, or whose d^2 are all equal, takes equal mass on its nearest
+    points. Returns (P, achieved perplexities) and logs the same warnings,
+    under the library's logger name."""
+    tol = 1e-10
     log = logging.getLogger("scbench.embed")
+    target = np.log(perplexity)
+    n = d2.shape[0]
+    p = np.zeros((n, n))
+    achieved = np.empty(n)
+    for i in range(n):
+        c = np.delete(d2[i], i)
+        c = c - c.min()
+        nearest = (c == 0.0).sum()
+        if nearest >= perplexity or nearest == n - 1:
+            weights = (c == 0.0) / nearest
+            achieved[i] = nearest
+        else:
+            u = -np.log(c.mean())
+            lo, hi = -np.inf, np.inf
+            for _ in range(50):
+                beta = np.exp(u)
+                w = np.exp(c * -beta)
+                total = w.sum()
+                m1 = (w * c).sum() / total
+                h = np.log(total) + beta * m1
+                f = h - target
+                if abs(f) <= tol:
+                    break
+                m2 = (w * c * c).sum() / total
+                if f > 0.0:
+                    lo = u
+                else:
+                    hi = u
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = u + np.clip(f / (beta * beta * (m2 - m1 * m1)), -2.0, 2.0)
+                if lo < step < hi:
+                    u = step
+                elif np.isinf(lo) or np.isinf(hi):
+                    u = u + 2.0 if f > 0.0 else u - 2.0
+                else:
+                    u = (lo + hi) / 2.0
+            weights = w / total
+            achieved[i] = np.exp(h)
+        if abs(np.log(achieved[i]) - target) > tol:
+            log.warning(
+                "perplexity calibration for point %d stopped at %.6f (target %.6f)",
+                i,
+                achieved[i],
+                perplexity,
+            )
+        p[i, np.arange(n) != i] = weights
+    return p, achieved
+
+
+def bisect_conditional_probabilities(d2, perplexity):
+    """The former perplexity calibration one row at a time: bisection on
+    each row's precision beta, with the row's entropy taken as
+    log S + beta <w, d^2> / S for w = exp(-beta d^2) and S = sum w, until the
+    perplexity is within 1e-5 of the target or 50 bisections. Returns
+    (P, achieved perplexities) and logs no warnings."""
+    tol = 1e-5
     n = d2.shape[0]
     p = np.zeros((n, n))
     achieved = np.empty(n)
@@ -225,13 +285,6 @@ def loop_conditional_probabilities(d2, perplexity):
             else:
                 beta_max = beta
                 beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-        if abs(perp - perplexity) > tol:
-            log.warning(
-                "perplexity calibration for point %d stopped at %.6f (target %.6f)",
-                i,
-                perp,
-                perplexity,
-            )
         achieved[i] = perp
         p[i, np.arange(n) != i] = weights
     return p, achieved
