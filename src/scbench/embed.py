@@ -8,23 +8,18 @@ symmetrized joint probabilities, Student-t low-dimensional affinities, and
 momentum gradient descent with early exaggeration. A run is a pure function
 of (input, parameters, seed).
 
-Both O(n^2) parts work on blocks of _BLOCK_ROWS rows. Calibration runs a
-bracket-safeguarded Newton in log beta on all rows of a block at once, and
-gives the same P, bit for bit, as running it one row at a time. It takes a
-row's entropy as log S + beta <w, c> / S for c = d^2 - min d^2, the weights
-w = exp(-beta c) and their sum S (van der Maaten & Hinton 2008, JMLR
-9:2579): that is -sum p log p for p = w / S without a log of any weight, and
-the nearest weight is 1, so no row underflows. A row with at least as many
-nearest points as the perplexity has no finite root and takes the limit,
-equal mass on those points. Each iteration visits only the upper triangle:
-P lives in one strip P[s:e, s:] per block, and each block takes 1 + d^2 from
-one matrix product with d + 2 inner terms, clamped at 1.
-KL is sum p log p + sum p log(1 + d^2) + log Z, read from the same buffer, so
-no log(q) pass is needed. Beyond P the step holds two scratch buffers of
-_BLOCK_ROWS x n, not n x n arrays. Only the descent safeguard reads the KL,
-so its log pass runs only from the last exaggerated iterate on (and at the
-final iterate); kl_trace covers those iterates, not the exaggeration phase
-before them.
+Both O(n^2) parts work on blocks of _BLOCK_ROWS rows, and P exists only as
+its upper triangle, one strip P[s:e, s:] per block. A block's rows take
+their d^2 from one product with all points, are calibrated by a Newton
+root-find on all of them at once (bit for bit a one-row loop) and go
+straight into the strips. Each iteration takes 1 + d^2 of a block from one
+matrix product with d + 2 inner terms, clamped at 1. KL is sum p log p +
+sum p log(1 + d^2) + log Z, read from the same buffer, so no log(q) pass is
+needed. No n x n array exists: beside the strips, calibration holds five
+_BLOCK_ROWS x n blocks and the step two. Only the descent safeguard reads
+the KL, so its log pass runs only from the last exaggerated iterate on (and
+at the final iterate); kl_trace covers those iterates, not the exaggeration
+phase before them.
 
 The default learning rate "auto" is max(n / (4 * exaggeration), 50): the
 n / exaggeration rule of Belkina et al. 2019 (Nat. Commun. 10:5415) and Kobak
@@ -155,11 +150,14 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     else:
         u = eigvecs[:, ::-1][:, :d]
         components = np.zeros((d, g))
+        # relative to the top eigenvalue, or where that is itself the
+        # rounding of centring, to the input's largest squared entry
         scale = np.abs(eigvals_all).max() if eigvals_all.size else 0.0
+        rounding = np.finfo(np.float64).eps * max(v.max(), -v.min()) ** 2
         for i in range(d):
             direction = centered.T @ u[:, i]
             norm = np.linalg.norm(direction)
-            if eigvals[i] <= 1e-12 * max(scale, 1.0) or norm == 0.0:
+            if eigvals[i] <= 1e-12 * max(scale, rounding) or norm == 0.0:
                 # past the numerical rank: zero components with zero variance
                 eigvals[i:] = 0.0
                 break
@@ -173,131 +171,135 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     return Embedding(scores, "pca", {"d": d, "method": method}, seed=0), model
 
 
-def _squared_distances(points: np.ndarray) -> np.ndarray:
-    sq = (points * points).sum(axis=1)
-    d2 = np.add.outer(sq, sq)
-    gram = points @ points.T
-    gram *= 2.0
-    d2 -= gram
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch=None) -> tuple:
+    """Gaussian affinities of points s, s + 1, ... at the target perplexity.
 
-
-def _conditional_probabilities(
-    d2: np.ndarray, perplexity: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row Gaussian affinities whose perplexity matches the target.
-
-    Each row's precision beta is the root of H(beta) = log perplexity, for
-    its entropy H = log S + beta <w, c> / S with c = d^2 - min d^2, the
-    weights w = exp(-beta c) and their sum S (van der Maaten & Hinton 2008):
-    that is -sum p log p for p = w / S without a log of any weight, and the
-    shift leaves the nearest weight at 1, so no row underflows. H falls from
-    log m (m other points) to the log of the count of nearest points as beta
-    grows, with dH/du = -beta^2 Var_p(c) in u = log beta. Newton runs in u
-    from beta = 1 / mean c on blocks of _BLOCK_ROWS rows, keeps each row
-    inside the bracket its steps have found, and stops a row once H is
-    within _ENTROPY_TOL of log perplexity (or after _MAX_NEWTON passes); P
-    is p from that pass. Every row does exactly the arithmetic of a one-row
-    loop, so P and the achieved perplexities do not depend on which rows
-    share a block. A row with as many nearest points as the perplexity or
-    more (duplicates, perplexity <= 1) has no finite root: it takes the
-    beta -> infinity limit, equal mass on its nearest points, with no Newton
-    pass. Rows that miss the target are logged.
+    d2_rows holds their d^2 to all n points, row i's own at column s + i;
+    the rows come back that shape with a zero there, with each row's
+    achieved perplexity. A row's precision beta is the root of
+    H = log perplexity, for its entropy H = log S + beta <w, c> / S with
+    c = d^2 - min d^2, w = exp(-beta c) and S = sum w (van der Maaten & Hinton
+    2008, JMLR 9:2579): -sum p log p for p = w / S, without a log of any
+    weight, and the nearest weight is 1, so no row underflows. Newton runs
+    in u = log beta, where dH/du = -beta^2 Var_p(c), from beta = 1 / mean c,
+    inside the bracket its steps have found, until |H - log perplexity| <=
+    _ENTROPY_TOL (or _MAX_NEWTON passes); p is from that pass. Each row does
+    the arithmetic of a one-row loop, whatever rows share the call. A row
+    with at least perplexity nearest points (duplicates, perplexity <= 1)
+    has no finite root: it takes the beta -> infinity limit, equal mass on
+    its nearest points, with no Newton pass. Rows that miss the target are
+    logged, numbered from s. scratch, where given, is the passes' two
+    buffers of at least b x (n - 1), so a caller can keep them across blocks.
     """
-    n = d2.shape[0]
+    b, n = d2_rows.shape
     target = np.log(perplexity)
-    p = np.zeros((n, n))
-    achieved = np.empty(n)
-    w_buf = np.empty((min(_BLOCK_ROWS, n), n - 1))
-    t_buf = np.empty_like(w_buf)
-    for s in range(0, n, _BLOCK_ROWS):
-        b = min(_BLOCK_ROWS, n - s)
-        keep = np.ones((b, n), dtype=bool)
-        keep[np.arange(b), np.arange(s, s + b)] = False
-        c = d2[s:s + b][keep].reshape(b, n - 1)
-        c -= c.min(axis=1)[:, None]
-        nearest = (c == 0.0).sum(axis=1)
-        q = np.empty_like(c)
-        # no root (a row of equal d^2 has none either): the limit beta -> inf
-        limit = (nearest >= perplexity) | (nearest == n - 1)
-        q[limit] = (c[limit] == 0.0) / nearest[limit, None]
-        achieved[s:s + b][limit] = nearest[limit]
-        active = kept = np.flatnonzero(~limit)
-        lo = np.full(active.size, -np.inf)
-        hi = np.full(active.size, np.inf)
-        # a row whose Newton step is not finite falls back to the bracket
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = -np.log(c.mean(axis=1)[active])
-            for it in range(_MAX_NEWTON):
-                k = active.size
-                if not k:
-                    break
-                # the active rows move up to sit compacted at the top of c
-                for dst, src in enumerate(kept):
-                    if dst < src:
-                        c[dst] = c[src]
-                beta = np.exp(u)
-                cc, w, t = c[:k], w_buf[:k], t_buf[:k]
-                np.multiply(cc, -beta[:, None], out=w)
-                np.exp(w, out=w)
-                total = w.sum(axis=1)
-                np.multiply(w, cc, out=t)
-                m1 = t.sum(axis=1) / total
-                h = np.log(total) + beta * m1
-                f = h - target
-                done = (np.abs(f) <= _ENTROPY_TOL) | (it == _MAX_NEWTON - 1)
-                # row by row, so no temporary of the finished rows is made
-                for j in np.flatnonzero(done):
-                    np.divide(w[j], total[j], out=q[active[j]])
-                achieved[s + active[done]] = np.exp(h[done])
-                t *= cc
-                m2 = t.sum(axis=1) / total
-                slope = beta * beta * (m2 - m1 * m1)
-                # H falls as beta grows: f > 0 puts the root above u
-                above = f > 0.0
-                lo = np.where(above, u, lo)
-                hi = np.where(above, hi, u)
-                step = u + np.clip(f / slope, -2.0, 2.0)
-                fallback = np.where(
-                    np.isinf(lo) | np.isinf(hi), np.where(above, u + 2.0, u - 2.0), (lo + hi) / 2.0
-                )
-                u = np.where((step > lo) & (step < hi), step, fallback)
-                kept = np.flatnonzero(~done)
-                active, u, lo, hi = active[kept], u[kept], lo[kept], hi[kept]
-        p[s:s + b][keep] = q.ravel()
-        del c, q  # before the next block's are made
+    rows = np.zeros((b, n))
+    achieved = np.empty(b)
+
+    def put(r, weights, total):
+        # row r's n - 1 weights over the columns either side of its own
+        np.divide(weights[:s + r], total, out=rows[r, :s + r])
+        np.divide(weights[s + r:], total, out=rows[r, s + r + 1:])
+
+    keep = np.ones((b, n), dtype=bool)
+    keep[np.arange(b), np.arange(s, s + b)] = False
+    c = d2_rows[keep].reshape(b, n - 1)
+    del keep
+    c -= c.min(axis=1)[:, None]
+    nearest = (c == 0.0).sum(axis=1)
+    # no root (a row of equal d^2 has none either): the limit beta -> inf
+    limit = (nearest >= perplexity) | (nearest == n - 1)
+    for r in np.flatnonzero(limit):
+        put(r, c[r] == 0.0, nearest[r])
+    achieved[limit] = nearest[limit]
+    active = kept = np.flatnonzero(~limit)
+    lo, hi = np.full(active.size, -np.inf), np.full(active.size, np.inf)
+    w_buf, t_buf = np.empty((2, active.size, n - 1)) if scratch is None else scratch
+    # a row whose Newton step is not finite falls back to the bracket
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = -np.log(c.mean(axis=1)[active])
+        for it in range(_MAX_NEWTON):
+            k = active.size
+            if not k:
+                break
+            # the active rows move up to sit compacted at the top of c
+            for dst, src in enumerate(kept):
+                if dst < src:
+                    c[dst] = c[src]
+            beta = np.exp(u)
+            cc, w, t = c[:k], w_buf[:k], t_buf[:k]
+            np.multiply(cc, -beta[:, None], out=w)
+            np.exp(w, out=w)
+            total = w.sum(axis=1)
+            np.multiply(w, cc, out=t)
+            m1 = t.sum(axis=1) / total
+            h = np.log(total) + beta * m1
+            f = h - target
+            done = (np.abs(f) <= _ENTROPY_TOL) | (it == _MAX_NEWTON - 1)
+            for j in np.flatnonzero(done):
+                put(active[j], w[j], total[j])
+            achieved[active[done]] = np.exp(h[done])
+            t *= cc
+            m2 = t.sum(axis=1) / total
+            slope = beta * beta * (m2 - m1 * m1)
+            # H falls as beta grows: f > 0 puts the root above u
+            above = f > 0.0
+            lo = np.where(above, u, lo)
+            hi = np.where(above, hi, u)
+            step = u + np.clip(f / slope, -2.0, 2.0)
+            fallback = np.where(
+                np.isinf(lo) | np.isinf(hi), np.where(above, u + 2.0, u - 2.0), (lo + hi) / 2.0
+            )
+            u = np.where((step > lo) & (step < hi), step, fallback)
+            kept = np.flatnonzero(~done)
+            active, u, lo, hi = active[kept], u[kept], lo[kept], hi[kept]
     for r in np.flatnonzero(np.abs(np.log(achieved) - target) > _ENTROPY_TOL):
-        log.warning(
-            "perplexity calibration for point %d stopped at %.6f (target %.6f)",
-            r,
-            achieved[r],
-            perplexity,
-        )
-    return p, achieved
+        log.warning("perplexity calibration for point %d stopped at %.6f (target %.6f)",
+                    s + r, achieved[r], perplexity)
+    return rows, achieved
 
 
-def joint_probabilities(x, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized t-SNE input affinities and each point's achieved perplexity.
+def _joint_strips(points: np.ndarray, perplexity: float) -> tuple[list, np.ndarray]:
+    """P = (cond + cond.T) / 2n as strips P[s:e, s:] of _BLOCK_ROWS rows, and
+    each point's achieved perplexity, for the calibrated rows cond.
 
-    The affinities sum to 1 over all ordered pairs.
+    A block's d^2 is the Gram form |x_i|^2 + |x_j|^2 - 2 x_i . x_j, clamped
+    at 0, with d_ii^2 = 0. Its rows go into the strips as soon as they are
+    calibrated: columns s on into its own strip, the transpose of its
+    diagonal square onto that, and earlier columns, transposed, into the
+    earlier strips. So every entry receives cond[i, j] and cond[j, i] onto 0.
     """
-    points = _as_points(x)
-    cond, achieved = _conditional_probabilities(_squared_distances(points), perplexity)
-    p = cond + cond.T
-    p /= 2.0 * points.shape[0]
-    return p, achieved
+    n = points.shape[0]
+    strips, achieved = [], np.empty(n)
+    scratch = np.empty((2, min(_BLOCK_ROWS, n), n - 1))
+    sq = (points * points).sum(axis=1)
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        b = e - s
+        d2 = np.add.outer(sq[s:e], sq)
+        d2 -= 2.0 * (points[s:e] @ points.T)
+        np.maximum(d2, 0.0, out=d2)
+        d2[np.arange(b), np.arange(s, e)] = 0.0
+        rows, achieved[s:e] = _calibrate_block(d2, s, perplexity, scratch)
+        strip = rows[:, s:].copy()
+        strip[:, :b] += rows[:, s:e].T
+        for k, earlier in enumerate(strips):
+            r = k * _BLOCK_ROWS
+            earlier[:, s - r:s - r + b] += rows[:, r:r + _BLOCK_ROWS].T
+        strips.append(strip)
+        del d2, rows  # before the next block's are made
+    for strip in strips:
+        strip /= 2.0 * n
+    return strips, achieved
 
 
-def _kl_gradient(p: np.ndarray):
+def _kl_gradient(strips: list):
     """Exact KL(P || Q) and its gradient, computed over the upper triangle.
 
-    P is symmetric with a zero diagonal and sums to 1. It is copied into one
-    contiguous strip P[s:e, s:] per block of _BLOCK_ROWS rows, so the caller
-    may drop it. Returns evaluate(y, boost, with_kl) -> (kl, grad), where grad
-    is the gradient of the objective with P scaled by boost and kl is the KL
-    of y against P, or None unless with_kl; the gradient's bits do not depend
+    P (symmetric, zero diagonal, sum 1) is _joint_strips' strips, read in
+    place. Returns evaluate(y, boost, with_kl) -> (kl, grad), where grad is
+    the gradient of the objective with P scaled by boost and kl is the KL of
+    y against P, or None unless with_kl; the gradient's bits do not depend
     on with_kl. Each block takes 1 + d^2 from one product of the rows
     [y_i, |y_i|^2 + 1, 1] with the columns [-2 y_j; 1; |y_j|^2], clamped at 1:
     this Gram form rounds at the scale of |y|^2, and coincident points far
@@ -314,18 +316,22 @@ def _kl_gradient(p: np.ndarray):
     dot products of the strip with log(1 + d^2). The two scratch buffers
     belong to this call, so concurrent runs share nothing.
     """
-    n = p.shape[0]
-    blocks = [(s, np.ascontiguousarray(p[s:s + _BLOCK_ROWS, s:]))
-              for s in range(0, n, _BLOCK_ROWS)]
+    n = strips[0].shape[1]
+    blocks = list(zip(range(0, n, _BLOCK_ROWS), strips))
     p_log_p = 0.0
-    for _, strip in blocks:
+    for strip in strips:
         b = strip.shape[0]
         plogp = np.zeros_like(strip)
         np.log(strip, out=plogp, where=strip > 0.0)
         plogp *= strip
         p_log_p += float(plogp[:, :b].sum()) + 2.0 * float(plogp[:, b:].sum())
+    # both buffers start on a 64-byte line: a step ran about 10% slower with
+    # their starts 8 to 32 bytes apart within one, as two allocations left them
     width = min(_BLOCK_ROWS, n) * n
-    buf_a, buf_b = np.empty(width), np.empty(width)
+    width += -width % 8
+    buf = np.empty(2 * width + 8)
+    base = -(buf.ctypes.data // 8) % 8
+    buf_a, buf_b = buf[base:base + width], buf[base + width:base + 2 * width]
 
     def evaluate(
         y: np.ndarray, boost: float, with_kl: bool = True
@@ -333,14 +339,8 @@ def _kl_gradient(p: np.ndarray):
         d = y.shape[1]
         sq = (y * y).sum(axis=1)
         # left[i] @ right[:, j] = |y_i|^2 + 1 + |y_j|^2 - 2 y_i . y_j = 1 + d_ij^2
-        left = np.empty((n, d + 2))
-        left[:, :d] = y
-        left[:, d] = sq + 1.0
-        left[:, d + 1] = 1.0
-        right = np.empty((d + 2, n))
-        right[:d] = -2.0 * y.T
-        right[d] = 1.0
-        right[d + 1] = sq
+        left = np.column_stack([y, sq + 1.0, np.ones(n)])
+        right = np.vstack([-2.0 * y.T, np.ones(n), sq])
         y1 = np.hstack([y, np.ones((n, 1))])
         attr = np.zeros((n, d + 1))
         rep = np.zeros((n, d + 1))
@@ -424,9 +424,8 @@ def tsne(
     if n < 3:
         raise DataError("tsne needs at least 3 points")
     if perplexity <= 0 or 3.0 * perplexity >= n:
-        raise DataError(
-            f"perplexity {perplexity} infeasible for {n} points (need 3*perplexity < n)"
-        )
+        raise DataError(f"perplexity {perplexity} infeasible for {n} points "
+                        "(need 3*perplexity < n)")
     if d < 1 or iters < 1:
         raise DataError("d and iters must be positive")
     if not exaggeration > 0 or exaggeration_iters < 0:
@@ -434,13 +433,10 @@ def tsne(
     if learning_rate == "auto":
         learning_rate = max(n / (4.0 * exaggeration), LEARNING_RATE_FLOOR)
     elif isinstance(learning_rate, str) or not learning_rate > 0:
-        raise DataError(
-            f"learning_rate must be 'auto' or positive, got {learning_rate!r}"
-        )
+        raise DataError(f"learning_rate must be 'auto' or positive, got {learning_rate!r}")
 
-    p_joint, achieved = joint_probabilities(points, perplexity)
-    kl_and_gradient = _kl_gradient(p_joint)
-    del p_joint
+    strips, achieved = _joint_strips(points, perplexity)
+    kl_and_gradient = _kl_gradient(strips)
 
     y = np.zeros((n, d))
     if points.shape[1] >= 1:

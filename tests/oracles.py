@@ -8,7 +8,9 @@ detection averages over; `scan_agglomerate`, the library's former
 agglomeration loop, which does the same Lance-Williams arithmetic so that
 dendrograms can be compared exactly; `loop_conditional_probabilities`,
 the perplexity root-find run one row at a time, whose arithmetic the
-blocked calibration must reproduce bit for bit, beside
+blocked calibration must reproduce bit for bit, with
+`blocked_squared_distances`, the library's d^2 arithmetic, and `symmetrize`,
+the former full-matrix joint P, whose strips the library's must equal, beside
 `bisect_conditional_probabilities`, the former bisection, whose tolerance
 window the root-find must land in;
 `loop_quantile_normalize`, the former one-distribution-at-a-time tie
@@ -190,6 +192,48 @@ def dense_kl_gradient(p, y, boost):
     mask = p > 0
     kl = float((p[mask] * np.log(p[mask])).sum()) - float((p * np.log(q)).sum())
     return kl, grad
+
+
+def blocked_squared_distances(x, rows=64):
+    """The library's squared distances, operation for operation: per block of
+    rows, |x_i|^2 + |x_j|^2 - 2 x_i . x_j from one product with all points,
+    clamped at 0, with a zero diagonal."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    sq = (x * x).sum(axis=1)
+    d2 = np.empty((n, n))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        block = np.add.outer(sq[s:e], sq)
+        block -= 2.0 * (x[s:e] @ x.T)
+        d2[s:e] = np.maximum(block, 0.0)
+        d2[np.arange(s, e), np.arange(s, e)] = 0.0
+    return d2
+
+
+def symmetrize(cond):
+    """The library's former joint P from conditional rows: (cond + cond.T) / 2n."""
+    p = cond + cond.T
+    p /= 2.0 * cond.shape[0]
+    return p
+
+
+def cut_strips(p, rows=64):
+    """A dense P as the library's upper-triangle strips P[s:s + rows, s:]."""
+    return [np.ascontiguousarray(p[s:s + rows, s:]) for s in range(0, p.shape[0], rows)]
+
+
+def assemble_joint(strips):
+    """The dense P whose upper-triangle strips these are."""
+    n = strips[0].shape[1]
+    p = np.empty((n, n))
+    s = 0
+    for strip in strips:
+        e = s + strip.shape[0]
+        p[s:e, s:] = strip
+        p[e:, s:e] = strip[:, e - s:].T
+        s = e
+    return p
 
 
 def loop_conditional_probabilities(d2, perplexity):

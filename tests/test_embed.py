@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 from oracles import (
+    assemble_joint,
     bisect_conditional_probabilities,
+    blocked_squared_distances,
+    cut_strips,
     dense_kl_gradient,
     kl_divergence,
     loop_conditional_probabilities,
     svd_pca,
+    symmetrize,
 )
 
 import scbench.embed
@@ -20,15 +24,20 @@ from scbench import DataError, pca_fit_transform, tsne
 from scbench._util import seeded_rng
 from scbench.embed import (
     Embedding,
-    _conditional_probabilities,
+    _calibrate_block,
+    _joint_strips,
     _kl_gradient,
-    _squared_distances,
-    joint_probabilities,
 )
 
 
 def seeded_points(seed, n, g, scale=1.0):
     return np.random.default_rng(seed).normal(size=(n, g)) * scale
+
+
+def conditional_probabilities(d2, perplexity):
+    """The library's calibration of every row of d2, 64 rows per call, stacked."""
+    blocks = [_calibrate_block(d2[s:s + 64], s, perplexity) for s in range(0, len(d2), 64)]
+    return np.vstack([rows for rows, _ in blocks]), np.concatenate([a for _, a in blocks])
 
 
 def test_pca_collinear_points():
@@ -142,6 +151,20 @@ def test_pca_gives_zero_variance_components_beyond_the_rank_on_both_routes():
     # the Gram route cannot name null-space directions: it gives zero vectors
     _, model = pca_fit_transform(x, 6)
     assert not model.components[2:].any() and not model.explained_variance[2:].any()
+
+
+def test_gram_route_scores_scale_with_small_inputs():
+    # the rank cut-off is relative: data of variance far below 1 keep their
+    # components (an absolute 1e-12 once zeroed every one at scale 1e-7)
+    x = seeded_points(27, 10, 20)
+    emb, model = pca_fit_transform(x, 3)
+    assert emb.params["method"] == "gram"
+    for scale in (1e-7, 1e-5):
+        small, small_model = pca_fit_transform(x * scale, 3)
+        assert np.abs(small.coordinates - scale * emb.coordinates).max() <= (
+            1e-9 * scale * np.abs(emb.coordinates).max())
+        assert np.allclose(small_model.explained_variance,
+                           scale**2 * model.explained_variance, rtol=1e-9, atol=0.0)
 
 
 def test_tsne_of_points_without_variance_starts_from_seeded_noise_on_both_routes():
@@ -258,8 +281,8 @@ def test_tsne_safeguard_keeps_kl_tail_monotone(monkeypatch):
     iters = 600
     calls = []
 
-    def recording(p):
-        evaluate = _kl_gradient(p)
+    def recording(strips):
+        evaluate = _kl_gradient(strips)
 
         def recorded(y, boost, with_kl=True):
             kl, grad = evaluate(y, boost, with_kl)
@@ -302,7 +325,7 @@ def test_tsne_safeguard_keeps_kl_tail_monotone(monkeypatch):
 def test_tsne_returns_the_iterate_whose_kl_it_reports():
     x = seeded_points(2, 80, 20)
     emb = tsne(x, perplexity=10, seed=2, iters=300)
-    p, _ = joint_probabilities(x, 10)
+    p = assemble_joint(_joint_strips(x, 10)[0])
     assert math.isclose(kl_divergence(p, emb), emb.diagnostics["final_kl"], rel_tol=1e-12)
 
 
@@ -384,15 +407,27 @@ def test_kl_divergence_validates_table():
         kl_divergence(np.full((8, 8), 1.0), emb)
 
 
-def test_joint_probabilities_form():
-    x = seeded_points(21, 25, 6)
-    p, achieved = joint_probabilities(x, perplexity=7)
-    assert p.shape == (25, 25)
-    assert np.abs(achieved - 7).max() <= 1e-4
-    assert np.array_equal(p, p.T)
-    assert np.abs(np.diagonal(p)).max() == 0.0
-    assert (p >= 0).all()
-    assert math.isclose(p.sum(), 1.0, abs_tol=1e-9)
+@pytest.mark.parametrize("n", [4, 63, 64, 65, 129, 200])
+def test_strips_equal_the_one_row_loops_p_symmetrized(n, caplog):
+    # block edges, a 1-row tail, and columns added transposed across blocks:
+    # each entry of a strip receives cond[i, j] and cond[j, i] onto 0
+    perplexity = min(30.0, n / 3.0)
+    for d in (2, 50):
+        x = seeded_points(40 + n, n, d)
+        strips, achieved = _joint_strips(x, perplexity)
+        d2 = blocked_squared_distances(x)
+        with caplog.at_level(logging.ERROR, logger="scbench.embed"):
+            cond, achieved_loop = loop_conditional_probabilities(d2, perplexity)
+        expected = cut_strips(symmetrize(cond))
+        assert len(strips) == len(expected)
+        for strip, want in zip(strips, expected):
+            assert strip.flags.c_contiguous and np.array_equal(strip, want)
+        assert np.array_equal(achieved, achieved_loop)
+        p = assemble_joint(strips)
+        assert not np.diagonal(p).any()
+        assert np.array_equal(p, p.T)
+        assert (p >= 0.0).all()
+        assert math.isclose(p.sum(), 1.0, abs_tol=1e-12)
 
 
 def random_joint(seed, n):
@@ -408,7 +443,7 @@ def random_joint(seed, n):
 def test_blocked_step_matches_the_dense_step(n):
     # strips of 64 rows: one partial block, exact multiples, and a 1-row tail
     p = random_joint(n, n)
-    evaluate = _kl_gradient(p)
+    evaluate = _kl_gradient(cut_strips(p))
     for d in (1, 2, 3):
         y = np.random.default_rng(100 + d).normal(size=(n, d)) * 3.0
         for boost in (12.0, 1.0):
@@ -426,7 +461,7 @@ def test_blocked_step_matches_the_dense_step_at_a_finished_embeddings_scale(n):
     # a finished embedding spans tens of units, where the Gram form of 1 + d^2
     # rounds at the scale of |y|^2 = 2500 and close pairs keep d^2 near 1
     p = random_joint(n, n)
-    evaluate = _kl_gradient(p)
+    evaluate = _kl_gradient(cut_strips(p))
     for d in (1, 2, 3):
         y = np.random.default_rng(200 + d).normal(size=(n, d))
         y *= 50.0 / np.sqrt((y * y).sum(axis=1)).max()
@@ -443,7 +478,7 @@ def test_coincident_points_far_out_keep_unit_weights():
     # Z = n (n - 1) and the forces cancel
     n = 70
     p = random_joint(3, n)
-    evaluate = _kl_gradient(p)
+    evaluate = _kl_gradient(cut_strips(p))
     plogp = float((p[p > 0] * np.log(p[p > 0])).sum())
     for d in (1, 2, 3):
         y = np.full((n, d), 2.0**27)
@@ -462,14 +497,14 @@ def test_kl_is_evaluated_from_the_last_exaggerated_iterate(iters, exaggeration_i
     assert emb.diagnostics["kl_trace_start"] == start
     assert len(emb.diagnostics["kl_trace"]) == iters - start
     assert emb.diagnostics["final_kl"] == emb.diagnostics["kl_trace"][-1]
-    p, _ = joint_probabilities(x, 10)
+    p = assemble_joint(_joint_strips(x, 10)[0])
     assert math.isclose(kl_divergence(p, emb), emb.diagnostics["final_kl"], rel_tol=1e-12)
 
 
 def calibrations_agree(d2, perplexity, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="scbench.embed"):
-        p, achieved = _conditional_probabilities(d2, perplexity)
+        p, achieved = conditional_probabilities(d2, perplexity)
         warned = [r.getMessage() for r in caplog.records]
         caplog.clear()
         p_loop, achieved_loop = loop_conditional_probabilities(d2, perplexity)
@@ -487,39 +522,39 @@ def lockstep_inputs():
     # uneven scales make some rows underflow part of their weights
     for n, g, perplexity in ((40, 5, 8.0), (130, 4, 5.0), (200, 20, 30.0)):
         x = rng.normal(size=(n, g)) * rng.random(n)[:, None] * 20.0
-        yield _squared_distances(x), perplexity
+        yield blocked_squared_distances(x), perplexity
     # every row equidistant from the others, above the target
-    yield _squared_distances(np.eye(3)), 0.9
+    yield blocked_squared_distances(np.eye(3)), 0.9
     # rows with tied distances, across a block boundary
-    yield _squared_distances((np.arange(70.0) % 5)[:, None]), 4.0
-    yield _squared_distances(np.repeat(np.arange(30.0), 3)[:, None]), 2.0
-    yield _squared_distances(np.r_[np.arange(10.0), 40.0 + np.arange(10.0)][:, None]), 4.0
+    yield blocked_squared_distances((np.arange(70.0) % 5)[:, None]), 4.0
+    yield blocked_squared_distances(np.repeat(np.arange(30.0), 3)[:, None]), 2.0
+    yield blocked_squared_distances(np.r_[np.arange(10.0), 40.0 + np.arange(10.0)][:, None]), 4.0
     # rows without a root: 40 copies of one point (more duplicates than the
     # perplexity), identical points, and perplexity 1; and 1.01 just above it
-    yield _squared_distances(np.r_[np.zeros((40, 3)), rng.normal(size=(60, 3))]), 30.0
-    yield _squared_distances(np.ones((20, 4))), 5.0
+    yield blocked_squared_distances(np.r_[np.zeros((40, 3)), rng.normal(size=(60, 3))]), 30.0
+    yield blocked_squared_distances(np.ones((20, 4))), 5.0
     spread = rng.normal(size=(60, 4))
     for perplexity in (1.0, 1.01):
-        yield _squared_distances(spread), perplexity
+        yield blocked_squared_distances(spread), perplexity
     # coordinate scales far from 1
     for scale in (1e4, 1e-6):
-        yield _squared_distances(spread * scale), 10.0
+        yield blocked_squared_distances(spread * scale), 10.0
     # four 50-d groups 200 apart: every row's far weights underflow to zero
     groups = np.repeat(np.arange(4.0) * 200.0, 40)[:, None] + rng.normal(size=(160, 50))
-    yield _squared_distances(groups), 10.0
+    yield blocked_squared_distances(groups), 10.0
 
 
 def test_lockstep_calibration_equals_the_one_row_loop(caplog):
     for d2, perplexity in lockstep_inputs():
         calibrations_agree(d2, perplexity, caplog)
     # no row of three equidistant points reaches 0.9: each one warns
-    assert len(calibrations_agree(_squared_distances(np.eye(3)), 0.9, caplog)) == 3
+    assert len(calibrations_agree(blocked_squared_distances(np.eye(3)), 0.9, caplog)) == 3
     # two lines of 10 points 40 apart: some rows end with every weight
     # positive although beta * max d^2 is past 700, the rest with their far
     # weights underflowed to zero
     lines = np.r_[np.arange(10.0), 40.0 + np.arange(10.0)][:, None]
-    d2 = _squared_distances(lines)
-    p, _ = _conditional_probabilities(d2, 4.0)
+    d2 = blocked_squared_distances(lines)
+    p, _ = conditional_probabilities(d2, 4.0)
     off = ~np.eye(20, dtype=bool)
     rows = np.flatnonzero((p > 0.0).sum(axis=1) == 19)
     assert 0 < rows.size < 20
@@ -551,9 +586,9 @@ def test_rows_without_a_root_take_the_limit_with_no_newton_pass(monkeypatch, cap
     spy = ExpSpy()
     monkeypatch.setattr(scbench.embed, "np", spy)
     # identical points: every row's d^2 are all equal, above the target
-    warned = calibrations_agree(_squared_distances(np.ones((300, 4))), 30.0, caplog)
+    warned = calibrations_agree(blocked_squared_distances(np.ones((300, 4))), 30.0, caplog)
     assert len(warned) == 300
-    p, achieved = _conditional_probabilities(_squared_distances(np.ones((300, 4))), 30.0)
+    p, achieved = conditional_probabilities(blocked_squared_distances(np.ones((300, 4))), 30.0)
     assert (achieved == 299.0).all() and (p == (1.0 - np.eye(300)) / 299.0).all()
     # a target of the row's length is met in the limit, with no warning;
     # above it no beta reaches the target
@@ -563,17 +598,17 @@ def test_rows_without_a_root_take_the_limit_with_no_newton_pass(monkeypatch, cap
     calibrations_agree(1.4406064453125 * (1.0 - np.eye(40)), 30.0, caplog)
     # perplexity 1: each row puts its mass on its one nearest point
     x = seeded_points(28, 60, 4)
-    d2 = _squared_distances(x)
+    d2 = blocked_squared_distances(x)
     assert not calibrations_agree(d2, 1.0, caplog)
-    p, achieved = _conditional_probabilities(d2, 1.0)
+    p, achieved = conditional_probabilities(d2, 1.0)
     nearest = np.where(np.eye(60, dtype=bool), np.inf, d2).argmin(axis=1)
     assert (achieved == 1.0).all() and (p == np.eye(60)[nearest]).all()
     assert spy.rows == []
     # 40 copies of one point far from 60 spread points: the copies' rows make
     # no pass, so the first pass of each block takes only the spread rows
     copies = np.r_[np.full((40, 3), 100.0), seeded_points(29, 60, 3)]
-    d2 = _squared_distances(copies)
-    p, achieved = _conditional_probabilities(d2, 30.0)
+    d2 = blocked_squared_distances(copies)
+    p, achieved = conditional_probabilities(d2, 30.0)
     assert spy.rows[0] == 64 - 40 and max(spy.rows) == 100 - 64
     assert (achieved[:40] == 39.0).all()
     assert (p[:40, :40] == (1.0 - np.eye(40)) / 39.0).all() and not p[:40, 40:].any()
@@ -592,7 +627,7 @@ def test_root_found_perplexities_land_in_the_bisection_window(caplog):
     # the former bisection stopped anywhere within 1e-5 of the target
     with caplog.at_level(logging.ERROR, logger="scbench.embed"):
         for d2, perplexity in lockstep_inputs():
-            _, achieved = _conditional_probabilities(d2, perplexity)
+            _, achieved = conditional_probabilities(d2, perplexity)
             _, bisected = bisect_conditional_probabilities(d2, perplexity)
             root = has_root(d2, perplexity)
             assert (np.abs(achieved[root] - perplexity) <= 1e-5).all()
@@ -607,7 +642,7 @@ def test_rows_with_a_root_hit_the_target_within_1e_8_of_it(caplog):
     # within about 1e-10 of the target, relative; the bound leaves 100x
     with caplog.at_level(logging.ERROR, logger="scbench.embed"):
         for d2, perplexity in lockstep_inputs():
-            _, achieved = _conditional_probabilities(d2, perplexity)
+            _, achieved = conditional_probabilities(d2, perplexity)
             root = has_root(d2, perplexity)
             assert (np.abs(achieved[root] - perplexity) <= 1e-8 * perplexity).all()
 
@@ -623,7 +658,7 @@ def test_achieved_perplexity_is_exp_of_the_entropy_of_p():
     groups = np.repeat(np.arange(4.0) * 200.0, 40)[:, None] + rng.normal(size=(160, 50))
     cases.append((groups, 10.0))
     for x, perplexity in cases:
-        p, achieved = _conditional_probabilities(_squared_distances(x), perplexity)
+        p, achieved = conditional_probabilities(blocked_squared_distances(x), perplexity)
         for row, perp in zip(p, achieved):
             nz = row[row > 0.0]
             assert math.isclose(perp, math.exp(-(nz * np.log(nz)).sum()), rel_tol=1e-12)
@@ -646,11 +681,14 @@ def test_concurrent_runs_equal_sequential_runs():
         assert np.array_equal(a.diagnostics["kl_trace"], b.diagnostics["kl_trace"])
 
 
-def test_tsne_holds_no_n_by_n_arrays_beyond_p():
-    n = 600
+@pytest.mark.parametrize("n", [600, 1500])
+def test_tsne_holds_p_only_as_its_upper_triangle_strips(n):
     x = seeded_points(25, n, 10)
     peak = traced_peak(lambda: tsne(x, perplexity=30, seed=0, iters=20))
-    # 2.56 n^2 float64 measured here, while calibrating: d^2 and P with four
-    # 64-row blocks of n (0.11 n^2 each at this n); the bound leaves two more
-    # blocks. The former full-matrix step peaked at 6.15 n^2
-    assert peak <= 2.8 * n * n * 8
+    # measured: the strips (0.5 n^2 + 32 n) and five 64 x n blocks while the
+    # last block calibrates (its d^2, shifted d^2, weights, scratch and rows),
+    # 1.10 n^2 at 600 and 0.74 n^2 at 1500; the bound leaves two more blocks.
+    # Any n x n array beside the strips exceeds it. Full d^2, conditional and
+    # joint P peaked at 2.56 n^2 and 2.22 n^2
+    strips = sum(min(64, n - s) * (n - s) for s in range(0, n, 64))
+    assert peak <= (strips + 7 * 64 * n) * 8
