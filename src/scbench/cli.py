@@ -164,16 +164,14 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     if depth == "embed":
         return SplitResult(**fields)
 
-    # one distance matrix per split, shared by hclust and the silhouettes
     coords = tsne_emb.coordinates
-    d = pairwise_distances(coords)
     if args.cluster_method == "kmeans":
         labels = kmeans(coords, args.k, seed=args.seed, restarts=args.restarts).labels
     else:
-        dend = hierarchical(d, linkage=args.linkage)
+        dend = hierarchical(coords, linkage=args.linkage)
         labels = cut_dendrogram(dend, args.k)
     fields["labels"] = labels
-    fields["silhouettes"] = silhouette(d, labels)
+    fields["silhouettes"] = silhouette(coords, labels)
     truth = _truth_labels(annotations)
     if truth is not None:
         fields["ari"] = adjusted_rand_index(truth, labels)

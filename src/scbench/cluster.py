@@ -4,7 +4,9 @@ k-means uses k-means++ seeding with multiple restarts; hierarchical clustering
 is the Lance-Williams agglomerative family (single, complete, average, ward).
 Silhouette widths and the adjusted Rand index follow their textbook
 definitions, computed exactly. Every routine is deterministic: ties are broken
-by index order and randomness only enters through explicit seeds.
+by index order and randomness only enters through explicit seeds. Every
+routine takes points and reads euclidean distances from one blocked kernel,
+`_distance_strips`; only hierarchical clustering holds an n x n array.
 """
 from __future__ import annotations
 
@@ -15,54 +17,46 @@ import numpy as np
 
 from ._util import seeded_rng, unpickle_read_only
 from .errors import DataError
-from .matrix import ExpressionMatrix
+from .matrix import _as_points
 
 KMEANS_RESTARTS_DEFAULT = 10
 KMEANS_MAX_ITERS = 300  # Lloyd iterations per restart, at most
 KMEANS_TOL = 1e-6  # a restart stops once an iteration lowers its SSE by less
 
 LINKAGES = ("single", "complete", "average", "ward")
-_NN_BLOCK_ROWS = 64  # rows per refresh of hierarchical's nearest-neighbour cache
+_BLOCK_ROWS = 64  # a kernel or nearest-neighbour block holds about 64 x n values
 
 Merge = namedtuple("Merge", ["node_a", "node_b", "height", "size"])
 
 
-def _as_points(x) -> np.ndarray:
-    if isinstance(x, ExpressionMatrix):
-        return x.values
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError("expected a 2-d array of points")
-    if not np.isfinite(arr).all():
-        raise DataError("points must be finite")
-    return arr
+def _distance_strips(points: np.ndarray):
+    """Yield (s, e, rows), the distances from points s..e-1 to all points.
+
+    Entry (i, j) is sqrt(((x_j - x_i)^2).sum()) over the coordinates in
+    order: its bits do not depend on the block, (i, j) equals (j, i), (i, i)
+    is 0, and one past float64 is inf. A block has max(1, _BLOCK_ROWS // dim)
+    rows: up to _BLOCK_ROWS coordinates, its differences hold <= _BLOCK_ROWS x n.
+    """
+    n, dim = points.shape
+    step = max(1, _BLOCK_ROWS // max(dim, 1))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        diff = points[None, :, :] - points[s:e, None, :]
+        diff *= diff
+        rows = diff.sum(axis=-1)
+        del diff  # not held while the caller reads the block
+        yield s, e, np.sqrt(rows, out=rows)
 
 
 def pairwise_distances(x) -> np.ndarray:
-    """Euclidean distances between the rows of `x`, as the full n x n matrix.
-
-    Entries (i, j) and (j, i) sum the same squared differences in the same
-    order, so the matrix is exactly symmetric, with an exactly zero diagonal.
-    """
+    """Euclidean distances between the rows of `x`, as the full n x n matrix,
+    filled from `_distance_strips`: exactly symmetric, with an exactly zero
+    diagonal. `hierarchical` builds its working copy with it."""
     points = _as_points(x)
     n = points.shape[0]
     d = np.empty((n, n))
-    for i in range(n):
-        diff = points - points[i]
-        d[i] = np.sqrt((diff * diff).sum(axis=1))
-    return d
-
-
-def _check_distance_matrix(d: np.ndarray) -> np.ndarray:
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DataError("distance matrix must be square")
-    if not np.isfinite(d).all() or (d < 0).any():
-        raise DataError("distances must be finite and non-negative")
-    if (np.diag(d) != 0).any():
-        raise DataError("distance matrix diagonal must be zero")
-    if not np.array_equal(d, d.T):
-        raise DataError("distance matrix must be symmetric")
+    for s, e, rows in _distance_strips(points):
+        d[s:e] = rows
     return d
 
 
@@ -199,8 +193,8 @@ def _nearest(work, rows, slot_node, nn, nn_dist):
     """Set each of `rows` to its minimum and, among the slots holding it, the
     one with the smallest node id; in row blocks, so temporaries stay small."""
     no_node = 2 * work.shape[0]  # larger than every node id
-    for start in range(0, rows.size, _NN_BLOCK_ROWS):
-        block = rows[start:start + _NN_BLOCK_ROWS]
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
         tied = work[block]
         best = tied.min(axis=1)
         tied = tied == best[:, None]
@@ -208,22 +202,21 @@ def _nearest(work, rows, slot_node, nn, nn_dist):
         nn_dist[block] = best
 
 
-def hierarchical(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
-    """Agglomerative clustering of a distance matrix via the Lance-Williams
-    update; `pairwise_distances` gives the euclidean matrix of points.
+def hierarchical(x, linkage: str = "average") -> Dendrogram:
+    """Agglomerative clustering of the rows of `x` under euclidean distance,
+    via the Lance-Williams update.
 
-    Ward assumes euclidean distances and tracks squared-distance heights:
-    merging A and B costs 2|A||B|/(|A|+|B|) times the squared distance between
-    their centroids. Distance ties are broken by the smallest (node_a, node_b)
-    pair; merge t creates node n_leaves + t. A merge height that overflows
-    float64 (ward squares the distances; average scales them by cluster
-    sizes) raises DataError.
+    Ward tracks squared-distance heights: merging A and B costs
+    2|A||B|/(|A|+|B|) times the squared distance between their centroids.
+    Distance ties are broken by the smallest (node_a, node_b) pair; merge t
+    creates node n_leaves + t. A merge height that overflows float64 (a
+    distance past it, or ward's squares and their updates) raises DataError.
 
-    All merging happens in one working copy of the distances (squared for
-    ward); `distances` itself is never modified. The copy holds inf on its
-    diagonal and on the row and column of every slot merged away, so the
-    update can run on whole rows: a retired slot stays at inf under every
-    linkage's update.
+    All merging happens in one working copy of the distances, built by
+    `pairwise_distances` (and squared for ward), the only n x n array. It
+    holds inf on its diagonal and on the row and column of every slot
+    merged away, so the update can run on whole rows: a retired slot stays
+    at inf under every linkage's update.
 
     Merges come from a cache, not a scan of the copy (the generic algorithm
     of Muellner 2011, arXiv:1109.2378): for each slot, its row minimum
@@ -243,14 +236,16 @@ def hierarchical(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
     """
     if linkage not in LINKAGES:
         raise DataError(f"unknown linkage {linkage!r}")
-    d = _check_distance_matrix(distances)
-    n = d.shape[0]
+    points = _as_points(x)
+    n = points.shape[0]
     if n < 2:
         raise DataError("clustering needs at least 2 points")
     # an overflow, or the inf - inf it can lead to, shows as a non-finite
     # merge height, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        work = d * d if linkage == "ward" else d.copy()
+        work = pairwise_distances(points)
+        if linkage == "ward":
+            work *= work
         np.fill_diagonal(work, np.inf)
 
         slot_node = np.arange(n)
@@ -261,7 +256,7 @@ def hierarchical(distances: np.ndarray, linkage: str = "average") -> Dendrogram:
         for t in range(n - 1):
             dist = nn_dist.min()
             if not np.isfinite(dist):
-                raise DataError("merge height overflows float64; rescale the distances")
+                raise DataError("merge height overflows float64; rescale the points")
             rows = np.flatnonzero(nn_dist == dist)
             p = int(rows[slot_node[rows].argmin()])
             i, j = sorted((p, int(nn[p])))
@@ -333,42 +328,48 @@ class SilhouetteReport:
     per_cluster_mean: dict
 
 
-def silhouette(distances: np.ndarray, labels) -> SilhouetteReport:
-    """Silhouette width s(i) = (b - a) / max(a, b) per point, from a distance
-    matrix such as `pairwise_distances` gives.
+def silhouette(x, labels) -> SilhouetteReport:
+    """Euclidean silhouette width s(i) = (b - a) / max(a, b) of each row of `x`.
 
-    Singleton clusters score 0, as does any point where both a and b are 0.
-    Needs at least 2 clusters.
+    a and b come from each row's distance sums to every cluster, gathered
+    per cluster from the kernel's strips. Singleton clusters score 0, as
+    does any point where both a and b are 0. Needs at least 2 clusters; a
+    distance sum past float64 raises DataError.
     """
-    d = _check_distance_matrix(distances)
+    points = _as_points(x)
     labels = np.asarray(labels, dtype=np.int64)
-    n = d.shape[0]
+    n = points.shape[0]
     if labels.shape != (n,):
         raise DataError("labels must have one entry per point")
     # with counts asked for, np.unique does not import numpy.ma
-    uniq = np.unique(labels, return_counts=True)[0]
-    if uniq.size < 2:
+    uniq, own, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    k = uniq.size
+    if k < 2:
         raise DataError("silhouette needs at least 2 clusters")
-    if uniq.size == n:
+    if k == n:
         raise DataError("silhouette is undefined when every cluster is a singleton")
 
-    members = {c: np.flatnonzero(labels == c) for c in uniq}
-    widths = np.zeros(n)
-    for i in range(n):
-        own = members[labels[i]]
-        if own.size == 1:
-            widths[i] = 0.0
-            continue
-        a = d[i, own].sum() / (own.size - 1)
-        b = min(
-            d[i, members[c]].mean() for c in uniq if c != labels[i]
-        )
-        m = max(a, b)
-        widths[i] = 0.0 if m == 0.0 else (b - a) / m
+    members = [np.flatnonzero(own == c) for c in range(k)]
+    sums = np.empty((n, k))
+    with np.errstate(over="ignore"):
+        for s, e, rows in _distance_strips(points):
+            for c, idx in enumerate(members):
+                # a C-ordered gather, so each row sums as one contiguous run
+                sums[s:e, c] = np.take(rows, idx, axis=1).sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise DataError("distances overflow float64; rescale the points")
 
-    per_cluster = {
-        int(c): float(widths[members[c]].mean()) for c in uniq
-    }
+    at = np.arange(n)
+    size = counts[own]
+    a = sums[at, own] / np.maximum(size - 1, 1)
+    sums /= counts
+    sums[at, own] = np.inf
+    b = sums.min(axis=1)
+    m = np.maximum(a, b)
+    widths = np.zeros(n)
+    np.divide(b - a, m, out=widths, where=(m != 0.0) & (size > 1))
+
+    per_cluster = {int(c): float(widths[idx].mean()) for c, idx in zip(uniq, members)}
     return SilhouetteReport(widths, float(widths.mean()), per_cluster)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._util import seeded_rng, single_threaded_blas, unpickle_read_only
 from .errors import DataError
-from .matrix import ExpressionMatrix
+from .matrix import _as_points
 
 log = logging.getLogger(__name__)
 
@@ -91,15 +91,6 @@ class PcaModel:
     column_means: np.ndarray
 
 
-def _as_points(x) -> np.ndarray:
-    if isinstance(x, ExpressionMatrix):
-        return x.values
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError("expected a 2-d array of points")
-    return arr
-
-
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     # a C-ordered copy: the bits of `centered @ components.T` depend on it
     out = components.copy()
@@ -123,8 +114,6 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     """
     v = _as_points(x)
     n, g = v.shape
-    if not np.isfinite(v).all():
-        raise DataError("pca input must be finite")
     if n < 2:
         raise DataError("pca needs at least 2 points")
     if not (1 <= d <= min(n, g)):
@@ -171,7 +160,7 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     return Embedding(scores, "pca", {"d": d, "method": method}, seed=0), model
 
 
-def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch=None) -> tuple:
+def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch) -> tuple:
     """Gaussian affinities of points s, s + 1, ... at the target perplexity.
 
     d2_rows holds their d^2 to all n points, row i's own at column s + i;
@@ -188,8 +177,8 @@ def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch=Non
     with at least perplexity nearest points (duplicates, perplexity <= 1)
     has no finite root: it takes the beta -> infinity limit, equal mass on
     its nearest points, with no Newton pass. Rows that miss the target are
-    logged, numbered from s. scratch, where given, is the passes' two
-    buffers of at least b x (n - 1), so a caller can keep them across blocks.
+    logged, numbered from s. scratch is the passes' two buffers of at least
+    b x (n - 1), which a caller keeps across blocks.
     """
     b, n = d2_rows.shape
     target = np.log(perplexity)
@@ -214,7 +203,7 @@ def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch=Non
     achieved[limit] = nearest[limit]
     active = kept = np.flatnonzero(~limit)
     lo, hi = np.full(active.size, -np.inf), np.full(active.size, np.inf)
-    w_buf, t_buf = np.empty((2, active.size, n - 1)) if scratch is None else scratch
+    w_buf, t_buf = scratch
     # a row whose Newton step is not finite falls back to the bracket
     with np.errstate(divide="ignore", invalid="ignore"):
         u = -np.log(c.mean(axis=1)[active])
@@ -419,8 +408,6 @@ def tsne(
     """
     points = _as_points(x)
     n = points.shape[0]
-    if not np.isfinite(points).all():
-        raise DataError("tsne input must be finite")
     if n < 3:
         raise DataError("tsne needs at least 3 points")
     if perplexity <= 0 or 3.0 * perplexity >= n:

@@ -105,6 +105,18 @@ class ExpressionMatrix:
         return self.values.shape[1]
 
 
+def _as_points(x) -> np.ndarray:
+    """The rows of `x` as a finite 2-d float64 array (an ExpressionMatrix's own values)."""
+    if isinstance(x, ExpressionMatrix):
+        return x.values
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DataError("expected a 2-d array of points")
+    if not np.isfinite(arr).all():
+        raise DataError("points must be finite")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Immutable cells x genes sparse count matrix; stored entries are all >= 1.

@@ -6,7 +6,9 @@ code with the package under test. Some pieces share the library's definitions
 on purpose: `seeded_rng`, which defines the cell orderings cumulative
 detection averages over; `scan_agglomerate`, the library's former
 agglomeration loop, which does the same Lance-Williams arithmetic so that
-dendrograms can be compared exactly; `loop_conditional_probabilities`,
+dendrograms can be compared exactly; `loop_pairwise_distances` and
+`matrix_silhouette`, the former one-row distance loop and per-point
+silhouette, whose bits the blocked distance kernel must reproduce; `loop_conditional_probabilities`,
 the perplexity root-find run one row at a time, whose arithmetic the
 blocked calibration must reproduce bit for bit, with
 `blocked_squared_distances`, the library's d^2 arithmetic, and `symmetrize`,
@@ -37,6 +39,39 @@ def naive_distances(x):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = float(np.sqrt(((x[i] - x[j]) ** 2).sum()))
     return d
+
+
+def loop_pairwise_distances(x):
+    """The library's former euclidean distance matrix, one row at a time:
+    row i is sqrt(((x_j - x_i)^2).sum()) over the coordinates, for every j."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    d = np.empty((n, n))
+    for i in range(n):
+        diff = x - x[i]
+        d[i] = np.sqrt((diff * diff).sum(axis=1))
+    return d
+
+
+def matrix_silhouette(d, labels):
+    """The library's former silhouette widths from a full distance matrix,
+    one point at a time: a is the point's row summed over its own cluster
+    (itself included) over the cluster size less one, b the smallest mean of
+    its row over another cluster; singletons score 0."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = d.shape[0]
+    uniq = np.unique(labels)
+    members = {c: np.flatnonzero(labels == c) for c in uniq}
+    widths = np.zeros(n)
+    for i in range(n):
+        own = members[labels[i]]
+        if own.size == 1:
+            continue
+        a = d[i, own].sum() / (own.size - 1)
+        b = min(d[i, members[c]].mean() for c in uniq if c != labels[i])
+        m = max(a, b)
+        widths[i] = 0.0 if m == 0.0 else (b - a) / m
+    return widths
 
 
 def naive_agglomerate(x, linkage):

@@ -340,7 +340,9 @@ def test_cluster_and_evaluate_skip_qc(data_dir, tmp_path, monkeypatch):
 
 
 def test_one_distance_matrix_per_split(data_dir, tmp_path, monkeypatch):
-    # in-line splits: calls made in a forked worker do not reach `calls`
+    # hclust's working copy is each hclust split's one n x n matrix; the
+    # k-means path and the silhouettes read distance strips and build none.
+    # In-line splits: calls made in a forked worker do not reach `calls`
     monkeypatch.setenv("SCBENCH_THREADS", "1")
     cells = two_replicates(data_dir, tmp_path / "cells.csv")
     calls = []
@@ -352,13 +354,16 @@ def test_one_distance_matrix_per_split(data_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(scbench.cli, "pairwise_distances", counted)
     monkeypatch.setattr(scbench.cluster, "pairwise_distances", counted)
-    rc = cli_main(["evaluate", "--matrix", str(data_dir / "matrix.mtx"),
-                   "--cells", str(cells), *SPEED, "--cluster-method", "hclust",
-                   "-o", str(tmp_path / "out")])
-    assert rc == 0
-    _, rows = read_table(tmp_path / "out" / "silhouette.csv")
-    assert {r["replicate"] for r in rows} == {"r1", "r2"}
-    assert len(calls) == 2
+    for method, matrices in (("hclust", 2), ("kmeans", 0)):
+        calls.clear()
+        out = tmp_path / method
+        rc = cli_main(["evaluate", "--matrix", str(data_dir / "matrix.mtx"),
+                       "--cells", str(cells), *SPEED, "--cluster-method", method,
+                       "-o", str(out)])
+        assert rc == 0
+        _, rows = read_table(out / "silhouette.csv")
+        assert {r["replicate"] for r in rows} == {"r1", "r2"}
+        assert len(calls) == matrices, method
 
 
 def test_pipeline_runs_on_a_split_of_at_most_50_cells(wide_dir, tmp_path):
@@ -875,7 +880,7 @@ def test_a_stage_binds_what_its_splits_call_before_the_pool_forks(data_dir, tmp_
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and not hasattr(builtins, node.func.id)
     })
-    assert {"tsne", "pca_fit_transform", "pairwise_distances", "generate"} <= set(called)
+    assert {"tsne", "pca_fit_transform", "silhouette", "generate"} <= set(called)
     # on a fresh import, before any command has bound them
     modules_imported_by(
         "import scbench.cli as cli\n"

@@ -7,6 +7,8 @@ import pytest
 from conftest import traced_peak, unpickle_without_post_init
 from oracles import (
     best_two_partition_sse,
+    loop_pairwise_distances,
+    matrix_silhouette,
     mst_edge_weights,
     naive_agglomerate,
     naive_distances,
@@ -35,10 +37,6 @@ def heights(dend):
 
 def blob(seed, n, g=3, scale=1.0):
     return np.random.default_rng(seed).normal(size=(n, g)) * scale
-
-
-def cityblock(x):
-    return np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
 
 
 def test_pairwise_identical_rows_are_zero_distance():
@@ -128,7 +126,7 @@ def test_kmeans_translation_and_scaling_invariance():
 def test_hierarchical_two_points():
     x = np.array([[0.0, 0.0], [3.0, 4.0]])
     for linkage in LINKAGES:
-        dend = hierarchical(pairwise_distances(x), linkage=linkage)
+        dend = hierarchical(x, linkage=linkage)
         assert len(dend.merges) == 1
         expected = 25.0 if linkage == "ward" else 5.0
         assert math.isclose(dend.merges[0].height, expected, rel_tol=1e-12)
@@ -137,7 +135,7 @@ def test_hierarchical_two_points():
 
 def test_hierarchical_single_linkage_line():
     x = np.array([[0.0], [1.0], [10.0]])
-    dend = hierarchical(pairwise_distances(x), linkage="single")
+    dend = hierarchical(x, linkage="single")
     assert [m.height for m in dend.merges] == [1.0, 9.0]
     assert (dend.merges[0].node_a, dend.merges[0].node_b) == (0, 1)
     assert (dend.merges[1].node_a, dend.merges[1].node_b) == (2, 3)
@@ -145,14 +143,14 @@ def test_hierarchical_single_linkage_line():
 
 def test_hierarchical_tie_break_on_unit_square():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    dend = hierarchical(pairwise_distances(x), linkage="single")
+    dend = hierarchical(x, linkage="single")
     got = [(m.node_a, m.node_b, m.height, m.size) for m in dend.merges]
     assert got == [(0, 1, 1.0, 2), (2, 3, 1.0, 2), (4, 5, 1.0, 4)]
 
 
 def test_hierarchical_matches_naive_oracle():
     def check(x, linkage):
-        dend = hierarchical(pairwise_distances(x), linkage=linkage)
+        dend = hierarchical(x, linkage=linkage)
         expected = naive_agglomerate(x, linkage)
         got = [(m.node_a, m.node_b) for m in dend.merges]
         assert got == [(a, b) for a, b, _ in expected]
@@ -175,68 +173,85 @@ def test_hierarchical_matches_naive_oracle():
 def test_hierarchical_equals_the_scan_loop():
     # the cache must reproduce the full-scan merge order exactly, heights
     # and sizes included, under every linkage and on heavily tied inputs
-    def check(d):
+    def check(x):
+        d = pairwise_distances(x)
+        before = x.copy()
         for linkage in LINKAGES:
-            got = hierarchical(d, linkage=linkage).merges
+            got = hierarchical(x, linkage=linkage).merges
             assert got == scan_agglomerate(d, linkage), linkage
+        assert np.array_equal(x, before)  # the caller's points are not written to
 
     rng = np.random.default_rng(70)
     for n in range(2, 41):
-        check(pairwise_distances(rng.normal(size=(n, 3))))
+        check(rng.normal(size=(n, 3)))
     for trial in range(20):
+        # duplicated grid points tie at height 0, other pairs at grid steps
         grid = rng.integers(0, 4, size=(int(rng.integers(2, 40)), 2))
-        check(pairwise_distances(grid.astype(float)))
-    for trial in range(20):
-        n = int(rng.integers(2, 40))
-        upper = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
-        check(upper + upper.T)  # zeros off the diagonal tie at height 0
+        check(grid.astype(float))
     centers = np.repeat([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]], 75, axis=0)
-    check(pairwise_distances(centers + rng.normal(size=(300, 2))))
+    check(centers + rng.normal(size=(300, 2)))
+
+
+def block_bytes(n):
+    """Bytes of one _BLOCK_ROWS x n float64 block."""
+    return 64 * n * 8
 
 
 def test_hierarchical_memory_stays_near_one_working_copy():
-    # the cache is filled and refreshed in row blocks; a whole-matrix
-    # temporary on top of the working copy would roughly double the peak
-    d = pairwise_distances(blob(80, 600, 2))
+    # the working copy is the one n x n array; the kernel's strips and the
+    # cache's refreshes take row blocks (2.0 blocks measured), so a second
+    # whole-matrix array, or a copy of the distances, breaks the bound
+    n = 600
+    x = blob(80, n, 2)
     for linkage in LINKAGES:
-        peak = traced_peak(lambda: hierarchical(d, linkage=linkage))
-        assert peak <= 1.3 * d.nbytes, (linkage, peak / d.nbytes)
+        peak = traced_peak(lambda: hierarchical(x, linkage=linkage))
+        assert peak <= 8 * n * n + 3 * block_bytes(n), (linkage, peak / (8 * n * n))
 
 
-def test_hierarchical_accepts_precomputed_distances():
-    # any valid matrix clusters, not only pairwise_distances' euclidean one,
-    # and the caller's matrix is left as it was
-    d = cityblock(blob(21, 14, 4))
-    before = d.copy()
-    for linkage in LINKAGES:
-        hierarchical(d, linkage=linkage)
-        assert np.array_equal(d, before), linkage
-    dend = hierarchical(d, linkage="single")
-    assert np.allclose(sorted(heights(dend)), mst_edge_weights(d), atol=1e-9)
+@pytest.mark.parametrize("n", [1500, 3000])
+def test_kmeans_and_silhouette_hold_no_n_by_n_array(n):
+    # measured at 2.1 blocks of 64 x n; an n x n array of any dtype, even
+    # bool, on top of that breaks the bound
+    x = blob(81, n, 2)
+
+    def stage():
+        silhouette(x, kmeans(x, 4, seed=0).labels)
+
+    assert traced_peak(stage) <= 3 * block_bytes(n)
+
+
+def test_distance_strips_hold_a_bounded_difference_block_at_50_dims():
+    # one row per strip at 50 coordinates: 1.0 block of 64 x n measured, where
+    # a 64-row strip's differences alone would hold 50
+    n = 1000
+    x = blob(82, n, 50)
+    labels = np.arange(n) % 4
+    assert traced_peak(lambda: silhouette(x, labels)) <= 3 * block_bytes(n)
 
 
 def test_hierarchical_heights_nondecreasing():
     for seed in range(5):
         x = blob(seed + 30, 20, 4)
         for linkage in LINKAGES:
-            dend = hierarchical(pairwise_distances(x), linkage=linkage)
+            dend = hierarchical(x, linkage=linkage)
             assert (np.diff(heights(dend)) >= -1e-9).all()
 
 
 def test_single_linkage_heights_are_mst_edges():
     for seed in range(5):
         x = blob(seed + 40, 18, 3)
-        d = pairwise_distances(x)
-        dend = hierarchical(d, linkage="single")
-        assert np.allclose(sorted(heights(dend)), mst_edge_weights(d), atol=1e-9)
+        dend = hierarchical(x, linkage="single")
+        assert np.allclose(
+            sorted(heights(dend)), mst_edge_weights(pairwise_distances(x)), atol=1e-9
+        )
 
 
 def test_hierarchical_invariant_to_input_order():
     rng = np.random.default_rng(50)
     x = rng.normal(size=(16, 3))
     perm = rng.permutation(16)
-    straight = hierarchical(pairwise_distances(x), linkage="complete")
-    shuffled = hierarchical(pairwise_distances(x[perm]), linkage="complete")
+    straight = hierarchical(x, linkage="complete")
+    shuffled = hierarchical(x[perm], linkage="complete")
     assert np.allclose(
         sorted(heights(straight)), sorted(heights(shuffled)), atol=1e-9
     )
@@ -248,39 +263,42 @@ def test_hierarchical_invariant_to_input_order():
 
 def test_hierarchical_rejects_invalid_input():
     with pytest.raises(DataError, match="linkage"):
-        hierarchical(pairwise_distances(blob(23, 5)), linkage="median")
+        hierarchical(blob(23, 5), linkage="median")
     with pytest.raises(DataError, match="at least 2"):
-        hierarchical(np.zeros((1, 1)))
-    with pytest.raises(DataError, match="square"):
-        hierarchical(np.zeros((3, 2)))
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(DataError, match="symmetric"):
-        hierarchical(bad)
+        hierarchical(np.zeros((1, 2)))
+    with pytest.raises(DataError, match="2-d"):
+        hierarchical(np.zeros(3))
+    with pytest.raises(DataError, match="finite"):
+        hierarchical(np.array([[0.0], [np.nan], [1.0]]))
 
 
 def test_hierarchical_raises_when_a_merge_height_overflows():
-    # ward squares 1e200 and average adds 1.5e308 to itself, both past
-    # float64; single and complete only pick among the inputs and finish.
-    # The 4-point ward update overflows to inf - inf, a NaN.
-    def three(big):
-        return np.array([[0.0, big, big], [big, 0.0, 1.0], [big, 1.0, 0.0]])
-
-    s = 1e154
-    four = np.array([[0, 1, s, s], [1, 0, s, s], [s, s, 0, s], [s, s, s, 0]])
+    # (0, 0) and (1, 0) sit 5e153 from (s, 0) and (0, s): ward's squares
+    # stay finite, but the update after its second merge sums two terms
+    # near 1e308, past float64.
+    # Points 1e155 apart are past float64 in the distances themselves, under
+    # every linkage. At 1e153, single and complete pick among the distances
+    # and finish.
+    s = 5e153
+    far = np.array([[0.0, 0.0], [1.0, 0.0], [s, 0.0], [0.0, s]])
+    beyond = np.array([[0.0], [1.0], [1e155]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for linkage, d in (("ward", three(1e200)), ("ward", three(1.5e308)),
-                           ("average", three(1.5e308)), ("ward", four)):
+        with pytest.raises(DataError, match="overflow"):
+            hierarchical(far, linkage="ward")
+        for linkage in LINKAGES:
             with pytest.raises(DataError, match="overflow"):
-                hierarchical(d, linkage=linkage)
+                hierarchical(beyond, linkage=linkage)
+        with pytest.raises(DataError, match="overflow"):
+            silhouette(beyond, [0, 0, 1])
         for linkage in ("single", "complete"):
-            merges = hierarchical(three(1.5e308), linkage=linkage).merges
-            assert merges == ((1, 2, 1.0, 2), (0, 3, 1.5e308, 3)), linkage
+            merges = hierarchical(np.array([[1e153], [0.0], [1.0]]), linkage=linkage).merges
+            assert merges == ((1, 2, 1.0, 2), (0, 3, 1e153, 3)), linkage
 
 
 def test_cut_identity_and_single_cluster():
     x = blob(24, 7)
-    dend = hierarchical(pairwise_distances(x), linkage="average")
+    dend = hierarchical(x, linkage="average")
     assert cut_dendrogram(dend, 7).tolist() == list(range(7))
     assert not cut_dendrogram(dend, 1).any()
     with pytest.raises(DataError):
@@ -290,14 +308,13 @@ def test_cut_identity_and_single_cluster():
 
 
 def test_cut_labels_by_smallest_member():
-    d = pairwise_distances(np.array([[0.0], [1.0], [10.0]]))
-    dend = hierarchical(d, linkage="single")
+    dend = hierarchical(np.array([[0.0], [1.0], [10.0]]), linkage="single")
     assert cut_dendrogram(dend, 2).tolist() == [0, 0, 1]
 
 
 def test_cut_supports_known_type_counts():
     x = blob(25, 30, 5)
-    dend = hierarchical(pairwise_distances(x), linkage="ward")
+    dend = hierarchical(x, linkage="ward")
     for k in (9, 10):
         labels = cut_dendrogram(dend, k)
         assert len(np.unique(labels)) == k
@@ -305,33 +322,33 @@ def test_cut_supports_known_type_counts():
 
 def test_cut_to_singletons_breaks_silhouette():
     x = blob(26, 6)
-    labels = cut_dendrogram(hierarchical(pairwise_distances(x), linkage="average"), 6)
+    labels = cut_dendrogram(hierarchical(x, linkage="average"), 6)
     with pytest.raises(DataError, match="singleton"):
-        silhouette(pairwise_distances(x), labels)
+        silhouette(x, labels)
 
 
 def test_silhouette_duplicated_points():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    rep = silhouette(pairwise_distances(x), [0, 0, 1, 1])
+    rep = silhouette(x, [0, 0, 1, 1])
     assert rep.widths.tolist() == [1.0, 1.0, 1.0, 1.0]
     assert rep.mean == 1.0
 
 
 def test_silhouette_single_cluster_is_error():
     with pytest.raises(DataError, match="at least 2"):
-        silhouette(pairwise_distances(blob(27, 5)), np.zeros(5, dtype=int))
+        silhouette(blob(27, 5), np.zeros(5, dtype=int))
 
 
 def test_silhouette_hand_case():
     x = np.array([[0.0], [1.0], [10.0], [11.0]])
-    rep = silhouette(pairwise_distances(x), [0, 0, 1, 1])
+    rep = silhouette(x, [0, 0, 1, 1])
     assert math.isclose(rep.widths[0], (10.5 - 1.0) / 10.5, rel_tol=1e-12)
     assert set(rep.per_cluster_mean) == {0, 1}
 
 
 def test_silhouette_singleton_cluster_scores_zero():
     x = np.array([[0.0], [0.5], [9.0]])
-    rep = silhouette(pairwise_distances(x), [0, 0, 1])
+    rep = silhouette(x, [0, 0, 1])
     assert rep.widths[2] == 0.0
 
 
@@ -343,9 +360,8 @@ def test_silhouette_matches_naive_oracle():
         k = int(rng.integers(2, min(n - 1, 6) + 1))
         labels = np.r_[np.arange(k), rng.integers(0, k, size=n - k)]
         rng.shuffle(labels)
-        rep = silhouette(pairwise_distances(x), labels)
-        d = naive_distances(x)
-        assert np.abs(rep.widths - naive_silhouette(d, labels)).max() <= 1e-12
+        rep = silhouette(x, labels)
+        assert np.abs(rep.widths - naive_silhouette(naive_distances(x), labels)).max() <= 1e-12
         assert (np.abs(rep.widths) <= 1.0 + 1e-12).all()
         assert math.isclose(rep.mean, rep.widths.mean(), abs_tol=1e-12)
 
@@ -354,17 +370,48 @@ def test_silhouette_relabeling_invariance():
     x = blob(29, 15)
     labels = np.random.default_rng(30).integers(0, 3, size=15)
     labels[:3] = [0, 1, 2]
-    a = silhouette(pairwise_distances(x), labels)
-    b = silhouette(pairwise_distances(x), 7 - labels)
+    a = silhouette(x, labels)
+    b = silhouette(x, 7 - labels)
     assert np.array_equal(a.widths, b.widths)
 
 
-def test_silhouette_precomputed_distances_match():
-    # widths follow whatever valid matrix is given, not only euclidean ones
-    d = cityblock(blob(31, 12))
-    labels = np.r_[np.zeros(6, int), np.ones(6, int)]
-    rep = silhouette(d, labels)
-    assert np.abs(rep.widths - naive_silhouette(d, labels)).max() <= 1e-12
+KERNEL_SIZES = [2, 3, 63, 64, 65, 129, 200]
+
+
+def kernel_points(n, dim):
+    # a third of the points one duplicated point
+    x = np.random.default_rng(n * 100 + dim).normal(size=(n, dim))
+    x[1:n // 3] = x[0]
+    return x
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_pairwise_distances_equal_the_row_loop(n):
+    # strips of 64, 32 and 1 rows at 1, 2 and 50 coordinates
+    for dim in (1, 2, 50):
+        x = kernel_points(n, dim)
+        assert np.array_equal(pairwise_distances(x), loop_pairwise_distances(x)), dim
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_silhouette_equals_the_matrix_loop(n):
+    # labels that are not 0..k-1, with a singleton cluster (label 99)
+    rng = np.random.default_rng(n)
+    k = max(1, min(4, n - 2))
+    labels = 7 * np.r_[np.arange(k), rng.integers(0, k, size=n - 1 - k)] - 3
+    rng.shuffle(labels)
+    labels = np.r_[labels, 99]
+    for dim in (1, 2, 50):
+        x = kernel_points(n, dim)
+        if n == 2:
+            with pytest.raises(DataError, match="singleton"):
+                silhouette(x, labels)
+            continue
+        rep = silhouette(x, labels)
+        want = matrix_silhouette(loop_pairwise_distances(x), labels)
+        assert np.array_equal(rep.widths, want), dim
+        assert rep.widths[-1] == 0.0
+        assert rep.mean == float(want.mean())
 
 
 def test_ari_identical_and_relabeled():

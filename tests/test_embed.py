@@ -36,7 +36,9 @@ def seeded_points(seed, n, g, scale=1.0):
 
 def conditional_probabilities(d2, perplexity):
     """The library's calibration of every row of d2, 64 rows per call, stacked."""
-    blocks = [_calibrate_block(d2[s:s + 64], s, perplexity) for s in range(0, len(d2), 64)]
+    scratch = np.empty((2, min(64, len(d2)), len(d2) - 1))
+    blocks = [_calibrate_block(d2[s:s + 64], s, perplexity, scratch)
+              for s in range(0, len(d2), 64)]
     return np.vstack([rows for rows, _ in blocks]), np.concatenate([a for _, a in blocks])
 
 

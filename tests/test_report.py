@@ -18,7 +18,6 @@ from scbench import (
     emit_tables,
     generate,
     kmeans,
-    pairwise_distances,
     pca_fit_transform,
     preprocess_pipeline,
     read_config_comment,
@@ -73,7 +72,7 @@ def build_split(method, replicate, seed, with_truth):
         pca=pca_emb,
         tsne=tsne_emb,
         labels=km.labels,
-        silhouettes=silhouette(pairwise_distances(tsne_emb.coordinates), km.labels),
+        silhouettes=silhouette(tsne_emb.coordinates, km.labels),
         ari=adjusted_rand_index(truth, km.labels) if with_truth else None,
     )
 
