@@ -459,38 +459,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, table
 
 
-def _coerce(action, raw: str):
-    if isinstance(action, argparse._StoreTrueAction):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    value = action.type(raw) if action.type else raw
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"must be one of {sorted(action.choices)}, got {raw!r}")
-    return value
+def _with_config(table, argv):
+    """argv with its --config file's lines spelled as flags after the command.
 
-
-def _find_config(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else None
-        if tok.startswith("--config="):
-            return tok.partition("=")[2]
-    return None
-
-
-def _apply_config_file(parser, table, command, path, argv):
-    """Install config-file values as subparser defaults, then parse argv.
-
-    Flags given on the command line still win; keys for required options
-    satisfy the requirement.
+    A one-option parser finds --config as the subparser would, abbreviated
+    or not. Each `key=value` line becomes `--key=value`, or `--key` for a
+    store_true option that is true, and the last line for a key wins. So the
+    parse that follows types and checks every value, counts it toward
+    required options and lets a flag given on the command line win.
     """
-    subparser = table[command]
-    actions = {a.dest: a for a in subparser._actions}
-    defaults = {}
+    if not argv or argv[0] not in table:
+        return argv
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv  # a bare --config: the subparser reports it
+    if path is None:
+        return argv
+    subparser = table[argv[0]]
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("config", "help")}
+    flags = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -500,16 +490,21 @@ def _apply_config_file(parser, table, command, path, argv):
                 if "=" not in s:
                     raise ValueError(f"line {lineno}: expected key=value, got {s!r}")
                 key, _, raw = s.partition("=")
-                dest = key.strip().replace("-", "_")
-                if dest in ("config", "help", "command", "func") or dest not in actions:
+                dest, raw = key.strip().replace("-", "_"), raw.strip()
+                if dest not in actions:
                     raise ValueError(f"line {lineno}: unknown option {key.strip()!r}")
-                defaults[dest] = _coerce(actions[dest], raw.strip())
+                flag = "--" + dest.replace("_", "-")
+                if not isinstance(actions[dest], argparse._StoreTrueAction):
+                    flags[dest] = f"{flag}={raw}"
+                elif raw.lower() in ("1", "true", "yes", "on"):
+                    flags[dest] = flag
+                elif raw.lower() in ("0", "false", "no", "off"):
+                    flags.pop(dest, None)
+                else:
+                    raise ValueError(f"line {lineno}: expected a boolean, got {raw!r}")
     except (OSError, ValueError) as exc:
         subparser.error(f"--config {path}: {exc}")
-    subparser.set_defaults(**defaults)
-    for dest in defaults:
-        actions[dest].required = False
-    return parser.parse_args(argv)
+    return [argv[0], *flags.values(), *argv[1:]]
 
 
 def cli_main(argv=None) -> int:
@@ -517,11 +512,7 @@ def cli_main(argv=None) -> int:
         argv = sys.argv[1:]
     parser, table = build_parser()
     try:
-        config_path = _find_config(argv)
-        if config_path and argv and argv[0] in table:
-            args = _apply_config_file(parser, table, argv[0], config_path, argv)
-        else:
-            args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(table, argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError
-from .matrix import COUNT_MAX, CountMatrix
+from .matrix import COUNT_MAX, DIM_MAX, CountMatrix
 
 MM_BANNER = "%%MatrixMarket"
 
@@ -89,6 +89,8 @@ def _read_header(fh) -> tuple[str, int, int, int, int]:
         raise FormatError("negative size")
     if max(n_rows, n_cols, nnz) > np.iinfo(np.int64).max:
         raise FormatError(f"size line {size_line.strip()!r} overflows 64-bit range")
+    if max(n_rows, n_cols) > DIM_MAX:
+        raise FormatError(f"size line {size_line.strip()!r} declares a dimension above {DIM_MAX}")
     return field, n_rows, n_cols, nnz, lineno
 
 

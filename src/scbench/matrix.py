@@ -18,6 +18,8 @@ DENSIFY_BUDGET_DEFAULT = 500_000_000
 
 # ingest rejects counts above this; storage itself is int64
 COUNT_MAX = 2**31 - 1
+# ingest rejects a declared row or column count above this before it names them
+DIM_MAX = 2**31 - 1
 
 
 def default_cell_ids(n: int) -> tuple[str, ...]:

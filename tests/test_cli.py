@@ -731,6 +731,125 @@ def test_config_file_errors_are_usage_errors(data_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spelling", ["--conf", "--config=", "--co"])
+def test_config_option_is_found_as_argparse_spells_it(data_dir, tmp_path, spelling, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("sample=from_config\n")
+    option = [spelling + str(cfg)] if spelling.endswith("=") else [spelling, str(cfg)]
+    out = tmp_path / "out"
+    assert cli_main(["qc", *input_args(data_dir), *option, "-o", str(out)]) == 0
+    assert read_config_comment(out / "dropout.csv")["sample"] == "from_config"
+    # a malformed file under any spelling is a usage error that writes nothing
+    cfg.write_text("no equals sign here\n")
+    out = tmp_path / "bad"
+    assert cli_main(["qc", *input_args(data_dir), *option, "-o", str(out)]) == 2
+    assert "line 1: expected key=value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_and_the_same_flags_give_identical_artifacts(data_dir, tmp_path):
+    flags = [*input_args(data_dir), *SPEED, "--sample", "s=1", "--log1p",
+             "--cluster-method", "hclust", "--linkage", "average", "--cv-fraction", "0.2"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "# every value is parsed as the flag it names\n"
+        f"matrix = {data_dir / 'matrix.mtx'}\n"
+        f"cells={data_dir / 'cells.csv'}\n"
+        f"genes={data_dir / 'genes.csv'}\n"
+        "perplexity=5\niters=120\nk=3\nseed=0\n"
+        "sample=s=1\n"
+        "log1p=yes\n"
+        "cluster-method=hclust\n"
+        "linkage=average\n"
+        "\n"
+        "cv_fraction=0.2\n"
+    )
+    assert cli_main(["pipeline", *flags, "-o", str(tmp_path / "flags")]) == 0
+    assert cli_main(["pipeline", "--config", str(cfg), "-o", str(tmp_path / "file")]) == 0
+    assert same_tree(tmp_path / "flags", tmp_path / "file") == []
+    assert read_config_comment(tmp_path / "file" / "dropout.csv")["sample"] == "s=1"
+
+
+def _filter_config(data_dir, tmp_path, lines, *flags):
+    """The `# config:` comment of `filter` run with a config file of `lines`."""
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    assert cli_main(["filter", *input_args(data_dir), "--config", str(cfg), *flags,
+                     "-o", str(out)]) == 0
+    return read_config_comment(out / "filter_summary.csv")
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1", True), ("true", True), ("yes", True), ("on", True), ("TRUE", True), (" On ", True),
+    ("0", False), ("false", False), ("no", False), ("off", False), ("Off", False),
+])
+def test_config_booleans_take_every_spelling(data_dir, tmp_path, raw, value):
+    assert _filter_config(data_dir, tmp_path, [f"log1p={raw}"])["log1p"] is value
+
+
+def test_config_keys_repeat_and_mix_dashes_and_underscores(data_dir, tmp_path):
+    config = _filter_config(data_dir, tmp_path, [
+        "zero-threshold=0.5", "zero_threshold=0.9",  # the last line wins
+        "log1p=on", "log1p=off",
+        "normalize_axis=genes",
+        "join-by-id=0",
+        "sample==x=y",  # only the first "=" splits
+    ])
+    assert config["zero_threshold"] == 0.9
+    assert config["log1p"] is False
+    assert config["normalize_axis"] == "genes"
+    assert config["join_by_id"] is False
+    assert config["sample"] == "=x=y"
+
+
+def test_command_line_flags_override_the_config_file(data_dir, tmp_path):
+    lines = ["zero_threshold=0.5", "cv-fraction=0.3", "sample=file"]
+    config = _filter_config(data_dir, tmp_path, lines, "--zero-threshold", "0.7",
+                            "--sample=flag")
+    assert (config["zero_threshold"], config["cv_fraction"], config["sample"]) == (0.7, 0.3, "flag")
+    # flags before --config win as well: the file's flags go before every one
+    cfg = tmp_path / "f.cfg"
+    out = tmp_path / "before"
+    assert cli_main(["filter", "--sample", "flag", "--config", str(cfg),
+                     *input_args(data_dir), "-o", str(out)]) == 0
+    assert read_config_comment(out / "filter_summary.csv")["sample"] == "flag"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("k=abc", "argument --k: invalid int value: 'abc'"),
+    ("linkage=manhattan", "argument --linkage: invalid choice: 'manhattan'"),
+    ("log1p=maybe", "line 1: expected a boolean, got 'maybe'"),
+    ("config=other.cfg", "line 1: unknown option 'config'"),
+    ("help=1", "line 1: unknown option 'help'"),
+])
+def test_bad_config_values_are_usage_errors_that_write_nothing(
+    data_dir, tmp_path, capsys, line, message
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert cli_main(["cluster", *input_args(data_dir), "--config", str(cfg),
+                     "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_and_synth_accept_a_config_file(data_dir, pipeline_dir, tmp_path):
+    cfg = tmp_path / "report.cfg"
+    cfg.write_text(f"input-dir={pipeline_dir}\noutput_dir={tmp_path / 'figures'}\n")
+    assert cli_main(["report", "--config", str(cfg)]) == 0
+    for name in FIGURES:
+        assert (tmp_path / "figures" / name).read_bytes() == (pipeline_dir / name).read_bytes()
+
+    # SYNTH_ARGS written as config lines give data_dir's files again
+    keys, values = SYNTH_ARGS[1::2], SYNTH_ARGS[2::2]
+    cfg.write_text("".join(f"{k[2:]}={v}\n" for k, v in zip(keys, values)))
+    assert cli_main(["synth", "--config", str(cfg), "-o", str(tmp_path / "synth")]) == 0
+    assert same_tree(data_dir, tmp_path / "synth") == []
+
+
 def test_transpose_flag_accepts_cells_as_rows(data_dir, tmp_path):
     stored = read_matrix_market(data_dir / "matrix.mtx")
     write_matrix_market(stored.transpose(), tmp_path / "cells_first.mtx")

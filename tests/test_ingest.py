@@ -1,7 +1,11 @@
 """File parsing, annotation joins, and per-(method, replicate) splitting."""
 import gzip
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from scbench import (
 )
 from scbench.cli import cli_main
 from scbench.ingest import _WRITE_CHUNK_ROWS, _scan_matrix_market
-from scbench.matrix import COUNT_MAX, default_cell_ids, default_gene_ids, from_dense
+from scbench.matrix import COUNT_MAX, DIM_MAX, default_cell_ids, default_gene_ids, from_dense
 
 PROTOCOLS = [
     "10x-Chromium-v2",
@@ -158,6 +162,47 @@ def test_size_line_beyond_int64_gets_the_json_envelope(tmp_path, capsys):
         "error": "FormatError",
         "message": f"size line '{big} 2 1' overflows 64-bit range",
     }
+
+
+def test_size_line_past_the_dimension_bound_fails_before_any_id(tmp_path):
+    # the child's address space is capped at 1 GiB, so that a reader which
+    # names the declared rows fails fast instead of growing without bound
+    p = write(
+        tmp_path / "m.mtx",
+        "%%MatrixMarket matrix coordinate integer general\n9223372036854775807 2 1\n1 1 1\n",
+    )
+    script = (
+        "import resource, sys, time\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from scbench.cli import cli_main\n"
+        "start = time.perf_counter()\ncode = cli_main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\nsys.exit(code)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(scbench.ingest.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "qc", "--matrix", str(p), "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "FormatError",
+        "message": f"size line '9223372036854775807 2 1' declares a dimension above {DIM_MAX}",
+    }
+    assert float(proc.stdout) < 0.5
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dims, message", [
+    (f"{DIM_MAX} {DIM_MAX}", "expected 2 entries, found 1"),
+    (f"2 {DIM_MAX + 1}", "declares a dimension above"),
+    (f"{DIM_MAX + 1} 2", "declares a dimension above"),
+])
+def test_dimension_bound_is_inclusive(tmp_path, dims, message):
+    # each body is one entry short, so no matrix is built past the size line
+    p = write(tmp_path / "m.mtx", f"{INT_HEADER}{dims} 2\n1 1 1\n")
+    with pytest.raises(FormatError, match=message):
+        read_matrix_market(p)
 
 
 def test_matrix_market_round_trip(tmp_path):
