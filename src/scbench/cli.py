@@ -141,20 +141,17 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
 
     from .embed import TSNE_PCA_DIM_DEFAULT  # loaded by _bind before any fork
 
-    # one decomposition per split: t-SNE's pre-reduction keeps at most n - 1
-    # components (the rank of centred points) and at least the two that the
+    # one decomposition per split, which t-SNE reads: at most min(n - 1, g)
+    # components, the rank of centred points, and at least the two that the
     # PCA view projects onto alone, exactly as a d=2 fit does
-    reduce = not args.tsne_no_pca and normalized.n_genes > TSNE_PCA_DIM_DEFAULT
-    dim = max(2, min(TSNE_PCA_DIM_DEFAULT, normalized.n_cells - 1)) if reduce else 2
+    dim = max(2, min(TSNE_PCA_DIM_DEFAULT, normalized.n_cells - 1, normalized.n_genes))
     reduced, model = pca_fit_transform(normalized, dim)
     view = (normalized.values - model.column_means) @ model.components[:2].T
     fields["pca"] = Embedding(view, "pca", {**reduced.params, "d": 2}, seed=0)
-    # the normalized matrix and the components are not held through t-SNE,
-    # unless t-SNE reads the matrix itself
-    points = reduced.coordinates if reduce else normalized
+    # the normalized matrix and the components are not held through t-SNE
     del normalized, model
     tsne_emb = tsne(
-        points,
+        reduced.coordinates,
         perplexity=args.perplexity,
         d=2,
         seed=args.seed,
@@ -341,8 +338,6 @@ def _run_report(args) -> int:
 
 def _run_synth(args) -> int:
     _bind(("synth",))
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     cfg = SynthConfig(
         n_clusters=args.n_clusters,
         cells_per_cluster=args.cells_per_cluster,
@@ -355,6 +350,8 @@ def _run_synth(args) -> int:
         seed=args.seed,
     )
     m, _, annotations = generate(cfg, method=args.method_name, replicate=args.replicate)
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_matrix_market(m.transpose(), outdir / "matrix.mtx")
     write_cell_annotations(annotations, outdir / "cells.csv")
     write_gene_annotations(m.gene_ids, outdir / "genes.csv")
@@ -387,8 +384,6 @@ def _add_filter_flags(p):
 
 def _add_embed_flags(p):
     p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--tsne-no-pca", action="store_true",
-                   help="skip the 50-dim PCA reduction before t-SNE")
     p.add_argument("--iters", type=int, default=1000, help="t-SNE iterations")
 
 
@@ -518,7 +513,7 @@ def cli_main(argv=None) -> int:
     try:
         with single_threaded_blas():
             return args.func(args)
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError, MemoryError) as exc:
         envelope = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(envelope) + "\n")
         return 1

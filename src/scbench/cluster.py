@@ -5,8 +5,11 @@ is the Lance-Williams agglomerative family (single, complete, average, ward).
 Silhouette widths and the adjusted Rand index follow their textbook
 definitions, computed exactly. Every routine is deterministic: ties are broken
 by index order and randomness only enters through explicit seeds. Every
-routine takes points and reads euclidean distances from one blocked kernel,
-`_distance_strips`; only hierarchical clustering holds an n x n array.
+routine takes points. Hierarchical clustering and the silhouettes read their
+euclidean distances from one blocked kernel, `_distance_strips`; k-means
+takes point-to-centre distances, in Gram form when it assigns points and as
+coordinate differences when k-means++ seeds. Only hierarchical clustering
+holds an n x n array.
 """
 from __future__ import annotations
 

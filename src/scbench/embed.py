@@ -378,13 +378,14 @@ def tsne(
     """Exact t-SNE embedding of `x` as given, a pure function of its arguments.
 
     Any PCA pre-reduction is the caller's: the CLI passes the first
-    TSNE_PCA_DIM_DEFAULT principal components. The start is the first d
-    principal components of `x`, scaled so the leading one has standard
-    deviation 1e-4. Where `x` has no columns or that leading coordinate has
-    no spread, the start is Gaussian noise of scale 1e-4 drawn from `seed`;
-    the seed matters only there. Momentum is 0.5 during the
-    early-exaggeration phase and 0.8 after; per-coordinate gain factors
-    follow the standard 0.2 up / 0.8 down rule.
+    max(2, min(TSNE_PCA_DIM_DEFAULT, n - 1, g)) principal components of n
+    cells and g genes. The start is the first d principal components of
+    `x`, scaled so the leading one has standard deviation 1e-4. Where `x`
+    has no columns or that leading coordinate has no spread, the start is
+    Gaussian noise of scale 1e-4 drawn from `seed`; the seed matters only
+    there. Momentum is 0.5 during the early-exaggeration phase and 0.8
+    after; per-coordinate gain factors follow the standard 0.2 up / 0.8 down
+    rule.
 
     learning_rate "auto" resolves to max(n / (4 * exaggeration), 50), the
     n / exaggeration rule of Belkina et al. 2019 and Kobak & Berens 2019
@@ -410,7 +411,7 @@ def tsne(
     n = points.shape[0]
     if n < 3:
         raise DataError("tsne needs at least 3 points")
-    if perplexity <= 0 or 3.0 * perplexity >= n:
+    if not (perplexity > 0 and 3.0 * perplexity < n):
         raise DataError(f"perplexity {perplexity} infeasible for {n} points "
                         "(need 3*perplexity < n)")
     if d < 1 or iters < 1:

@@ -110,32 +110,27 @@ def _load_entries(fh, field: str, nnz: int):
         if any(line.strip() and not line.startswith("%") for line in fh):
             return None
         return np.empty((0, 3), dtype=np.int64)
-    integer = field == "integer"
-    dtype = np.int64 if integer else [("r", np.int64), ("c", np.int64), ("v", np.float64)]
+    real = field == "real"
+    dtype = [("r", np.int64), ("c", np.int64), ("v", np.float64 if real else np.int64)]
     try:
         with warnings.catch_warnings():
             # "input contained no data" and the like mean a short body
             warnings.simplefilter("error")
-            body = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=2 if integer else 1)
+            body = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
-    if integer:
-        if body.shape != (nnz, 3):
-            return None
-        columns = body.T.copy()
-    else:
-        if body.shape != (nnz,):
-            return None
-        vals = body["v"]
-        # integral and in range, so the cast to int64 is exact
-        if not (
-            np.isfinite(vals).all() and (np.trunc(vals) == vals).all()
-            and 0 <= vals.min() and vals.max() <= COUNT_MAX
-        ):
-            return None
-        columns = np.stack([body["r"], body["c"], vals.astype(np.int64)])
-    if columns[2].max() > COUNT_MAX:
+    if body.shape != (nnz,):
         return None
+    vals = body["v"]
+    # a real count must be finite, integral and non-negative, so that with
+    # the bound below the cast to int64 is exact
+    if real and not (
+        np.isfinite(vals).all() and (np.trunc(vals) == vals).all() and 0 <= vals.min()
+    ):
+        return None
+    if vals.max() > COUNT_MAX:
+        return None
+    columns = np.stack([body["r"], body["c"], vals.astype(np.int64, copy=False)])
     columns[:2] -= 1
     columns.flags.writeable = False
     return columns.T

@@ -4,9 +4,7 @@ Everything here works off stored sparse entries; matrices are never densified.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -41,7 +39,7 @@ class DetectionStats:
 
 @dataclass(frozen=True, eq=False)
 class CumulativeCurve:
-    """Mean distinct genes detected among the first x cells, over permutations."""
+    """Mean distinct genes detected among the first x cells, over seeded orderings."""
 
     x: np.ndarray
     y: np.ndarray
@@ -75,31 +73,22 @@ def cumulative_detection(
 ) -> CumulativeCurve:
     """Running union of detected genes as cells accumulate in random order.
 
-    The curve is averaged over n_permutations cell orderings; permutation p
-    draws from a generator sub-seeded with (seed, p), so the result does not
-    depend on evaluation order or worker count. When the permutation budget
-    covers every ordering of a small matrix (n_cells <= 12 and
-    n_cells! <= n_permutations) the average is taken exactly over all
-    orderings instead, and n_permutations reports the count actually used.
+    The curve is averaged over n_permutations cell orderings, however few
+    cells there are; permutation p draws from a generator sub-seeded with
+    (seed, p), so the result does not depend on evaluation order or worker
+    count.
     """
     if n_permutations < 1:
         raise DataError("need at least one permutation")
     if m.n_cells < 1:
         raise DataError("cumulative detection needs at least one cell")
-    if m.n_cells <= 12 and math.factorial(m.n_cells) <= n_permutations:
-        orders = [np.array(p) for p in permutations(range(m.n_cells))]
-    else:
-        orders = [
-            seeded_rng(seed, p).permutation(m.n_cells)
-            for p in range(n_permutations)
-        ]
     # entries are gene-major, so each detected gene is one run of entries
     gene_starts = np.flatnonzero(np.diff(m.gene_idx, prepend=-1))
     steps = np.arange(m.n_cells)
     rank = np.empty(m.n_cells, dtype=np.int64)
     totals = np.zeros(m.n_cells, dtype=np.float64)
-    for order in orders:
-        rank[order] = steps
+    for p in range(n_permutations):
+        rank[seeded_rng(seed, p).permutation(m.n_cells)] = steps
         # the step at which each detected gene is first seen
         first = np.minimum.reduceat(rank[m.cell_idx], gene_starts)
         # exact integer counts added in permutation order: the sum is the
@@ -107,7 +96,7 @@ def cumulative_detection(
         totals += np.cumsum(np.bincount(first, minlength=m.n_cells))
     return CumulativeCurve(
         np.arange(1, m.n_cells + 1),
-        totals / len(orders),
-        len(orders),
+        totals / n_permutations,
+        n_permutations,
         seed,
     )

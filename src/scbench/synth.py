@@ -36,6 +36,9 @@ class SynthConfig:
             raise DataError("marker genes cannot exceed total genes")
         if not (0.0 <= self.dropout_prob < 1.0):
             raise DataError("dropout_prob must be in [0, 1)")
+        for name in ("base_mean", "marker_fold", "dispersion"):
+            if not np.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_mean <= 0 or self.marker_fold < 1.0 or self.dispersion <= 0:
             raise DataError("base_mean, marker_fold, dispersion out of range")
 

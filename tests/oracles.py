@@ -22,7 +22,6 @@ filter, whose composition the one-pass `filter_genes` must equal exactly.
 """
 import itertools
 import logging
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -464,17 +463,9 @@ def mst_edge_weights(d):
 
 
 def naive_cumulative_detection(m, n_permutations, seed):
-    """Mean running union of detected genes over cell orderings, visiting
-    every cell of every ordering in turn.
-
-    The orderings are the library's: all of them when n_permutations covers
-    every ordering of at most 12 cells, else the seeded permutations.
-    """
-    n = m.n_cells
-    if n <= 12 and math.factorial(n) <= n_permutations:
-        orders = list(itertools.permutations(range(n)))
-    else:
-        orders = [seeded_rng(seed, p).permutation(n) for p in range(n_permutations)]
+    """Mean running union of detected genes over the library's seeded cell
+    orderings, visiting every cell of every ordering in turn."""
+    orders = [seeded_rng(seed, p).permutation(m.n_cells) for p in range(n_permutations)]
     genes_by_cell = [set() for _ in range(m.n_cells)]
     for c, g in zip(m.cell_idx.tolist(), m.gene_idx.tolist()):
         genes_by_cell[c].add(g)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from scbench import (
     write_matrix_market,
 )
 from scbench._util import openblas_thread_calls, single_threaded_blas, worker_count
-from scbench.cli import cli_main
+from scbench.cli import build_parser, cli_main
 
 SYNTH_ARGS = [
     "synth", "--n-clusters", "3", "--cells-per-cluster", "15",
@@ -429,6 +430,79 @@ def test_infeasible_perplexity_is_reported_after_the_reduction(tmp_path, capsys,
     }
 
 
+def test_a_split_of_few_genes_runs_tsne_on_its_full_rank_reduction(
+    data_dir, tmp_path, monkeypatch
+):
+    # two in-line splits of 22 and 23 cells, each with at most 40 kept genes
+    monkeypatch.setenv("SCBENCH_THREADS", "1")
+    pcas, tsne_inputs = [], []
+    pca, tsne = scbench.cli.pca_fit_transform, scbench.cli.tsne
+
+    def recorded_pca(x, d, *args, **kwargs):
+        reduced, model = pca(x, d, *args, **kwargs)
+        pcas.append((x.n_cells, x.n_genes, d, reduced.coordinates))
+        return reduced, model
+
+    def recorded_tsne(x, *args, **kwargs):
+        tsne_inputs.append(x)
+        return tsne(x, *args, **kwargs)
+
+    monkeypatch.setattr(scbench.cli, "pca_fit_transform", recorded_pca)
+    monkeypatch.setattr(scbench.cli, "tsne", recorded_tsne)
+    cells = two_replicates(data_dir, tmp_path / "cells.csv")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        rc = cli_main(["embed", "--matrix", str(data_dir / "matrix.mtx"), "--cells", str(cells),
+                       *SPEED[:4], "-o", str(out)])
+        assert rc == 0
+    assert same_tree(*outs) == []
+    # one CLI PCA per split and run; t-SNE reads exactly its scores
+    assert len(pcas) == len(tsne_inputs) == 4
+    for (n, g, d, scores), points in zip(pcas, tsne_inputs):
+        assert g <= 40 and d == min(n - 1, g)
+        assert points is scores and points.shape == (n, d)
+
+
+def test_nan_perplexity_is_a_data_error_that_writes_nothing(data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli_main(["embed", *input_args(data_dir), "--perplexity", "nan", "-o", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError",
+        "message": "perplexity nan infeasible for 45 points (need 3*perplexity < n)",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads, args", [
+    ("1", ["embed", *SPEED[:2], "--iters", "100000000000"]),
+    ("1", ["cluster", *SPEED[:4], "--restarts", "1000000000000"]),
+    ("2", ["cluster", *SPEED[:4], "--restarts", "1000000000000"]),
+    ("1", ["synth", "--n-genes", "1000000000000"]),
+])
+def test_an_allocation_numpy_refuses_ends_in_the_envelope(data_dir, tmp_path, threads, args):
+    # a child capped at 2 GiB of address space, so the request fails at once
+    # instead of being granted by overcommit; threads 2 runs two splits forked
+    if args[0] != "synth":
+        args = [*args, "--matrix", str(data_dir / "matrix.mtx"),
+                "--cells", str(two_replicates(data_dir, tmp_path / "cells.csv"))]
+    script = (
+        "import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+        "from scbench.cli import cli_main\nsys.exit(cli_main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args, "-o", str(out)], capture_output=True,
+        text=True, env=subprocess_env(OPENBLAS_NUM_THREADS="1", SCBENCH_THREADS=threads),
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    envelope = json.loads(proc.stderr)
+    assert envelope["error"].endswith("MemoryError")
+    assert envelope["message"].startswith("Unable to allocate")
+    assert not out.exists()
+
+
 def test_qc_stage_writes_qc_tables_only(data_dir, tmp_path):
     assert cli_main(["qc", *input_args(data_dir), "-o", str(tmp_path)]) == 0
     for name in ("dropout.csv", "detection.csv", "cumulative.csv"):
@@ -553,7 +627,7 @@ def test_stage_command_writes_exactly_its_files(data_dir, tmp_path, command):
 
 INPUT_KEYS = {"sample", "matrix", "cells", "genes", "transpose", "join_by_id", "seed"}
 FILTER_KEYS = {"zero_threshold", "cv_fraction", "normalize_axis", "log1p"}
-EMBED_KEYS = {"perplexity", "tsne_no_pca", "iters"}
+EMBED_KEYS = {"perplexity", "iters"}
 CLUSTER_KEYS = {"k", "cluster_method", "linkage", "restarts"}
 STAGE_CONFIG_KEYS = {
     "split": INPUT_KEYS,
@@ -579,6 +653,17 @@ def test_config_comment_holds_the_flags_of_the_stage(data_dir, tmp_path, command
     for config in configs:
         assert set(config) == STAGE_CONFIG_KEYS[command]
         assert config["matrix"] == str(data_dir / "matrix.mtx")
+
+
+def test_readme_lists_every_pipeline_flag():
+    # the long options named in README's "Common flags" bullets
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Common flags:", 1)[1].split("\n\n", 2)[1]
+    documented = set(re.findall(r"`(--[a-z0-9-]+)", section))
+    _, table = build_parser()
+    options = {o for a in table["pipeline"]._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+    assert documented == options
 
 
 def subprocess_env(**extra):
@@ -728,6 +813,13 @@ def test_config_file_errors_are_usage_errors(data_dir, tmp_path, capsys):
                      "-o", str(tmp_path)]) == 2
     assert cli_main(["cluster", *input_args(data_dir), "--metric", "euclidean",
                      "-o", str(tmp_path)]) == 2
+    # nor a tsne-no-pca option: t-SNE always reads the split's PCA reduction
+    out = tmp_path / "out"
+    bad.write_text("tsne_no_pca=1\n")
+    assert cli_main(["embed", "--config", str(bad), *input_args(data_dir),
+                     "-o", str(out)]) == 2
+    assert cli_main(["embed", *input_args(data_dir), "--tsne-no-pca", "-o", str(out)]) == 2
+    assert not out.exists()
     capsys.readouterr()
 
 

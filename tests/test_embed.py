@@ -337,6 +337,8 @@ def test_tsne_rejects_infeasible_perplexity():
         tsne(x, perplexity=4)
     with pytest.raises(DataError, match="infeasible"):
         tsne(x, perplexity=0)
+    with pytest.raises(DataError, match="perplexity nan infeasible for 10 points"):
+        tsne(x, perplexity=float("nan"))
 
 
 def test_tsne_rejects_nonfinite():

@@ -1,5 +1,4 @@
 """Dropout, detection, and cumulative-detection metrics."""
-import itertools
 import math
 
 import numpy as np
@@ -132,22 +131,6 @@ def test_cumulative_single_cell():
     assert curve.x.tolist() == [1] and curve.y.tolist() == [2.0]
 
 
-def test_cumulative_exhausts_small_orderings():
-    dense = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
-    m = from_dense(dense)
-    curve = cumulative_detection(m, n_permutations=100, seed=7)
-    assert curve.n_permutations == 6
-
-    detected = [set(np.flatnonzero(row)) for row in dense]
-    totals = np.zeros(3)
-    for order in itertools.permutations(range(3)):
-        seen = set()
-        for step, c in enumerate(order):
-            seen |= detected[c]
-            totals[step] += len(seen)
-    assert np.allclose(curve.y, totals / 6, atol=1e-12)
-
-
 def test_cumulative_duplicate_cells_flat_after_first():
     m = from_dense(np.tile([1, 0, 3, 1], (4, 1)))
     curve = cumulative_detection(m, n_permutations=8, seed=1)
@@ -182,7 +165,7 @@ def test_cumulative_equals_per_cell_oracle_exactly():
         cases.append((from_dense(dense), 15))
     cases.append((from_dense(np.zeros((5, 4), dtype=np.int64)), 7))  # no entries
     cases.append((CountMatrix.from_triplets([(0, 1, 2), (0, 3, 1)], 1, 5), 3))
-    # every ordering: 4! = 24 and 5! = 120 fit the budgets
+    # budgets of at least every ordering (4! = 24, 5! = 120) still draw seeded ones
     cases.append((random_matrix(63, 4, 9, density=0.3), 30))
     cases.append((random_matrix(64, 5, 12, density=0.25), 120))
     for m, n_permutations in cases:

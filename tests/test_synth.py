@@ -92,3 +92,7 @@ def test_config_validation():
         SynthConfig(marker_fold=0.5)
     with pytest.raises(DataError, match="out of range"):
         SynthConfig(dispersion=0.0)
+    for field in ("base_mean", "marker_fold", "dispersion"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match=f"{field} must be finite"):
+                SynthConfig(**{field: value})
