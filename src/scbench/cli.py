@@ -104,13 +104,6 @@ def _load_inputs(args):
     )
 
 
-def _truth_labels(annotations) -> list[str] | None:
-    types = [a.cell_type for a in annotations]
-    if any(t is None for t in types):
-        return None
-    return types
-
-
 def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     """Run the per-split chain up to `depth`; later fields stay None.
 
@@ -141,15 +134,14 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
 
     from .embed import TSNE_PCA_DIM_DEFAULT  # loaded by _bind before any fork
 
-    # one decomposition per split, which t-SNE reads: at most min(n - 1, g)
-    # components, the rank of centred points, and at least the two that the
-    # PCA view projects onto alone, exactly as a d=2 fit does
+    # one decomposition per split: t-SNE reads it and its first two columns
+    # are the PCA view; at most min(n - 1, g) components, the rank of
+    # centred points, and at least those two
     dim = max(2, min(TSNE_PCA_DIM_DEFAULT, normalized.n_cells - 1, normalized.n_genes))
-    reduced, model = pca_fit_transform(normalized, dim)
-    view = (normalized.values - model.column_means) @ model.components[:2].T
+    reduced = pca_fit_transform(normalized, dim)[0]
+    view = reduced.coordinates[:, :2]
     fields["pca"] = Embedding(view, "pca", {**reduced.params, "d": 2}, seed=0)
-    # the normalized matrix and the components are not held through t-SNE
-    del normalized, model
+    del normalized  # not held through t-SNE
     tsne_emb = tsne(
         reduced.coordinates,
         perplexity=args.perplexity,
@@ -169,8 +161,8 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
         labels = cut_dendrogram(dend, args.k)
     fields["labels"] = labels
     fields["silhouettes"] = silhouette(coords, labels)
-    truth = _truth_labels(annotations)
-    if truth is not None:
+    truth = [a.cell_type for a in annotations]
+    if None not in truth:
         fields["ari"] = adjusted_rand_index(truth, labels)
     return SplitResult(**fields)
 
@@ -395,8 +387,14 @@ def _add_cluster_flags(p):
     p.add_argument("--restarts", type=int, default=10, help="k-means restarts")
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common_flags(p, output_required=True):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output-dir", "-o", required=output_required,
                    help="directory for output artifacts")
     p.add_argument("--config", help="key=value config file; flags override it")

@@ -6,10 +6,10 @@ Silhouette widths and the adjusted Rand index follow their textbook
 definitions, computed exactly. Every routine is deterministic: ties are broken
 by index order and randomness only enters through explicit seeds. Every
 routine takes points. Hierarchical clustering and the silhouettes read their
-euclidean distances from one blocked kernel, `_distance_strips`; k-means
-takes point-to-centre distances, in Gram form when it assigns points and as
-coordinate differences when k-means++ seeds. Only hierarchical clustering
-holds an n x n array.
+euclidean distances from one blocked kernel, `_distance_strips`, whose
+coordinate differences give exact symmetry and a zero diagonal; k-means
+seeds and assigns from point-to-centre d^2 in Gram form, `_sq_distances`.
+Only hierarchical clustering holds an n x n array.
 """
 from __future__ import annotations
 
@@ -20,14 +20,13 @@ import numpy as np
 
 from ._util import seeded_rng, unpickle_read_only
 from .errors import DataError
-from .matrix import _as_points
+from .matrix import _BLOCK_ROWS, _as_points, _sq_distances
 
 KMEANS_RESTARTS_DEFAULT = 10
 KMEANS_MAX_ITERS = 300  # Lloyd iterations per restart, at most
 KMEANS_TOL = 1e-6  # a restart stops once an iteration lowers its SSE by less
 
 LINKAGES = ("single", "complete", "average", "ward")
-_BLOCK_ROWS = 64  # a kernel or nearest-neighbour block holds about 64 x n values
 
 Merge = namedtuple("Merge", ["node_a", "node_b", "height", "size"])
 
@@ -87,27 +86,21 @@ class ClusterResult:
 def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    d2 = np.full(n, np.inf)
+    for j in range(k):
+        # the first centre, and any drawn once every point sits on one, is uniform
         total = d2.sum()
-        if total <= 0.0:
+        if j == 0 or total <= 0.0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_distances(points, centers[j:j + 1])[:, 0])
     return centers
 
 
 def _assign(points: np.ndarray, centers: np.ndarray):
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * (points @ centers.T)
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
+    d2 = _sq_distances(points, centers)
     labels = d2.argmin(axis=1)
     sse = float(d2[np.arange(points.shape[0]), labels].sum())
     return d2, labels, sse

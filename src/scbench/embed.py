@@ -38,7 +38,7 @@ import numpy as np
 
 from ._util import seeded_rng, single_threaded_blas, unpickle_read_only
 from .errors import DataError
-from .matrix import _as_points
+from .matrix import _BLOCK_ROWS, _as_points, _sq_distances
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,6 @@ MOMENTUM_LATE = 0.8
 
 _ENTROPY_TOL = 1e-10
 _MAX_NEWTON = 50
-_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +251,8 @@ def _joint_strips(points: np.ndarray, perplexity: float) -> tuple[list, np.ndarr
     """P = (cond + cond.T) / 2n as strips P[s:e, s:] of _BLOCK_ROWS rows, and
     each point's achieved perplexity, for the calibrated rows cond.
 
-    A block's d^2 is the Gram form |x_i|^2 + |x_j|^2 - 2 x_i . x_j, clamped
-    at 0, with d_ii^2 = 0. Its rows go into the strips as soon as they are
+    A block's d^2 is `_sq_distances` of its rows to all points, with
+    d_ii^2 = 0. Its rows go into the strips as soon as they are
     calibrated: columns s on into its own strip, the transpose of its
     diagonal square onto that, and earlier columns, transposed, into the
     earlier strips. So every entry receives cond[i, j] and cond[j, i] onto 0.
@@ -261,13 +260,10 @@ def _joint_strips(points: np.ndarray, perplexity: float) -> tuple[list, np.ndarr
     n = points.shape[0]
     strips, achieved = [], np.empty(n)
     scratch = np.empty((2, min(_BLOCK_ROWS, n), n - 1))
-    sq = (points * points).sum(axis=1)
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
         b = e - s
-        d2 = np.add.outer(sq[s:e], sq)
-        d2 -= 2.0 * (points[s:e] @ points.T)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = _sq_distances(points[s:e], points)
         d2[np.arange(b), np.arange(s, e)] = 0.0
         rows, achieved[s:e] = _calibrate_block(d2, s, perplexity, scratch)
         strip = rows[:, s:].copy()

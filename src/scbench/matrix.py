@@ -20,6 +20,8 @@ DENSIFY_BUDGET_DEFAULT = 500_000_000
 COUNT_MAX = 2**31 - 1
 # ingest rejects a declared row or column count above this before it names them
 DIM_MAX = 2**31 - 1
+# the rows of every blocked n x n or n x g pass: a block holds about 64 x n values
+_BLOCK_ROWS = 64
 
 
 def default_cell_ids(n: int) -> tuple[str, ...]:
@@ -117,6 +119,14 @@ def _as_points(x) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DataError("points must be finite")
     return arr
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances, rows of `a` by rows of `b`: the Gram form
+    |a_i|^2 + |b_j|^2 - 2 a_i . b_j, clamped at 0, which rounds at that scale."""
+    d2 = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
+    d2 -= 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,11 +12,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataError
-from .matrix import CountMatrix, ExpressionMatrix
+from .matrix import _BLOCK_ROWS, CountMatrix, ExpressionMatrix
 
 ZERO_FRACTION_DEFAULT = 0.8
 CV_DROP_FRACTION_DEFAULT = 0.15
-_BLOCK_ROWS = 64
 
 
 def _as_fraction(x: float) -> Fraction:

@@ -32,6 +32,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_clusters < 1 or self.cells_per_cluster < 1 or self.n_genes < 1:
             raise DataError("cluster, cell, and gene counts must be positive")
+        if self.n_marker_genes_per_cluster < 0:
+            raise DataError("n_marker_genes_per_cluster must be non-negative, "
+                            f"got {self.n_marker_genes_per_cluster}")
         if self.n_marker_genes_per_cluster * self.n_clusters > self.n_genes:
             raise DataError("marker genes cannot exceed total genes")
         if not (0.0 <= self.dropout_prob < 1.0):

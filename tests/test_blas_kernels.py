@@ -33,6 +33,8 @@ CONTRACTS = (
     "test_acceptance.py::test_criterion_07_pca_variance_reconstruction_and_paths",
     # hclust against the scan oracle
     "test_cluster.py::test_hierarchical_equals_the_scan_loop",
+    # k-means, seeded and assigned from a BLAS product, against exhaustive search
+    "test_cluster.py::test_kmeans_small_instances_reach_exhaustive_optimum",
 )
 CORENAME = (
     "import ctypes, pathlib, numpy; "

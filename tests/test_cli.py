@@ -378,9 +378,10 @@ def test_pipeline_runs_on_a_split_of_at_most_50_cells(wide_dir, tmp_path):
 def test_one_pca_of_the_normalized_matrix_per_split(wide_dir, tmp_path, monkeypatch):
     # in-line splits: calls made in a forked worker do not reach `calls`
     monkeypatch.setenv("SCBENCH_THREADS", "1")
-    normalized_splits, calls = [], []
+    normalized_splits, calls, tsne_inputs = [], [], []
     preprocess = scbench.cli.preprocess_pipeline
     pca = scbench.embed.pca_fit_transform
+    tsne = scbench.cli.tsne
 
     def recorded(*args, **kwargs):
         normalized, trace = preprocess(*args, **kwargs)
@@ -391,7 +392,12 @@ def test_one_pca_of_the_normalized_matrix_per_split(wide_dir, tmp_path, monkeypa
         calls.append(x.n_genes if isinstance(x, ExpressionMatrix) else x.shape[1])
         return pca(x, *args, **kwargs)
 
+    def recorded_tsne(x, *args, **kwargs):
+        tsne_inputs.append(x)
+        return tsne(x, *args, **kwargs)
+
     monkeypatch.setattr(scbench.cli, "preprocess_pipeline", recorded)
+    monkeypatch.setattr(scbench.cli, "tsne", recorded_tsne)
     monkeypatch.setattr(scbench.cli, "pca_fit_transform", counted)
     monkeypatch.setattr(scbench.embed, "pca_fit_transform", counted)
     cells = two_replicates(wide_dir, tmp_path / "cells.csv")
@@ -401,12 +407,12 @@ def test_one_pca_of_the_normalized_matrix_per_split(wide_dir, tmp_path, monkeypa
     widths = [n.n_genes for n in normalized_splits]
     assert len(widths) == 2 and min(widths) > 50
     assert sum(w in widths for w in calls) == 2
-    # the PCA view is exactly what a d=2 fit gives, whatever the BLAS build
+    # the PCA view is the first two columns of the reduction t-SNE reads
     _, rows = read_table(tmp_path / "out" / "embedding_pca.csv")
     written = {r["cell_id"]: [float(r["dim1"]), float(r["dim2"])] for r in rows}
-    for normalized in normalized_splits:
-        fit, _ = pca(normalized, 2)
-        assert [written[c] for c in normalized.cell_ids] == fit.coordinates.tolist()
+    assert len(tsne_inputs) == 2
+    for normalized, points in zip(normalized_splits, tsne_inputs):
+        assert [written[c] for c in normalized.cell_ids] == points[:, :2].tolist()
 
 
 def test_infeasible_perplexity_is_reported_after_the_reduction(tmp_path, capsys, monkeypatch):
@@ -474,6 +480,36 @@ def test_nan_perplexity_is_a_data_error_that_writes_nothing(data_dir, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "split", "qc", "filter", "normalize", "embed", "cluster", "evaluate", "pipeline", "synth",
+])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_a_negative_seed_is_a_usage_error_that_writes_nothing(
+    data_dir, tmp_path, capsys, command, how
+):
+    args = [] if command == "synth" else input_args(data_dir)
+    if how == "flag":
+        args += ["--seed", "-1"]
+    else:
+        (tmp_path / "seed.cfg").write_text("seed=-1\n")
+        args += ["--config", str(tmp_path / "seed.cfg")]
+    out = tmp_path / "out"
+    assert cli_main([command, *args, "-o", str(out)]) == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_marker_gene_count_is_a_data_error_that_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["synth", "--marker-genes", "-1", "--n-genes", "20",
+                     "--cells-per-cluster", "5", "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError",
+        "message": "n_marker_genes_per_cluster must be non-negative, got -1",
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads, args", [
     ("1", ["embed", *SPEED[:2], "--iters", "100000000000"]),
     ("1", ["cluster", *SPEED[:4], "--restarts", "1000000000000"]),
@@ -498,7 +534,7 @@ def test_an_allocation_numpy_refuses_ends_in_the_envelope(data_dir, tmp_path, th
     )
     assert proc.returncode == 1, proc.stderr
     envelope = json.loads(proc.stderr)
-    assert envelope["error"].endswith("MemoryError")
+    assert envelope["error"] == "MemoryError"
     assert envelope["message"].startswith("Unable to allocate")
     assert not out.exists()
 

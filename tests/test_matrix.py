@@ -11,8 +11,10 @@ from conftest import (
     triplets,
     unpickle_without_post_init,
 )
+from oracles import naive_distances
 
 from scbench import CountMatrix, DataError, ExpressionMatrix, from_dense, vstack_cells
+from scbench.matrix import _sq_distances
 
 
 def test_from_triplets_stores_entries():
@@ -348,3 +350,16 @@ def test_from_triplets_rejects_out_of_range_indices_of_dropped_zero_counts():
         CountMatrix.from_triplets([(0, 0, 1), (5, 0, 0)], 2, 1)
     with pytest.raises(DataError, match="gene index out of range"):
         CountMatrix.from_triplets([(0, 3, 0)], 2, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 50])
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-3, 10.0), (1e3, 1e4)])
+def test_sq_distances_are_the_squared_distances_within_the_gram_forms_rounding(
+    dim, scale, offset
+):
+    x = np.random.default_rng(dim).normal(size=(40, dim)) * scale + offset
+    sq = (x * x).sum(axis=1)
+    d2 = _sq_distances(x, x)
+    assert (d2 >= 0.0).all()
+    bound = 8 * np.finfo(np.float64).eps * np.add.outer(sq, sq)
+    assert (np.abs(d2 - naive_distances(x) ** 2) <= bound).all()

@@ -86,6 +86,8 @@ def test_config_validation():
         SynthConfig(n_clusters=0)
     with pytest.raises(DataError, match="marker"):
         SynthConfig(n_clusters=3, n_marker_genes_per_cluster=10, n_genes=20)
+    with pytest.raises(DataError, match="n_marker_genes_per_cluster must be non-negative"):
+        SynthConfig(n_marker_genes_per_cluster=-1, n_genes=20)
     with pytest.raises(DataError, match="dropout_prob"):
         SynthConfig(dropout_prob=1.0)
     with pytest.raises(DataError, match="out of range"):
