@@ -117,7 +117,7 @@ def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
     if depth in ("qc", "pipeline"):
         fields["dropout"] = dropout_rate(sub)
         fields["detection"] = detection_stats(sub)
-        fields["cumulative"] = cumulative_detection(sub, seed=args.seed)
+        fields["cumulative"] = cumulative_detection(sub)
     if depth in ("split", "qc"):
         return SplitResult(**fields)
 

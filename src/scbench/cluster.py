@@ -164,6 +164,10 @@ def kmeans(
         raise DataError(f"k={k} out of range for {n} points")
     if restarts < 1:
         raise DataError("restarts must be positive")
+    # the Gram-form d² rounds at the scale of |x|², so points far from the
+    # origin relative to their spread are clustered about their mean
+    mean = points.mean(axis=0)
+    points = points - mean
 
     best = None
     sses = np.empty(restarts)
@@ -175,7 +179,7 @@ def kmeans(
         if best is None or sse < best[2]:
             best = (labels, centers, sse, n_iters, trace)
     labels, centers, sse, n_iters, trace = best
-    return ClusterResult(labels, centers, sse, n_iters, seed, sses, tuple(trace))
+    return ClusterResult(labels, centers + mean, sse, n_iters, seed, sses, tuple(trace))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ duplicate coordinates are rejected. Gzipped files are detected by magic bytes.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 from typing import NamedTuple, Sequence
@@ -25,12 +26,16 @@ class CellAnnotation(NamedTuple):
     cell_type: str | None = None
 
 
+@contextlib.contextmanager
 def _open_text(path):
+    """The file as text, gunzipped if it starts with the gzip magic."""
     with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        gz = fh.read(2) == b"\x1f\x8b"
+    with gzip.open(path, "rt", encoding="utf-8") if gz else open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except EOFError:
+            raise FormatError(f"{path}: gzip stream ends early; the file is truncated") from None
 
 
 def _parse_count(token: str, field: str, lineno: int) -> int:

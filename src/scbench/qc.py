@@ -1,6 +1,8 @@
 """Comparative quality metrics: dropout rate, gene detection, cumulative detection.
 
 Everything here works off stored sparse entries; matrices are never densified.
+Nothing here is random: the cumulative curve is an exact expectation, so
+these tables do not depend on the seed.
 """
 from __future__ import annotations
 
@@ -8,12 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import quartiles, seeded_rng
+from ._util import quartiles
 from .errors import DataError
 from .matrix import CountMatrix
-
-CUMULATIVE_PERMUTATIONS_DEFAULT = 20
-CUMULATIVE_SEED_DEFAULT = 42
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,12 +38,14 @@ class DetectionStats:
 
 @dataclass(frozen=True, eq=False)
 class CumulativeCurve:
-    """Mean distinct genes detected among the first x cells, over seeded orderings."""
+    """Expected distinct genes detected among x cells, over every cell ordering."""
 
     x: np.ndarray
     y: np.ndarray
-    n_permutations: int
-    seed: int
+    # a class attribute, not a field: perfbench's tracer still reads it to
+    # count steps (len(x) * n_permutations); it goes when perfbench reads a
+    # run record instead of wrapping scbench's functions
+    n_permutations = 1
 
 
 def dropout_rate(m: CountMatrix) -> DropoutReport:
@@ -66,37 +67,23 @@ def detection_stats(m: CountMatrix) -> DetectionStats:
     return DetectionStats(detected, float(med), float(q1), float(q3))
 
 
-def cumulative_detection(
-    m: CountMatrix,
-    n_permutations: int = CUMULATIVE_PERMUTATIONS_DEFAULT,
-    seed: int = CUMULATIVE_SEED_DEFAULT,
-) -> CumulativeCurve:
-    """Running union of detected genes as cells accumulate in random order.
+def cumulative_detection(m: CountMatrix) -> CumulativeCurve:
+    """Expected distinct genes detected among x cells drawn without
+    replacement, for x = 1..n: the mean over every cell ordering.
 
-    The curve is averaged over n_permutations cell orderings, however few
-    cells there are; permutation p draws from a generator sub-seeded with
-    (seed, p), so the result does not depend on evaluation order or worker
-    count.
+    With c_g the number of cells that detect gene g, this is sample-based
+    rarefaction (Hurlbert 1971; Colwell et al. 2012):
+    E[U(x)] = sum_g [1 - prod_{i<x} (n - c_g - i) / (n - i)].
+    Genes are grouped by c_g and the groups added in ascending c_g, so the
+    curve is a fixed function of the counts. The product reaches an exact 0
+    at x = n - c_g + 1, so y(n) is the number of detected genes exactly.
     """
-    if n_permutations < 1:
-        raise DataError("need at least one permutation")
-    if m.n_cells < 1:
+    n = m.n_cells
+    if n < 1:
         raise DataError("cumulative detection needs at least one cell")
-    # entries are gene-major, so each detected gene is one run of entries
-    gene_starts = np.flatnonzero(np.diff(m.gene_idx, prepend=-1))
-    steps = np.arange(m.n_cells)
-    rank = np.empty(m.n_cells, dtype=np.int64)
-    totals = np.zeros(m.n_cells, dtype=np.float64)
-    for p in range(n_permutations):
-        rank[seeded_rng(seed, p).permutation(m.n_cells)] = steps
-        # the step at which each detected gene is first seen
-        first = np.minimum.reduceat(rank[m.cell_idx], gene_starts)
-        # exact integer counts added in permutation order: the sum is the
-        # same float64 value a per-cell running union gives
-        totals += np.cumsum(np.bincount(first, minlength=m.n_cells))
-    return CumulativeCurve(
-        np.arange(1, m.n_cells + 1),
-        totals / n_permutations,
-        n_permutations,
-        seed,
-    )
+    i = np.arange(n)
+    y = np.zeros(n, dtype=np.float64)
+    for c, k in zip(*np.unique(m.gene_nonzero_count(), return_counts=True)):
+        if c > 0:
+            y += k * (1.0 - np.cumprod(np.maximum(n - c - i, 0) / (n - i)))
+    return CumulativeCurve(np.arange(1, n + 1), y)

@@ -2,9 +2,9 @@
 
 Almost everything here recomputes results from first principles (definitions
 over raw pairwise distances, exhaustive enumeration) rather than sharing any
-code with the package under test. Some pieces share the library's definitions
-on purpose: `seeded_rng`, which defines the cell orderings cumulative
-detection averages over; `scan_agglomerate`, the library's former
+code with the package under test; cumulative detection, for one, is checked
+against the running union averaged over every cell ordering. Some pieces share
+the library's definitions on purpose: `scan_agglomerate`, the library's former
 agglomeration loop, which does the same Lance-Williams arithmetic so that
 dendrograms can be compared exactly; `loop_pairwise_distances` and
 `matrix_silhouette`, the former one-row distance loop and per-point
@@ -26,7 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from scbench._util import seeded_rng
 from scbench.errors import DataError
 from scbench.preprocess import FilterConfig, FilterTrace
 
@@ -462,20 +461,23 @@ def mst_edge_weights(d):
     return sorted(weights)
 
 
-def naive_cumulative_detection(m, n_permutations, seed):
-    """Mean running union of detected genes over the library's seeded cell
-    orderings, visiting every cell of every ordering in turn."""
-    orders = [seeded_rng(seed, p).permutation(m.n_cells) for p in range(n_permutations)]
+def naive_cumulative_detection(m):
+    """Running union of detected genes, cell by cell, averaged over every
+    ordering of the cells (n <= 6, so at most 720 orderings)."""
+    if m.n_cells > 6:
+        raise ValueError("every ordering of more than 6 cells is too many")
     genes_by_cell = [set() for _ in range(m.n_cells)]
     for c, g in zip(m.cell_idx.tolist(), m.gene_idx.tolist()):
         genes_by_cell[c].add(g)
-    totals = np.zeros(m.n_cells, dtype=np.float64)
+    orders = list(itertools.permutations(range(m.n_cells)))
+    totals = [0] * m.n_cells
     for order in orders:
         seen = set()
         for step, c in enumerate(order):
             seen |= genes_by_cell[c]
             totals[step] += len(seen)
-    return totals / len(orders)
+    # exact integer totals, one rounding each
+    return np.array([t / len(orders) for t in totals])
 
 
 def naive_write_matrix_market(m, path):

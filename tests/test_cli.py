@@ -2,6 +2,7 @@
 import ast
 import builtins
 import dataclasses
+import gzip
 import json
 import multiprocessing
 import os
@@ -306,6 +307,25 @@ def test_data_errors_report_json_envelope(capsys, tmp_path, pipeline_dir):
     }
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--cells", "--genes"])
+def test_a_truncated_gzip_input_is_a_format_error_that_writes_nothing(
+    data_dir, tmp_path, capsys, flag
+):
+    args = input_args(data_dir)
+    i = args.index(flag) + 1
+    blob = gzip.compress(Path(args[i]).read_bytes())
+    cut = tmp_path / (Path(args[i]).name + ".gz")
+    cut.write_bytes(blob[: len(blob) // 2])
+    args[i] = str(cut)
+    out = tmp_path / "out"
+    assert cli_main(["qc", *args, "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError",
+        "message": f"{cut}: gzip stream ends early; the file is truncated",
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -546,6 +566,18 @@ def test_qc_stage_writes_qc_tables_only(data_dir, tmp_path):
     assert not (tmp_path / "embedding_pca.csv").exists()
     _, rows = read_table(tmp_path / "detection.csv")
     assert len(rows) == 45
+
+
+def test_qc_tables_do_not_depend_on_the_seed(data_dir, tmp_path):
+    for seed in ("0", "5"):
+        assert cli_main(["qc", *input_args(data_dir), "--seed", seed,
+                         "-o", str(tmp_path / seed)]) == 0
+    for name in ("dropout.csv", "detection.csv", "cumulative.csv"):
+        config_0, *rows_0 = (tmp_path / "0" / name).read_text().splitlines()
+        config_5, *rows_5 = (tmp_path / "5" / name).read_text().splitlines()
+        assert config_0.startswith("# config:") and config_5.startswith("# config:")
+        assert '"seed":0' in config_0 and '"seed":5' in config_5
+        assert rows_0 == rows_5, name
 
 
 def test_split_stage_round_trip(data_dir, tmp_path):
@@ -1147,3 +1179,23 @@ def test_a_stage_binds_what_its_splits_call_before_the_pool_forks(data_dir, tmp_
         f"assert loaded == [{lazy!r}], loaded\n"
     )
     assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["splits"]) == 2
+
+
+def test_perfbench_tracer_reads_a_fact_off_every_call_it_names(data_dir, tmp_path, monkeypatch):
+    # perfbench times a run by wrapping scbench's functions and reads facts
+    # off their arguments and results (spans.FACTS); this pins what it reads
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    monkeypatch.setenv("SCBENCH_THREADS", "1")
+    tracer = spans.Tracer()
+    runs = [
+        ["split"], ["qc"], ["pipeline", *SPEED],
+        ["pipeline", *SPEED, "--cluster-method", "hclust"],
+    ]
+    with spans.instrument(tracer):
+        for i, (command, *flags) in enumerate(runs):
+            out = tmp_path / str(i)
+            assert cli_main([command, *input_args(data_dir), *flags, "-o", str(out)]) == 0
+    with_facts = {span["name"] for span in tracer.spans if span["facts"]}
+    assert set(spans.FACTS) <= with_facts, sorted(set(spans.FACTS) - with_facts)

@@ -123,6 +123,19 @@ def test_kmeans_translation_and_scaling_invariance():
     assert adjusted_rand_index(base.labels, scaled.labels) == 1.0
 
 
+def test_kmeans_far_from_the_origin_keeps_its_clusters_and_sse():
+    # three unit-spread blobs 10 apart, on a 2^-20 grid so that every offset
+    # below stores the same points exactly
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(c, 1.0, size=(50, 2)) for c in ((0, 0), (10, 0), (0, 10))])
+    x = np.round(x * 2.0**20) / 2.0**20
+    base = kmeans(x, 3, seed=0)
+    for offset in (0.0, 1e6, 1e8, 1e9):
+        result = kmeans(x + offset, 3, seed=0)
+        assert np.unique(result.labels).size == 3, offset
+        assert math.isclose(result.sse, base.sse, rel_tol=1e-9), (offset, result.sse)
+
+
 def test_hierarchical_two_points():
     x = np.array([[0.0, 0.0], [3.0, 4.0]])
     for linkage in LINKAGES:

@@ -1,4 +1,5 @@
 """Dropout, detection, and cumulative-detection metrics."""
+import dataclasses
 import math
 
 import numpy as np
@@ -127,56 +128,52 @@ def test_detection_quartiles_match_percentile_rule():
 
 def test_cumulative_single_cell():
     m = CountMatrix.from_triplets([(0, 0, 1), (0, 2, 4)], 1, 3)
-    curve = cumulative_detection(m, n_permutations=5, seed=0)
+    curve = cumulative_detection(m)
     assert curve.x.tolist() == [1] and curve.y.tolist() == [2.0]
 
 
 def test_cumulative_duplicate_cells_flat_after_first():
     m = from_dense(np.tile([1, 0, 3, 1], (4, 1)))
-    curve = cumulative_detection(m, n_permutations=8, seed=1)
+    curve = cumulative_detection(m)
     assert np.array_equal(curve.y, np.full(4, 3.0))
 
 
-def test_cumulative_monotone_and_ends_at_detectable_genes():
-    for seed in range(5):
-        m = random_matrix(seed, 15, 40, density=0.15)
-        curve = cumulative_detection(m, n_permutations=10, seed=seed)
-        assert (np.diff(curve.y) >= -1e-12).all()
-        detectable = int((m.gene_nonzero_count() > 0).sum())
-        assert curve.y[-1] == detectable
-
-
-def test_cumulative_deterministic():
+def test_cumulative_curve_holds_only_its_points():
     m = random_matrix(60, 30, 50)
-    a = cumulative_detection(m, n_permutations=12, seed=3)
-    b = cumulative_detection(m, n_permutations=12, seed=3)
-    c = cumulative_detection(m, n_permutations=12, seed=4)
-    assert np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.y, c.y)
+    curve = cumulative_detection(m)
+    assert [f.name for f in dataclasses.fields(curve)] == ["x", "y"]
+    assert np.array_equal(curve.x, np.arange(1, 31))
 
 
-def test_cumulative_equals_per_cell_oracle_exactly():
+def test_cumulative_equals_the_all_orderings_oracle():
     rng = np.random.default_rng(62)
-    cases = []
-    for n_cells, n_genes, density in ((40, 60, 0.1), (25, 30, 0.4), (60, 200, 0.02)):
-        dense = random_dense(None, n_cells, n_genes, density=density, rng=rng)
-        dense[rng.integers(n_cells)] = 0  # an empty cell
-        dense[:, rng.integers(n_genes)] = 0  # an all-zero gene
-        cases.append((from_dense(dense), 15))
-    cases.append((from_dense(np.zeros((5, 4), dtype=np.int64)), 7))  # no entries
-    cases.append((CountMatrix.from_triplets([(0, 1, 2), (0, 3, 1)], 1, 5), 3))
-    # budgets of at least every ordering (4! = 24, 5! = 120) still draw seeded ones
-    cases.append((random_matrix(63, 4, 9, density=0.3), 30))
-    cases.append((random_matrix(64, 5, 12, density=0.25), 120))
-    for m, n_permutations in cases:
-        for seed in (0, 5):
-            curve = cumulative_detection(m, n_permutations=n_permutations, seed=seed)
-            expected = naive_cumulative_detection(m, n_permutations, seed)
-            assert np.array_equal(curve.y, expected)
-    assert cumulative_detection(cases[-1][0], n_permutations=120).n_permutations == 120
+    cases = [
+        from_dense(np.zeros((5, 4), dtype=np.int64)),  # no entries
+        CountMatrix.from_triplets([(0, 1, 2), (0, 3, 1)], 1, 5),
+    ]
+    for n_cells in range(1, 7):
+        for density in (0.1, 0.4, 0.8):
+            dense = random_dense(None, n_cells, 12, density=density, rng=rng)
+            dense[:, 0] = 0  # an all-zero gene
+            dense[:, 1] = 1  # a gene in every cell
+            cases.append(from_dense(dense))
+            dense[rng.integers(n_cells)] = 0  # an empty cell
+            cases.append(from_dense(dense))
+    for m in cases:
+        curve = cumulative_detection(m)
+        np.testing.assert_allclose(curve.y, naive_cumulative_detection(m), rtol=1e-12, atol=0)
 
 
-def test_cumulative_rejects_bad_budget():
-    m = random_matrix(61, 3, 3)
-    with pytest.raises(DataError):
-        cumulative_detection(m, n_permutations=0)
+def test_cumulative_monotone_and_ends_at_detectable_genes():
+    shapes = ((1, 5, 0.5), (6, 12, 0.3), (15, 40, 0.15), (60, 200, 0.02), (300, 400, 0.05))
+    for seed, (n_cells, n_genes, density) in enumerate(shapes * 3):
+        m = random_matrix(seed, n_cells, n_genes, density=density)
+        y = cumulative_detection(m).y
+        assert y.dtype == np.float64 and y.shape == (n_cells,)
+        assert y[-1] == int((m.gene_nonzero_count() > 0).sum())
+        # y(1) is the mean number of genes a cell detects
+        assert math.isclose(y[0], m.nnz / n_cells, rel_tol=1e-12, abs_tol=0)
+        # non-decreasing exactly; concave up to the rounding of y(n)
+        steps = np.diff(y)
+        assert (steps >= 0).all()
+        assert (np.diff(steps) <= 8 * np.finfo(np.float64).eps * y[-1]).all()

@@ -66,7 +66,7 @@ def build_split(method, replicate, seed, with_truth):
         matrix=m,
         dropout=dropout_rate(m),
         detection=detection_stats(m),
-        cumulative=cumulative_detection(m, seed=0),
+        cumulative=cumulative_detection(m),
         trace=trace,
         normalized=normalized,
         pca=pca_emb,
