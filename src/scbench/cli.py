@@ -364,10 +364,26 @@ def _add_input_flags(p):
     p.add_argument("--sample", default="sample", help="sample name used in output tables")
 
 
+def _ranged(kind, lo, hi=None):
+    """An argparse type: `kind` of the text, at least lo and, given hi, below
+    it. Text `kind` cannot parse gets argparse's message for type=kind."""
+    noun = "an integer" if kind is int else "a number"
+    span = f"{noun} >= {lo}" if hi is None else f"{noun} in [{lo}, {hi})"
+
+    def parse(text: str):
+        value = kind(text)
+        if not (lo <= value and (hi is None or value < hi)):
+            raise argparse.ArgumentTypeError(f"expected {span}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_filter_flags(p):
-    p.add_argument("--zero-threshold", type=float, default=0.8,
+    p.add_argument("--zero-threshold", type=_ranged(float, 0, 1), default=0.8,
                    help="drop genes whose zero fraction strictly exceeds this")
-    p.add_argument("--cv-fraction", type=float, default=0.15,
+    p.add_argument("--cv-fraction", type=_ranged(float, 0, 1), default=0.15,
                    help="drop this fraction of genes with the lowest CV")
     p.add_argument("--normalize-axis", choices=("cells", "genes"), default="cells")
     p.add_argument("--log1p", action="store_true",
@@ -376,15 +392,15 @@ def _add_filter_flags(p):
 
 def _add_embed_flags(p):
     p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iters", type=int, default=1000, help="t-SNE iterations")
+    p.add_argument("--iters", type=_ranged(int, 1), default=1000, help="t-SNE iterations")
 
 
 def _add_cluster_flags(p):
-    p.add_argument("--k", type=int, default=3, help="number of clusters")
+    p.add_argument("--k", type=_ranged(int, 2), default=3, help="number of clusters")
     p.add_argument("--cluster-method", choices=("kmeans", "hclust"), default="kmeans")
     p.add_argument("--linkage", choices=("single", "complete", "average", "ward"),
                    default="ward")
-    p.add_argument("--restarts", type=int, default=10, help="k-means restarts")
+    p.add_argument("--restarts", type=_ranged(int, 1), default=10, help="k-means restarts")
 
 
 def _seed(text: str) -> int:

@@ -15,7 +15,7 @@ root-find on all of them at once (bit for bit a one-row loop) and go
 straight into the strips. Each iteration takes 1 + d^2 of a block from one
 matrix product with d + 2 inner terms, clamped at 1. KL is sum p log p +
 sum p log(1 + d^2) + log Z, read from the same buffer, so no log(q) pass is
-needed. No n x n array exists: beside the strips, calibration holds five
+needed. No n x n array exists: beside the strips, calibration holds four
 _BLOCK_ROWS x n blocks and the step two. Only the descent safeguard reads
 the KL, so its log pass runs only from the last exaggerated iterate on (and
 at the final iterate); kl_trace covers those iterates, not the exaggeration
@@ -159,12 +159,12 @@ def pca_fit_transform(x, d: int) -> tuple[Embedding, PcaModel]:
     return Embedding(scores, "pca", {"d": d, "method": method}, seed=0), model
 
 
-def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch) -> tuple:
-    """Gaussian affinities of points s, s + 1, ... at the target perplexity.
+def _calibrate_block(c: np.ndarray, perplexity: float, scratch) -> tuple:
+    """Gaussian affinities of a block of points at the target perplexity.
 
-    d2_rows holds their d^2 to all n points, row i's own at column s + i;
-    the rows come back that shape with a zero there, with each row's
-    achieved perplexity. A row's precision beta is the root of
+    c is b x m: each point's d^2 to m other points, its own left out; the
+    call overwrites it. Returns the b x m affinities p, in c's columns, and
+    each row's achieved perplexity. A row's precision beta is the root of
     H = log perplexity, for its entropy H = log S + beta <w, c> / S with
     c = d^2 - min d^2, w = exp(-beta c) and S = sum w (van der Maaten & Hinton
     2008, JMLR 9:2579): -sum p log p for p = w / S, without a log of any
@@ -175,31 +175,19 @@ def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch) ->
     the arithmetic of a one-row loop, whatever rows share the call. A row
     with at least perplexity nearest points (duplicates, perplexity <= 1)
     has no finite root: it takes the beta -> infinity limit, equal mass on
-    its nearest points, with no Newton pass. Rows that miss the target are
-    logged, numbered from s. scratch is the passes' two buffers of at least
-    b x (n - 1), which a caller keeps across blocks.
+    its nearest points, with no Newton pass. scratch is the passes' two
+    buffers of m columns, with b rows or more, that a caller keeps.
     """
-    b, n = d2_rows.shape
+    b, m = c.shape
     target = np.log(perplexity)
-    rows = np.zeros((b, n))
-    achieved = np.empty(b)
-
-    def put(r, weights, total):
-        # row r's n - 1 weights over the columns either side of its own
-        np.divide(weights[:s + r], total, out=rows[r, :s + r])
-        np.divide(weights[s + r:], total, out=rows[r, s + r + 1:])
-
-    keep = np.ones((b, n), dtype=bool)
-    keep[np.arange(b), np.arange(s, s + b)] = False
-    c = d2_rows[keep].reshape(b, n - 1)
-    del keep
+    p = np.empty((b, m))
     c -= c.min(axis=1)[:, None]
     nearest = (c == 0.0).sum(axis=1)
     # no root (a row of equal d^2 has none either): the limit beta -> inf
-    limit = (nearest >= perplexity) | (nearest == n - 1)
+    limit = (nearest >= perplexity) | (nearest == m)
     for r in np.flatnonzero(limit):
-        put(r, c[r] == 0.0, nearest[r])
-    achieved[limit] = nearest[limit]
+        np.divide(c[r] == 0.0, nearest[r], out=p[r])
+    achieved = nearest.astype(np.float64)  # the other rows' are found below
     active = kept = np.flatnonzero(~limit)
     lo, hi = np.full(active.size, -np.inf), np.full(active.size, np.inf)
     w_buf, t_buf = scratch
@@ -225,7 +213,7 @@ def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch) ->
             f = h - target
             done = (np.abs(f) <= _ENTROPY_TOL) | (it == _MAX_NEWTON - 1)
             for j in np.flatnonzero(done):
-                put(active[j], w[j], total[j])
+                np.divide(w[j], total[j], out=p[active[j]])
             achieved[active[done]] = np.exp(h[done])
             t *= cc
             m2 = t.sum(axis=1) / total
@@ -241,21 +229,20 @@ def _calibrate_block(d2_rows: np.ndarray, s: int, perplexity: float, scratch) ->
             u = np.where((step > lo) & (step < hi), step, fallback)
             kept = np.flatnonzero(~done)
             active, u, lo, hi = active[kept], u[kept], lo[kept], hi[kept]
-    for r in np.flatnonzero(np.abs(np.log(achieved) - target) > _ENTROPY_TOL):
-        log.warning("perplexity calibration for point %d stopped at %.6f (target %.6f)",
-                    s + r, achieved[r], perplexity)
-    return rows, achieved
+    return p, achieved
 
 
 def _joint_strips(points: np.ndarray, perplexity: float) -> tuple[list, np.ndarray]:
     """P = (cond + cond.T) / 2n as strips P[s:e, s:] of _BLOCK_ROWS rows, and
     each point's achieved perplexity, for the calibrated rows cond.
 
-    A block's d^2 is `_sq_distances` of its rows to all points, with
-    d_ii^2 = 0. Its rows go into the strips as soon as they are
-    calibrated: columns s on into its own strip, the transpose of its
-    diagonal square onto that, and earlier columns, transposed, into the
-    earlier strips. So every entry receives cond[i, j] and cond[j, i] onto 0.
+    A block's rows are calibrated on their d^2 to the other points, which
+    one mask cuts from `_sq_distances` of the rows to all points, and go
+    into the strips at once: columns s on around a zero diagonal into its
+    own strip, the transpose of its diagonal square onto that, and earlier
+    columns, transposed, into the earlier strips. So every entry receives
+    cond[i, j] and cond[j, i] onto 0. Points that miss the target are
+    logged in index order.
     """
     n = points.shape[0]
     strips, achieved = [], np.empty(n)
@@ -263,16 +250,21 @@ def _joint_strips(points: np.ndarray, perplexity: float) -> tuple[list, np.ndarr
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
         b = e - s
-        d2 = _sq_distances(points[s:e], points)
-        d2[np.arange(b), np.arange(s, e)] = 0.0
-        rows, achieved[s:e] = _calibrate_block(d2, s, perplexity, scratch)
-        strip = rows[:, s:].copy()
-        strip[:, :b] += rows[:, s:e].T
+        others = ~np.eye(b, n, s, dtype=bool)
+        c = _sq_distances(points[s:e], points)[others].reshape(b, n - 1)
+        p, achieved[s:e] = _calibrate_block(c, perplexity, scratch)
+        del c
+        strip = np.zeros((b, n - s))
+        strip[others[:, s:]] = p[:, s:].ravel()
+        strip[:, :b] += strip[:, :b].T
         for k, earlier in enumerate(strips):
             r = k * _BLOCK_ROWS
-            earlier[:, s - r:s - r + b] += rows[:, r:r + _BLOCK_ROWS].T
+            earlier[:, s - r:s - r + b] += p[:, r:r + _BLOCK_ROWS].T
         strips.append(strip)
-        del d2, rows  # before the next block's are made
+        del p  # before the next block's is made
+    for i in np.flatnonzero(np.abs(np.log(achieved) - np.log(perplexity)) > _ENTROPY_TOL):
+        log.warning("perplexity calibration for point %d stopped at %.6f (target %.6f)",
+                    i, achieved[i], perplexity)
     for strip in strips:
         strip /= 2.0 * n
     return strips, achieved

@@ -28,10 +28,12 @@ class CellAnnotation(NamedTuple):
 
 @contextlib.contextmanager
 def _open_text(path):
-    """The file as text, gunzipped if it starts with the gzip magic."""
+    """The file as text, gunzipped if it starts with the gzip magic, past a
+    UTF-8 byte-order mark if it has one (Excel's "CSV UTF-8" writes one)."""
     with open(path, "rb") as fh:
         gz = fh.read(2) == b"\x1f\x8b"
-    with gzip.open(path, "rt", encoding="utf-8") if gz else open(path, encoding="utf-8") as fh:
+    encoding = "utf-8-sig"
+    with gzip.open(path, "rt", encoding=encoding) if gz else open(path, encoding=encoding) as fh:
         try:
             yield fh
         except EOFError:

@@ -8,9 +8,10 @@ the library's definitions on purpose: `scan_agglomerate`, the library's former
 agglomeration loop, which does the same Lance-Williams arithmetic so that
 dendrograms can be compared exactly; `loop_pairwise_distances` and
 `matrix_silhouette`, the former one-row distance loop and per-point
-silhouette, whose bits the blocked distance kernel must reproduce; `loop_conditional_probabilities`,
+silhouette, whose bits the blocked distance kernel must reproduce; `loop_calibrate_rows`,
 the perplexity root-find run one row at a time, whose arithmetic the
-blocked calibration must reproduce bit for bit, with
+blocked calibration must reproduce bit for bit, and
+`loop_conditional_probabilities`, that loop over each point's other columns, with
 `blocked_squared_distances`, the library's d^2 arithmetic, and `symmetrize`,
 the former full-matrix joint P, whose strips the library's must equal, beside
 `bisect_conditional_probabilities`, the former bisection, whose tolerance
@@ -269,63 +270,74 @@ def assemble_joint(strips):
     return p
 
 
-def loop_conditional_probabilities(d2, perplexity):
-    """The library's perplexity calibration one row at a time: Newton in
-    u = log beta on the row's shifted entropy H = log S + beta <w, c> / S,
-    for c = d^2 - min d^2, w = exp(-beta c) and S = sum w, safeguarded by the
-    bracket its steps have found, until |H - log perplexity| <= 1e-10 or 50
-    passes, as the library does it. A row with at least perplexity nearest
-    points, or whose d^2 are all equal, takes equal mass on its nearest
-    points. Returns (P, achieved perplexities) and logs the same warnings,
-    under the library's logger name."""
+def loop_calibrate_rows(c, perplexity):
+    """The library's perplexity calibration one row at a time, on rows c of
+    d^2 to other points: Newton in u = log beta on the row's shifted entropy
+    H = log S + beta <w, c> / S, for c = d^2 - min d^2, w = exp(-beta c) and
+    S = sum w, safeguarded by the bracket its steps have found, until
+    |H - log perplexity| <= 1e-10 or 50 passes, as the library does it. A
+    row with at least perplexity nearest points, or whose d^2 are all equal,
+    takes equal mass on its nearest points. Returns (P in c's columns,
+    achieved perplexities)."""
     tol = 1e-10
-    log = logging.getLogger("scbench.embed")
     target = np.log(perplexity)
-    n = d2.shape[0]
-    p = np.zeros((n, n))
-    achieved = np.empty(n)
-    for i in range(n):
-        c = np.delete(d2[i], i)
-        c = c - c.min()
-        nearest = (c == 0.0).sum()
-        if nearest >= perplexity or nearest == n - 1:
-            weights = (c == 0.0) / nearest
+    b, m = c.shape
+    p = np.empty((b, m))
+    achieved = np.empty(b)
+    for i in range(b):
+        row = c[i] - c[i].min()
+        nearest = (row == 0.0).sum()
+        if nearest >= perplexity or nearest == m:
+            p[i] = (row == 0.0) / nearest
             achieved[i] = nearest
-        else:
-            u = -np.log(c.mean())
-            lo, hi = -np.inf, np.inf
-            for _ in range(50):
-                beta = np.exp(u)
-                w = np.exp(c * -beta)
-                total = w.sum()
-                m1 = (w * c).sum() / total
-                h = np.log(total) + beta * m1
-                f = h - target
-                if abs(f) <= tol:
-                    break
-                m2 = (w * c * c).sum() / total
-                if f > 0.0:
-                    lo = u
-                else:
-                    hi = u
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    step = u + np.clip(f / (beta * beta * (m2 - m1 * m1)), -2.0, 2.0)
-                if lo < step < hi:
-                    u = step
-                elif np.isinf(lo) or np.isinf(hi):
-                    u = u + 2.0 if f > 0.0 else u - 2.0
-                else:
-                    u = (lo + hi) / 2.0
-            weights = w / total
-            achieved[i] = np.exp(h)
-        if abs(np.log(achieved[i]) - target) > tol:
+            continue
+        u = -np.log(row.mean())
+        lo, hi = -np.inf, np.inf
+        for _ in range(50):
+            beta = np.exp(u)
+            w = np.exp(row * -beta)
+            total = w.sum()
+            m1 = (w * row).sum() / total
+            h = np.log(total) + beta * m1
+            f = h - target
+            if abs(f) <= tol:
+                break
+            m2 = (w * row * row).sum() / total
+            if f > 0.0:
+                lo = u
+            else:
+                hi = u
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = u + np.clip(f / (beta * beta * (m2 - m1 * m1)), -2.0, 2.0)
+            if lo < step < hi:
+                u = step
+            elif np.isinf(lo) or np.isinf(hi):
+                u = u + 2.0 if f > 0.0 else u - 2.0
+            else:
+                u = (lo + hi) / 2.0
+        p[i] = w / total
+        achieved[i] = np.exp(h)
+    return p, achieved
+
+
+def loop_conditional_probabilities(d2, perplexity):
+    """`loop_calibrate_rows` on each row of d2 without its own entry, as an
+    n x n P with a zero diagonal. Returns (P, achieved perplexities) and logs
+    the library's warnings, under its logger name."""
+    log = logging.getLogger("scbench.embed")
+    n = d2.shape[0]
+    others = ~np.eye(n, dtype=bool)
+    cond, achieved = loop_calibrate_rows(d2[others].reshape(n, n - 1), perplexity)
+    p = np.zeros((n, n))
+    p[others] = cond.ravel()
+    for i in range(n):
+        if abs(np.log(achieved[i]) - np.log(perplexity)) > 1e-10:
             log.warning(
                 "perplexity calibration for point %d stopped at %.6f (target %.6f)",
                 i,
                 achieved[i],
                 perplexity,
             )
-        p[i, np.arange(n) != i] = weights
     return p, achieved
 
 

@@ -20,10 +20,11 @@ CONTRACTS = (
     "test_embed.py::test_blocked_step_matches_the_dense_step",
     "test_embed.py::test_blocked_step_matches_the_dense_step_at_a_finished_embeddings_scale",
     "test_embed.py::test_coincident_points_far_out_keep_unit_weights",
-    # blocked calibration against the one-row loop, its strips against the
-    # loop's P symmetrized, the no-root limit, and the achieved perplexity
+    # blocked calibration against the one-row loop, on all other points and
+    # on nearest-neighbour columns, its strips against the loop's P symmetrized, the no-root limit, and the achieved perplexity
     # against the bisection's window and the target
     "test_embed.py::test_lockstep_calibration_equals_the_one_row_loop",
+    "test_embed.py::test_calibration_of_neighbour_columns_equals_the_one_row_loop",
     "test_embed.py::test_strips_equal_the_one_row_loops_p_symmetrized",
     "test_embed.py::test_rows_without_a_root_take_the_limit_with_no_newton_pass",
     "test_embed.py::test_root_found_perplexities_land_in_the_bisection_window",

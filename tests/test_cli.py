@@ -500,6 +500,56 @@ def test_nan_perplexity_is_a_data_error_that_writes_nothing(data_dir, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("packing", ["plain", "gzip"])
+@pytest.mark.parametrize("flag", ["--matrix", "--cells", "--genes"])
+def test_an_input_with_a_byte_order_mark_reads_as_without_it(data_dir, tmp_path, flag, packing):
+    # Excel's "CSV UTF-8" export starts its files with a UTF-8 byte-order mark
+    args = input_args(data_dir)
+    assert cli_main(["qc", *args, "-o", str(tmp_path / "unmarked")]) == 0
+    i = args.index(flag) + 1
+    blob = b"\xef\xbb\xbf" + Path(args[i]).read_bytes()
+    marked = tmp_path / Path(args[i]).name
+    marked.write_bytes(gzip.compress(blob) if packing == "gzip" else blob)
+    args[i] = str(marked)
+    assert cli_main(["qc", *args, "-o", str(tmp_path / "marked")]) == 0
+    for name in ("dropout.csv", "detection.csv", "cumulative.csv"):
+        _, *rows = (tmp_path / "unmarked" / name).read_text().splitlines()
+        _, *marked_rows = (tmp_path / "marked" / name).read_text().splitlines()
+        assert marked_rows == rows, name
+
+
+# every command that takes each ranged flag, and a value out of its range
+RANGED = [
+    *[(c, "--k", v) for c in ("cluster", "evaluate", "pipeline") for v in ("1", "0")],
+    *[(c, "--restarts", "0") for c in ("cluster", "evaluate", "pipeline")],
+    *[(c, "--iters", "0") for c in ("embed", "cluster", "evaluate", "pipeline")],
+    *[(c, f, v)
+      for c in ("filter", "normalize", "embed", "cluster", "evaluate", "pipeline")
+      for f in ("--zero-threshold", "--cv-fraction")
+      for v in ("1.0", "-0.1", "nan")],
+    *[(c, "--zero-threshold", "1.5") for c in ("filter", "pipeline")],
+]
+
+
+@pytest.mark.parametrize("command, flag, value", RANGED)
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_an_out_of_range_flag_is_a_usage_error_that_writes_nothing(
+    data_dir, tmp_path, capsys, command, flag, value, how
+):
+    args = input_args(data_dir)
+    if how == "flag":
+        args += [flag, value]
+    else:
+        (tmp_path / "ranged.cfg").write_text(f"{flag[2:]}={value}\n")
+        args += ["--config", str(tmp_path / "ranged.cfg")]
+    out = tmp_path / "out"
+    assert cli_main([command, *args, "-o", str(out)]) == 2
+    span = {"--k": "an integer >= 2", "--restarts": "an integer >= 1",
+            "--iters": "an integer >= 1"}.get(flag, "a number in [0, 1)")
+    assert f"argument {flag}: expected {span}, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     "split", "qc", "filter", "normalize", "embed", "cluster", "evaluate", "pipeline", "synth",
 ])

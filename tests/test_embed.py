@@ -14,6 +14,7 @@ from oracles import (
     cut_strips,
     dense_kl_gradient,
     kl_divergence,
+    loop_calibrate_rows,
     loop_conditional_probabilities,
     svd_pca,
     symmetrize,
@@ -34,12 +35,23 @@ def seeded_points(seed, n, g, scale=1.0):
     return np.random.default_rng(seed).normal(size=(n, g)) * scale
 
 
+def calibrated_rows(c, perplexity):
+    """The library's calibration of every row of c, 64 rows per call, stacked."""
+    scratch = np.empty((2, min(64, len(c)), c.shape[1]))
+    blocks = [_calibrate_block(c[s:s + 64].copy(), perplexity, scratch)
+              for s in range(0, len(c), 64)]
+    return np.vstack([p for p, _ in blocks]), np.concatenate([a for _, a in blocks])
+
+
 def conditional_probabilities(d2, perplexity):
-    """The library's calibration of every row of d2, 64 rows per call, stacked."""
-    scratch = np.empty((2, min(64, len(d2)), len(d2) - 1))
-    blocks = [_calibrate_block(d2[s:s + 64], s, perplexity, scratch)
-              for s in range(0, len(d2), 64)]
-    return np.vstack([rows for rows, _ in blocks]), np.concatenate([a for _, a in blocks])
+    """calibrated_rows of each row of d2 without its own entry, as an n x n P
+    with a zero diagonal."""
+    n = len(d2)
+    others = ~np.eye(n, dtype=bool)
+    cond, achieved = calibrated_rows(d2[others].reshape(n, n - 1), perplexity)
+    p = np.zeros((n, n))
+    p[others] = cond.ravel()
+    return p, achieved
 
 
 def test_pca_collinear_points():
@@ -505,54 +517,57 @@ def test_kl_is_evaluated_from_the_last_exaggerated_iterate(iters, exaggeration_i
     assert math.isclose(kl_divergence(p, emb), emb.diagnostics["final_kl"], rel_tol=1e-12)
 
 
-def calibrations_agree(d2, perplexity, caplog):
+def calibrations_agree(x, perplexity, caplog):
+    """The library's calibration of x's rows of d^2 against the one-row loop,
+    bit for bit, and _joint_strips' warnings against the loop's; returns them."""
+    d2 = blocked_squared_distances(x)
+    p, achieved = conditional_probabilities(d2, perplexity)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="scbench.embed"):
-        p, achieved = conditional_probabilities(d2, perplexity)
+        _, strips_achieved = _joint_strips(x, perplexity)
         warned = [r.getMessage() for r in caplog.records]
         caplog.clear()
         p_loop, achieved_loop = loop_conditional_probabilities(d2, perplexity)
         warned_loop = [r.getMessage() for r in caplog.records]
     assert np.array_equal(p, p_loop)
     assert np.array_equal(achieved, achieved_loop)
+    assert np.array_equal(strips_achieved, achieved_loop)
     assert warned == warned_loop
     return warned
 
 
 def lockstep_inputs():
-    """(d2, perplexity) pairs: random points, some rows with part of their
-    weights underflowed, and degenerate rows."""
+    """(points, perplexity) pairs: random points, some rows with part of
+    their weights underflowed, and degenerate rows."""
     rng = np.random.default_rng(22)
     # uneven scales make some rows underflow part of their weights
     for n, g, perplexity in ((40, 5, 8.0), (130, 4, 5.0), (200, 20, 30.0)):
-        x = rng.normal(size=(n, g)) * rng.random(n)[:, None] * 20.0
-        yield blocked_squared_distances(x), perplexity
+        yield rng.normal(size=(n, g)) * rng.random(n)[:, None] * 20.0, perplexity
     # every row equidistant from the others, above the target
-    yield blocked_squared_distances(np.eye(3)), 0.9
+    yield np.eye(3), 0.9
     # rows with tied distances, across a block boundary
-    yield blocked_squared_distances((np.arange(70.0) % 5)[:, None]), 4.0
-    yield blocked_squared_distances(np.repeat(np.arange(30.0), 3)[:, None]), 2.0
-    yield blocked_squared_distances(np.r_[np.arange(10.0), 40.0 + np.arange(10.0)][:, None]), 4.0
+    yield (np.arange(70.0) % 5)[:, None], 4.0
+    yield np.repeat(np.arange(30.0), 3)[:, None], 2.0
+    yield np.r_[np.arange(10.0), 40.0 + np.arange(10.0)][:, None], 4.0
     # rows without a root: 40 copies of one point (more duplicates than the
     # perplexity), identical points, and perplexity 1; and 1.01 just above it
-    yield blocked_squared_distances(np.r_[np.zeros((40, 3)), rng.normal(size=(60, 3))]), 30.0
-    yield blocked_squared_distances(np.ones((20, 4))), 5.0
+    yield np.r_[np.zeros((40, 3)), rng.normal(size=(60, 3))], 30.0
+    yield np.ones((20, 4)), 5.0
     spread = rng.normal(size=(60, 4))
     for perplexity in (1.0, 1.01):
-        yield blocked_squared_distances(spread), perplexity
+        yield spread, perplexity
     # coordinate scales far from 1
     for scale in (1e4, 1e-6):
-        yield blocked_squared_distances(spread * scale), 10.0
+        yield spread * scale, 10.0
     # four 50-d groups 200 apart: every row's far weights underflow to zero
-    groups = np.repeat(np.arange(4.0) * 200.0, 40)[:, None] + rng.normal(size=(160, 50))
-    yield blocked_squared_distances(groups), 10.0
+    yield np.repeat(np.arange(4.0) * 200.0, 40)[:, None] + rng.normal(size=(160, 50)), 10.0
 
 
 def test_lockstep_calibration_equals_the_one_row_loop(caplog):
-    for d2, perplexity in lockstep_inputs():
-        calibrations_agree(d2, perplexity, caplog)
+    for x, perplexity in lockstep_inputs():
+        calibrations_agree(x, perplexity, caplog)
     # no row of three equidistant points reaches 0.9: each one warns
-    assert len(calibrations_agree(blocked_squared_distances(np.eye(3)), 0.9, caplog)) == 3
+    assert len(calibrations_agree(np.eye(3), 0.9, caplog)) == 3
     # two lines of 10 points 40 apart: some rows end with every weight
     # positive although beta * max d^2 is past 700, the rest with their far
     # weights underflowed to zero
@@ -566,6 +581,24 @@ def test_lockstep_calibration_equals_the_one_row_loop(caplog):
     far = d2.argmax(axis=1)[rows]
     beta = (np.log(p[rows, near]) - np.log(p[rows, far])) / (d2[rows, far] - d2[rows, near])
     assert (beta * d2[rows, far] > 700.0).any()
+
+
+def test_calibration_of_neighbour_columns_equals_the_one_row_loop():
+    # each point's k = 3 perplexity nearest other points, the rows a kNN
+    # affinity calibrates, then a row of equal d^2 and a row with more
+    # duplicates than the perplexity
+    x = seeded_points(30, 200, 10)
+    d2 = np.where(np.eye(200, dtype=bool), np.inf, blocked_squared_distances(x))
+    for perplexity in (1.0, 5.0, 10.0, 30.0):
+        k = int(3 * perplexity)
+        c = np.take_along_axis(d2, np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+        ties = np.r_[np.full(int(perplexity) + 1, 0.5), 1.0 + np.arange(k - int(perplexity) - 1)]
+        c = np.vstack([c, np.full(k, 2.0), ties])
+        p, achieved = calibrated_rows(c, perplexity)
+        p_loop, achieved_loop = loop_calibrate_rows(c, perplexity)
+        assert np.array_equal(p, p_loop)
+        assert np.array_equal(achieved, achieved_loop)
+        assert achieved[-2] == k and achieved[-1] == int(perplexity) + 1
 
 
 class ExpSpy:
@@ -590,20 +623,22 @@ def test_rows_without_a_root_take_the_limit_with_no_newton_pass(monkeypatch, cap
     spy = ExpSpy()
     monkeypatch.setattr(scbench.embed, "np", spy)
     # identical points: every row's d^2 are all equal, above the target
-    warned = calibrations_agree(blocked_squared_distances(np.ones((300, 4))), 30.0, caplog)
+    warned = calibrations_agree(np.ones((300, 4)), 30.0, caplog)
     assert len(warned) == 300
     p, achieved = conditional_probabilities(blocked_squared_distances(np.ones((300, 4))), 30.0)
     assert (achieved == 299.0).all() and (p == (1.0 - np.eye(300)) / 299.0).all()
     # a target of the row's length is met in the limit, with no warning;
     # above it no beta reaches the target
-    assert not calibrations_agree(1.0 - np.eye(20), 19.0, caplog)
-    assert len(calibrations_agree(1.0 - np.eye(20), 25.0, caplog)) == 20
+    assert not calibrations_agree(np.eye(20), 19.0, caplog)
+    assert len(calibrations_agree(np.eye(20), 25.0, caplog)) == 20
     # a regular simplex whose weights at beta = 512 have a subnormal sum
-    calibrations_agree(1.4406064453125 * (1.0 - np.eye(40)), 30.0, caplog)
+    simplex = math.sqrt(0.72030322265625) * np.eye(40)
+    assert (blocked_squared_distances(simplex) == 1.4406064453125 * (1.0 - np.eye(40))).all()
+    calibrations_agree(simplex, 30.0, caplog)
     # perplexity 1: each row puts its mass on its one nearest point
     x = seeded_points(28, 60, 4)
     d2 = blocked_squared_distances(x)
-    assert not calibrations_agree(d2, 1.0, caplog)
+    assert not calibrations_agree(x, 1.0, caplog)
     p, achieved = conditional_probabilities(d2, 1.0)
     nearest = np.where(np.eye(60, dtype=bool), np.inf, d2).argmin(axis=1)
     assert (achieved == 1.0).all() and (p == np.eye(60)[nearest]).all()
@@ -630,7 +665,8 @@ def has_root(d2, perplexity):
 def test_root_found_perplexities_land_in_the_bisection_window(caplog):
     # the former bisection stopped anywhere within 1e-5 of the target
     with caplog.at_level(logging.ERROR, logger="scbench.embed"):
-        for d2, perplexity in lockstep_inputs():
+        for x, perplexity in lockstep_inputs():
+            d2 = blocked_squared_distances(x)
             _, achieved = conditional_probabilities(d2, perplexity)
             _, bisected = bisect_conditional_probabilities(d2, perplexity)
             root = has_root(d2, perplexity)
@@ -645,7 +681,8 @@ def test_rows_with_a_root_hit_the_target_within_1e_8_of_it(caplog):
     # Newton stops once |H - log perplexity| <= 1e-10, so the perplexity is
     # within about 1e-10 of the target, relative; the bound leaves 100x
     with caplog.at_level(logging.ERROR, logger="scbench.embed"):
-        for d2, perplexity in lockstep_inputs():
+        for x, perplexity in lockstep_inputs():
+            d2 = blocked_squared_distances(x)
             _, achieved = conditional_probabilities(d2, perplexity)
             root = has_root(d2, perplexity)
             assert (np.abs(achieved[root] - perplexity) <= 1e-8 * perplexity).all()
@@ -689,9 +726,10 @@ def test_concurrent_runs_equal_sequential_runs():
 def test_tsne_holds_p_only_as_its_upper_triangle_strips(n):
     x = seeded_points(25, n, 10)
     peak = traced_peak(lambda: tsne(x, perplexity=30, seed=0, iters=20))
-    # measured: the strips (0.5 n^2 + 32 n) and five 64 x n blocks while the
-    # last block calibrates (its d^2, shifted d^2, weights, scratch and rows),
-    # 1.10 n^2 at 600 and 0.74 n^2 at 1500; the bound leaves two more blocks.
+    # measured: the strips (0.5 n^2 + 32 n) and four 64 x n blocks while a
+    # block calibrates (its d^2 to the other points, its affinities and two
+    # scratch buffers), 1.04 n^2 at 600 and 0.71 n^2 at 1500; the bound
+    # leaves over two more blocks.
     # Any n x n array beside the strips exceeds it. Full d^2, conditional and
     # joint P peaked at 2.56 n^2 and 2.22 n^2
     strips = sum(min(64, n - s) * (n - s) for s in range(0, n, 64))
