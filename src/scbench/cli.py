@@ -210,11 +210,18 @@ def _stage_splits(args, depth: str) -> list[SplitResult]:
     """Each split's result, in key order, with its counts and annotations.
 
     The whole input matrix is dropped once the splits are made, so neither
-    this process nor a forked worker holds it while the splits run.
+    this process nor a forked worker holds it while the splits run. A stage
+    that clusters checks --k against every split's cell count before any
+    split runs.
     """
     global _job
     _bind(GROUP_MODULES[: DEPTH_GROUPS[depth]])
     groups = split_by_method_replicate(*_load_inputs(args))
+    if "cluster" in GROUP_MODULES[: DEPTH_GROUPS[depth]]:
+        for (method, replicate), (sub, _) in groups.items():
+            if sub.n_cells <= args.k:
+                raise DataError(f"--k {args.k} needs more than {args.k} cells; "
+                                f"split {method}/{replicate} has {sub.n_cells}")
     _job = (args, groups, depth)
     try:
         results = _parallel_map(list(groups), depth)
@@ -491,7 +498,7 @@ def _with_config(table, argv):
     actions = {a.dest: a for a in subparser._actions if a.dest not in ("config", "help")}
     flags = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 s = line.strip()
                 if not s or s.startswith("#"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
+import zlib
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +30,11 @@ class CellAnnotation(NamedTuple):
 @contextlib.contextmanager
 def _open_text(path):
     """The file as text, gunzipped if it starts with the gzip magic, past a
-    UTF-8 byte-order mark if it has one (Excel's "CSV UTF-8" writes one)."""
+    UTF-8 byte-order mark if it has one (Excel's "CSV UTF-8" writes one).
+
+    Corrupt gzip data and text the csv module cannot parse, such as a field
+    above its size limit, raise FormatError naming the file.
+    """
     with open(path, "rb") as fh:
         gz = fh.read(2) == b"\x1f\x8b"
     encoding = "utf-8-sig"
@@ -38,6 +43,8 @@ def _open_text(path):
             yield fh
         except EOFError:
             raise FormatError(f"{path}: gzip stream ends early; the file is truncated") from None
+        except (zlib.error, csv.Error) as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _parse_count(token: str, field: str, lineno: int) -> int:

@@ -72,28 +72,33 @@ def read_table(path) -> tuple[list[str], list[dict]]:
     """Read back an emitted CSV, skipping its leading `# config: ` line.
 
     Any other line is data, so a value may start with `#`. Values stay
-    strings; callers convert the columns they use. A row with more or fewer
-    fields than the header raises FormatError naming the file and line.
+    strings; callers convert the columns they use. A UTF-8 byte-order mark is
+    skipped. A row with more or fewer fields than the header raises
+    FormatError naming the file and line, and so does text the csv module
+    cannot parse, such as a field above its size limit.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         numbered = list(enumerate(fh, start=1))
     if numbered and numbered[0][1].startswith(CONFIG_PREFIX):
         numbered = numbered[1:]
     reader = csv.reader(ln for _, ln in numbered)
-    header = next(reader, None)
-    if header is None:
-        raise FormatError(f"{path}: no header line")
-    rows = []
-    for row in reader:
-        if len(row) != len(header):
-            lineno = numbered[reader.line_num - 1][0]
-            raise FormatError(f"{path}:{lineno}: wrong field count")
-        rows.append(dict(zip(header, row)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: no header line")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                lineno = numbered[reader.line_num - 1][0]
+                raise FormatError(f"{path}:{lineno}: wrong field count")
+            rows.append(dict(zip(header, row)))
+    except csv.Error as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return header, rows
 
 
 def read_config_comment(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
     if not first.startswith(CONFIG_PREFIX):
         raise DataError(f"{path} has no config comment line")
@@ -221,10 +226,13 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     `pipeline` draws its figures this way from the tables it has just
     written, and `report` redraws them later. The config embedded in the
     tables (including the jitter seed) decides every byte, so both give the
-    same files. A table that lacks a column the figures need, or that names
-    another set of (method, replicate) splits than detection.csv, raises
-    DataError. Every figure is drawn before any file is written, so a
-    failing table leaves the output directory as it was.
+    same files. One reader, `table`, reads each table once: it raises
+    DataError for a table that lacks a column the figures need or that names
+    another set of (method, replicate) splits than detection.csv, and groups
+    the rows by split in file order. So the bars follow split order, then
+    file order within a split; for every table scbench writes, that is file
+    order. Every figure is drawn before any file is written, so a failing
+    table leaves the output directory as it was.
     """
     from . import svg  # only the commands that draw figures load it
 
@@ -233,108 +241,71 @@ def rebuild_plots_from_tables(indir, outdir) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     config = read_config_comment(indir / "dropout.csv")
     comment = canonical_json(config)
-    seed = int(config.get("seed", 0))
-    figures = {}  # file name -> SVG text, in drawing order
     splits = None  # the split set of detection.csv, once read
 
-    def table(name, *columns):
+    def table(name, *columns) -> dict[tuple[str, str], list[dict]]:
         header, rows = read_table(indir / name)
-        for column in ("method", "replicate") + columns:
-            if column not in header:
-                raise DataError(f"{name} has no {column!r} column")
-        found = {(r["method"], r["replicate"]) for r in rows}
-        if splits is not None and found != splits:
-            m, r = min(found ^ splits)
+        for col in ("method", "replicate") + columns:
+            if col not in header:
+                raise DataError(f"{name} has no {col!r} column")
+        by_split = {}
+        for r in rows:
+            by_split.setdefault((r["method"], r["replicate"]), []).append(r)
+        if splits is not None and by_split.keys() != splits:
+            m, r = min(by_split.keys() ^ splits)
             if (m, r) in splits:
                 raise DataError(f"{name} has no rows for split {m}/{r}")
             raise DataError(f"{name} has split {m}/{r}, which detection.csv lacks")
-        return rows
+        return by_split
 
-    def grouped(rows):
-        out = {}
-        for r in rows:
-            out.setdefault((r["method"], r["replicate"]), []).append(r)
-        return out
+    def column(rows, name) -> np.ndarray:
+        return np.array([float(r[name]) for r in rows])
 
     det = table("detection.csv", "genes_detected")
     if not det:
         raise DataError("no splits to plot")
-    splits = set(grouped(det))
-    groups = [
-        (f"{m}/{r}", np.array([float(row["genes_detected"]) for row in rows]))
-        for (m, r), rows in grouped(det).items()
-    ]
+    splits = det.keys()
+    figures = {}  # file name -> SVG text, in drawing order
     figures["detection_box.svg"] = svg.boxplot_chart(
-        groups, "genes detected per cell", "genes detected", seed=seed, comment=comment
-    )
-
-    cum = table("cumulative.csv", "n_cells", "mean_genes_detected")
-    series = [
-        (
-            f"{m}/{r}",
-            np.array([float(row["n_cells"]) for row in rows]),
-            np.array([float(row["mean_genes_detected"]) for row in rows]),
-        )
-        for (m, r), rows in grouped(cum).items()
-    ]
-    figures["cumulative.svg"] = svg.line_chart(
-        series,
-        "cumulative gene detection",
-        "cells",
-        "mean genes detected",
+        [(f"{m}/{r}", column(rows, "genes_detected")) for (m, r), rows in det.items()],
+        "genes detected per cell", "genes detected", seed=int(config.get("seed", 0)),
         comment=comment,
     )
 
-    labels_by_split = grouped(table("clusters.csv", "cell_id", "cluster"))
-    for fname, name in (
-        ("embedding_pca.svg", "embedding_pca.csv"),
-        ("embedding_tsne.svg", "embedding_tsne.csv"),
-    ):
-        emb = table(name, "cell_id", "dim1", "dim2")
-        points, group_idx, labels = [], [], []
-        for (m, r), rows in grouped(emb).items():
-            crows = labels_by_split[(m, r)]
+    cum = table("cumulative.csv", "n_cells", "mean_genes_detected")
+    figures["cumulative.svg"] = svg.line_chart(
+        [(f"{m}/{r}", column(rows, "n_cells"), column(rows, "mean_genes_detected"))
+         for (m, r), rows in cum.items()],
+        "cumulative gene detection", "cells", "mean genes detected", comment=comment,
+    )
+
+    clusters = table("clusters.csv", "cell_id", "cluster")
+    for which in ("pca", "tsne"):
+        groups = []
+        for (m, r), rows in table(f"embedding_{which}.csv", "cell_id", "dim1", "dim2").items():
+            crows = clusters[(m, r)]
             if [x["cell_id"] for x in crows] != [x["cell_id"] for x in rows]:
                 raise DataError("clusters.csv and embedding tables disagree on cells")
-            labs = np.array([int(x["cluster"]) for x in crows])
-            coords = np.array(
-                [[float(x["dim1"]), float(x["dim2"])] for x in rows]
-            )
-            for c in sorted(set(int(v) for v in labs)):
-                sel = labs == c
-                points.append(coords[sel])
-                group_idx.append(np.full(int(sel.sum()), len(labels)))
-                labels.append(f"{m}/{r} c{c}")
-        figures[fname] = svg.scatter_chart(
-            np.vstack(points),
-            np.concatenate(group_idx),
-            labels,
-            f"{fname.removeprefix('embedding_').removesuffix('.svg')} embedding",
-            "dim1",
-            "dim2",
-            comment=comment,
+            labels = np.array([int(x["cluster"]) for x in crows])
+            coords = np.column_stack([column(rows, "dim1"), column(rows, "dim2")])
+            groups += [(f"{m}/{r} c{c}", coords[labels == c])
+                       for c in sorted(set(labels.tolist()))]  # np.unique loads numpy.ma
+        figures[f"embedding_{which}.svg"] = svg.scatter_chart(
+            groups, f"{which} embedding", "dim1", "dim2", comment=comment
         )
 
     dro = table("dropout.csv", "overall_dropout")
-    bars = [
-        (f"{row['method']}/{row['replicate']}", float(row["overall_dropout"]))
-        for row in dro
-    ]
     figures["dropout.svg"] = svg.bar_chart(
-        bars, "overall dropout rate", "dropout rate", comment=comment
+        [(f"{m}/{r}", float(row["overall_dropout"]))
+         for (m, r), rows in dro.items() for row in rows],
+        "overall dropout rate", "dropout rate", comment=comment,
     )
 
     sil = table("silhouette.csv", "cluster", "mean_silhouette")
-    bars = [
-        (
-            f"{row['method']}/{row['replicate']} c{row['cluster']}",
-            float(row["mean_silhouette"]),
-        )
-        for row in sil
-        if row["cluster"] != "all"
-    ]
     figures["silhouette.svg"] = svg.bar_chart(
-        bars, "mean silhouette by cluster", "mean silhouette", comment=comment
+        [(f"{m}/{r} c{row['cluster']}", float(row["mean_silhouette"]))
+         for (m, r), rows in sil.items() for row in rows if row["cluster"] != "all"],
+        "mean silhouette by cluster", "mean silhouette", comment=comment,
     )
 
     for name, text in figures.items():

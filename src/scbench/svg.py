@@ -2,8 +2,10 @@
 
 No plotting library: every figure is assembled from a fixed element
 vocabulary with pixel coordinates formatted to two decimals, so identical
-inputs render byte-identical files. Charts accept an optional comment string
-(the run configuration) embedded at the top of the file.
+inputs render byte-identical files. Every chart takes a list of labelled
+groups, one color each, and `_frame` makes its canvas, draws its axes and
+gives the scales that map data onto them. Charts accept an optional comment
+string (the run configuration) embedded at the top of the file.
 """
 from __future__ import annotations
 
@@ -118,11 +120,17 @@ class _Scale:
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
 
-def _frame(canvas: Canvas, xlabel: str, ylabel: str, xs: _Scale, ys: _Scale):
+def _frame(title: str, comment: str | None, xlabel: str, ylabel: str,
+           xspan: tuple[float, float], yspan: tuple[float, float]):
+    """A canvas holding the plotting area's box, axis labels, title and ticks,
+    and the scales that map the (lo, hi) data spans onto that area."""
+    xs = _Scale(*xspan, LEFT, RIGHT)
+    ys = _Scale(*yspan, BOTTOM, TOP)
+    canvas = Canvas(title, comment)
     canvas.rect(LEFT, TOP, RIGHT - LEFT, BOTTOM - TOP, stroke=_AXIS)
     canvas.text((LEFT + RIGHT) / 2, HEIGHT - 16, xlabel, anchor="middle")
     canvas.text(18, (TOP + BOTTOM) / 2, ylabel, anchor="middle", rotate=True)
-    canvas.text((LEFT + RIGHT) / 2, 24, canvas.title, anchor="middle")
+    canvas.text((LEFT + RIGHT) / 2, 24, title, anchor="middle")
     for frac in (0.0, 0.5, 1.0):
         vy = ys.lo + frac * (ys.hi - ys.lo)
         py = float(ys(vy))
@@ -132,6 +140,7 @@ def _frame(canvas: Canvas, xlabel: str, ylabel: str, xs: _Scale, ys: _Scale):
         px = float(xs(vx))
         canvas.line(px, BOTTOM, px, BOTTOM + 4)
         canvas.text(px, BOTTOM + 18, _tick(vx), anchor="middle")
+    return canvas, xs, ys
 
 
 def _legend(canvas: Canvas, labels: list[str]):
@@ -140,6 +149,14 @@ def _legend(canvas: Canvas, labels: list[str]):
         color = PALETTE[i % len(PALETTE)]
         canvas.circle(x, y + 18 * i, 5, color)
         canvas.text(x + 10, y + 18 * i + 4, label)
+
+
+def _values(chart: str, arrays) -> np.ndarray:
+    """A chart's data arrays end to end; DataError when they hold no value."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if sum(a.size for a in arrays) == 0:
+        raise DataError(f"{chart} needs at least one value")
+    return np.concatenate(arrays)
 
 
 def _span(values: np.ndarray) -> tuple[float, float]:
@@ -155,18 +172,9 @@ def boxplot_chart(
     seed: int = 0,
     comment: str | None = None,
 ) -> str:
-    """One box (q1, median, q3) per group with seeded jittered points."""
-    if not groups:
-        raise DataError("boxplot needs at least one group")
-    canvas = Canvas(title, comment)
-    allv = np.concatenate([np.asarray(v, dtype=np.float64) for _, v in groups])
-    if allv.size == 0:
-        raise DataError("boxplot groups must be non-empty")
-    lo, hi = _span(allv)
-    ys = _Scale(lo, hi, BOTTOM, TOP)
-    xs = _Scale(0.0, float(len(groups)), LEFT, RIGHT)
-    _frame(canvas, "", ylabel, xs, ys)
-
+    """One box (q1, median, q3) per (label, values) group with seeded jittered points."""
+    allv = _values("boxplot", [v for _, v in groups])
+    canvas, _, ys = _frame(title, comment, "", ylabel, (0.0, float(len(groups))), _span(allv))
     slot = (RIGHT - LEFT) / len(groups)
     box_w = slot * 0.4
     for i, (label, values) in enumerate(groups):
@@ -192,18 +200,10 @@ def line_chart(
     ylabel: str,
     comment: str | None = None,
 ) -> str:
-    if not series:
-        raise DataError("line chart needs at least one series")
-    canvas = Canvas(title, comment)
-    all_x = np.concatenate([np.asarray(x, dtype=np.float64) for _, x, _ in series])
-    all_y = np.concatenate([np.asarray(y, dtype=np.float64) for _, _, y in series])
-    if all_x.size == 0:
-        raise DataError("line chart series must be non-empty")
-    xlo, xhi = _span(all_x)
-    ylo, yhi = _span(all_y)
-    xs = _Scale(xlo, xhi, LEFT, RIGHT)
-    ys = _Scale(ylo, yhi, BOTTOM, TOP)
-    _frame(canvas, xlabel, ylabel, xs, ys)
+    """One polyline per (label, x, y) series."""
+    all_x = _values("line chart", [x for _, x, _ in series])
+    all_y = _values("line chart", [y for _, _, y in series])
+    canvas, xs, ys = _frame(title, comment, xlabel, ylabel, _span(all_x), _span(all_y))
     for i, (label, x, y) in enumerate(series):
         canvas.polyline(xs(x), ys(y), PALETTE[i % len(PALETTE)])
     _legend(canvas, [label for label, _, _ in series])
@@ -211,39 +211,24 @@ def line_chart(
 
 
 def scatter_chart(
-    points: np.ndarray,
-    groups: np.ndarray,
-    group_labels: list[str],
+    groups: list[tuple[str, np.ndarray]],
     title: str,
     xlabel: str,
     ylabel: str,
     comment: str | None = None,
 ) -> str:
-    """2-D scatter with one color per group index; one circle per point."""
-    points = np.asarray(points, dtype=np.float64)
-    groups = np.asarray(groups, dtype=np.int64)
-    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
-        raise DataError("scatter needs a non-empty n x 2 array")
-    if groups.shape != (points.shape[0],):
-        raise DataError("one group index per point required")
-    if len(group_labels) == 0 or groups.max() >= len(group_labels) or groups.min() < 0:
-        raise DataError("group indices must address the label list")
-    canvas = Canvas(title, comment)
-    xlo, xhi = _span(points[:, 0])
-    ylo, yhi = _span(points[:, 1])
-    xs = _Scale(xlo, xhi, LEFT, RIGHT)
-    ys = _Scale(ylo, yhi, BOTTOM, TOP)
-    _frame(canvas, xlabel, ylabel, xs, ys)
-    px, py = xs(points[:, 0]), ys(points[:, 1])
-    for i in range(points.shape[0]):
-        canvas.circle(
-            float(px[i]),
-            float(py[i]),
-            2.5,
-            PALETTE[int(groups[i]) % len(PALETTE)],
-            opacity=0.7,
-        )
-    _legend(canvas, list(group_labels))
+    """2-D scatter, one color per (label, n x 2 points) group; one circle per point."""
+    points = [np.asarray(p, dtype=np.float64) for _, p in groups]
+    if any(p.ndim != 2 or p.shape[1] != 2 for p in points):
+        raise DataError("each scatter group must be an n x 2 array")
+    allp = _values("scatter", points)
+    canvas, xs, ys = _frame(
+        title, comment, xlabel, ylabel, _span(allp[:, 0]), _span(allp[:, 1])
+    )
+    for i, p in enumerate(points):
+        for x, y in zip(xs(p[:, 0]), ys(p[:, 1])):
+            canvas.circle(x, y, 2.5, PALETTE[i % len(PALETTE)], opacity=0.7)
+    _legend(canvas, [label for label, _ in groups])
     return canvas.render()
 
 
@@ -253,16 +238,12 @@ def bar_chart(
     ylabel: str,
     comment: str | None = None,
 ) -> str:
-    if not bars:
-        raise DataError("bar chart needs at least one bar")
-    canvas = Canvas(title, comment)
-    values = np.array([v for _, v in bars], dtype=np.float64)
+    """One bar per (label, value), from zero, with its value above it."""
+    values = _values("bar chart", [[v] for _, v in bars])
     lo = min(0.0, float(values.min()))
     hi = max(0.0, float(values.max()))
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
-    ys = _Scale(lo, hi + pad, BOTTOM, TOP)
-    xs = _Scale(0.0, float(len(bars)), LEFT, RIGHT)
-    _frame(canvas, "", ylabel, xs, ys)
+    canvas, _, ys = _frame(title, comment, "", ylabel, (0.0, float(len(bars))), (lo, hi + pad))
     slot = (RIGHT - LEFT) / len(bars)
     zero = float(ys(0.0))
     for i, (label, v) in enumerate(bars):

@@ -518,6 +518,171 @@ def test_an_input_with_a_byte_order_mark_reads_as_without_it(data_dir, tmp_path,
         assert marked_rows == rows, name
 
 
+def test_a_config_file_with_a_byte_order_mark_reads_as_without_it(data_dir, tmp_path):
+    text = "sample=marked\nseed=3\n"
+    (tmp_path / "plain.cfg").write_text(text)
+    (tmp_path / "marked.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for name in ("plain", "marked"):
+        args = ["qc", *input_args(data_dir), "--config", str(tmp_path / f"{name}.cfg")]
+        assert cli_main([*args, "-o", str(tmp_path / name)]) == 0
+    first = [(tmp_path / name / "dropout.csv").read_text().splitlines()[0]
+             for name in ("plain", "marked")]
+    assert first[0] == first[1]
+
+
+def test_report_on_tables_with_a_byte_order_mark_draws_the_same_figures(pipeline_dir, tmp_path):
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for name in TABLES:
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (pipeline_dir / name).read_bytes())
+    out = tmp_path / "figures"
+    assert cli_main(["report", "--input-dir", str(marked), "-o", str(out)]) == 0
+    for name in FIGURES:
+        assert (out / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--cells", "--genes"])
+def test_a_corrupt_gzip_input_is_a_format_error_that_writes_nothing(
+    data_dir, tmp_path, capsys, flag
+):
+    args = input_args(data_dir)
+    i = args.index(flag) + 1
+    blob = bytearray(gzip.compress(Path(args[i]).read_bytes(), mtime=0))
+    for j in range(20, 40):  # inside the deflate body, past the 10-byte gzip header
+        blob[j] ^= 0xFF
+    bad = tmp_path / (Path(args[i]).name + ".gz")
+    bad.write_bytes(blob)
+    args[i] = str(bad)
+    out = tmp_path / "out"
+    assert cli_main(["qc", *args, "-o", str(out)]) == 1
+    envelope = json.loads(capsys.readouterr().err)
+    assert envelope["error"] == "FormatError"
+    assert envelope["message"].startswith(f"{bad}: Error -3 while decompressing data")
+    assert not out.exists()
+
+
+def with_a_long_field(path: Path, dst: Path) -> Path:
+    """A copy of the CSV at `path` whose second line starts with a 200,000-character field."""
+    lines = path.read_text().splitlines()
+    lines[1] = "x" * 200_000 + lines[1]
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("flag", ["--cells", "--genes"])
+def test_an_oversized_csv_field_is_a_format_error_that_writes_nothing(
+    data_dir, tmp_path, capsys, flag
+):
+    args = input_args(data_dir)
+    i = args.index(flag) + 1
+    args[i] = str(with_a_long_field(Path(args[i]), tmp_path / Path(args[i]).name))
+    out = tmp_path / "out"
+    assert cli_main(["qc", *args, "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError",
+        "message": f"{args[i]}: field larger than field limit (131072)",
+    }
+    assert not out.exists()
+
+
+def test_report_on_a_table_with_an_oversized_field_is_a_format_error(
+    pipeline_dir, tmp_path, capsys
+):
+    for name in TABLES:
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    bad = with_a_long_field(pipeline_dir / "detection.csv", tmp_path / "detection.csv")
+    out = tmp_path / "figures"
+    assert cli_main(["report", "--input-dir", str(tmp_path), "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError",
+        "message": f"{bad}: field larger than field limit (131072)",
+    }
+    assert not list(out.glob("*.svg"))
+
+
+@pytest.mark.parametrize("command", ["cluster", "evaluate", "pipeline"])
+@pytest.mark.parametrize("k", [45, 46])
+def test_a_k_not_below_a_splits_cell_count_fails_before_any_work(
+    data_dir, tmp_path, capsys, monkeypatch, command, k
+):
+    calls = []
+    monkeypatch.setattr(scbench.cli, "tsne", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    args = [command, *input_args(data_dir), *SPEED, "--k", str(k), "-o", str(out)]
+    assert cli_main(args) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError",
+        "message": f"--k {k} needs more than {k} cells; split plate/r1 has 45",
+    }
+    assert not out.exists()
+    assert calls == []
+
+
+MUTATIONS = ["truncate", "flip", "nul", "long-field", "bom"]
+MUTATED = [
+    *[(flag, packing) for flag in ("--matrix", "--cells", "--genes")
+      for packing in ("plain", "gzip")],
+    ("--config", "plain"),
+    ("report", "plain"),
+]
+
+
+def mutated(text: bytes, how: str, packing: str, rng) -> bytes:
+    """`text`, packed as `packing` and broken one way at seeded places.
+
+    Truncation and flipped bytes break the packed file, so a gzip file is cut
+    or flipped inside its compressed body; the other mutations break the text
+    before it is packed.
+    """
+    pack = (lambda b: gzip.compress(b, mtime=0)) if packing == "gzip" else (lambda b: b)
+    if how in ("truncate", "flip"):
+        blob = bytearray(pack(text))
+        lo, hi = (10, len(blob) - 8) if packing == "gzip" else (0, len(blob))
+        if how == "truncate":
+            return bytes(blob[: int(rng.integers(lo + 1, hi))])
+        for i in rng.choice(np.arange(lo, hi), size=min(20, hi - lo), replace=False):
+            blob[i] ^= int(rng.integers(1, 256))
+        return bytes(blob)
+    if how == "bom":
+        return pack(b"\xef\xbb\xbf" + text)
+    at = int(rng.integers(0, len(text)))
+    insert = b"\x00" if how == "nul" else b"x" * 200_000
+    return pack(text[:at] + insert + text[at:])
+
+
+@pytest.mark.parametrize("how", MUTATIONS)
+@pytest.mark.parametrize("target, packing", MUTATED)
+def test_a_malformed_input_ends_in_an_exit_code_and_never_a_traceback(
+    data_dir, pipeline_dir, tmp_path, capsys, target, packing, how
+):
+    rng = np.random.default_rng([MUTATED.index((target, packing)), MUTATIONS.index(how)])
+    runs = []
+    if target == "report":
+        for name in TABLES:
+            tables = tmp_path / f"tables_{name}"
+            shutil.copytree(pipeline_dir, tables)
+            (tables / name).write_bytes(mutated((tables / name).read_bytes(), how, packing, rng))
+            runs.append(["report", "--input-dir", str(tables), "-o", str(tmp_path / name)])
+    elif target == "--config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(mutated(b"sample=fuzz\nseed=3\nzero-threshold=0.5\n", how, packing, rng))
+        runs.append(["qc", *input_args(data_dir), "--config", str(cfg), "-o", str(tmp_path / "o")])
+    else:
+        args = input_args(data_dir)
+        i = args.index(target) + 1
+        bad = tmp_path / Path(args[i]).name
+        bad.write_bytes(mutated(Path(args[i]).read_bytes(), how, packing, rng))
+        args[i] = str(bad)
+        runs.append(["qc", *args, "-o", str(tmp_path / "o")])
+    for argv in runs:
+        rc = cli_main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), argv
+        if rc == 1:
+            [line] = err.splitlines()
+            assert set(json.loads(line)) == {"error", "message"}
+
+
 # every command that takes each ranged flag, and a value out of its range
 RANGED = [
     *[(c, "--k", v) for c in ("cluster", "evaluate", "pipeline") for v in ("1", "0")],

@@ -1,5 +1,6 @@
 """Artifact emission: CSV schemas, the JSON summary, SVG figures, determinism."""
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -289,22 +290,85 @@ def test_rebuild_rejects_mismatched_tables(splits, tmp_path):
     rejects("embedding_tsne.csv has no 'dim1' column")
 
 
+def write_fixed_tables(path):
+    """The seven tables the figures read, for two splits, from seeded numbers.
+
+    No PCA, t-SNE or other BLAS call makes them, so no kernel choice can
+    move a figure drawn from them.
+    """
+    rng = np.random.default_rng(33)
+    columns = {
+        "dropout.csv": ["overall_dropout", "median_genes_detected"],
+        "detection.csv": ["cell_id", "genes_detected"],
+        "cumulative.csv": ["n_cells", "mean_genes_detected"],
+        "embedding_pca.csv": ["cell_id", "dim1", "dim2"],
+        "embedding_tsne.csv": ["cell_id", "dim1", "dim2"],
+        "clusters.csv": ["cell_id", "cluster", "silhouette_width"],
+        "silhouette.csv": ["k", "cluster", "n_points", "mean_silhouette"],
+    }
+    rows = {name: [] for name in columns}
+    for method, n in (("plate", 14), ("droplet", 11)):
+        key = ["s", method, "r1"]
+        cells = [f"{method}_{i}" for i in range(n)]
+        labels = np.arange(n) % 3
+        detected = rng.integers(5, 40, n)
+        rows["dropout.csv"].append(key + [f"{rng.random():.6f}", str(np.median(detected))])
+        rows["detection.csv"] += [key + [c, str(d)] for c, d in zip(cells, detected)]
+        mean = np.cumsum(rng.random(n) * 3.0) + 10.0
+        rows["cumulative.csv"] += [key + [str(i + 1), f"{y:.6f}"] for i, y in enumerate(mean)]
+        for name in ("embedding_pca.csv", "embedding_tsne.csv"):
+            xy = rng.random((n, 2)) * 20.0 - 10.0
+            rows[name] += [key + [c, f"{x:.6f}", f"{y:.6f}"] for c, (x, y) in zip(cells, xy)]
+        widths = rng.random(n) * 2.0 - 1.0
+        rows["clusters.csv"] += [
+            key + [c, str(lab), f"{w:.6f}"] for c, lab, w in zip(cells, labels, widths)
+        ]
+        rows["silhouette.csv"].append(key + ["3", "all", str(n), f"{widths.mean():.6f}"])
+        for c in range(3):
+            sel = labels == c
+            rows["silhouette.csv"].append(
+                key + ["3", str(c), str(int(sel.sum())), f"{widths[sel].mean():.6f}"]
+            )
+    for name, cols in columns.items():
+        write_csv(path / name, json.dumps(CONFIG), ["sample", "method", "replicate", *cols],
+                  rows[name])
+
+
+# sha256 of each figure drawn from write_fixed_tables
+FIXED_FIGURE_SHA256 = {
+    "detection_box.svg": "2133c5d2034c2aec2e1fb3c141638241bd9dfeb403be064ac3f00cb5469b1e85",
+    "cumulative.svg": "c0b98bf8d4067e6c88f4419374c49d4a8601ff9967e689610ed05c5b9803b069",
+    "embedding_pca.svg": "3e9b53467d6e20ad4ef2c022a25998913c6e10ae20114bd059ac30ceaba1df4a",
+    "embedding_tsne.svg": "f968addab894c5a9362daec1303d7b6cfb0f91628dbb3877d380349a7bac68e3",
+    "dropout.svg": "1c52f55d90ba903f423dfb9b9e7a26c6dfa885f87ef543a250c3ff56491878c7",
+    "silhouette.svg": "d911d6207d4dd73f6d5292bed86c11720c9271367061e32c6469890b4d53c521",
+}
+
+
+def test_figures_from_fixed_tables_keep_their_bytes(tmp_path):
+    write_fixed_tables(tmp_path)
+    paths = rebuild_plots_from_tables(tmp_path, tmp_path / "out")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert got == FIXED_FIGURE_SHA256
+
+
 def test_scatter_chart_draws_each_point():
     rng = np.random.default_rng(0)
-    points = rng.normal(size=(37, 2))
-    groups = rng.integers(0, 3, size=37)
-    text = svg.scatter_chart(points, groups, ["a", "b", "c"], "t", "x", "y")
+    groups = [(label, rng.normal(size=(n, 2))) for label, n in (("a", 12), ("b", 0), ("c", 25))]
+    text = svg.scatter_chart(groups, "t", "x", "y")
     # 37 data points + 3 legend markers
     assert text.count("<circle") == 40
 
 
 def test_scatter_chart_validates_inputs():
+    with pytest.raises(DataError, match="at least one value"):
+        svg.scatter_chart([], "t", "x", "y")
     with pytest.raises(DataError, match="n x 2"):
-        svg.scatter_chart(np.zeros((0, 2)), np.zeros(0, int), ["a"], "t", "x", "y")
-    with pytest.raises(DataError, match="per point"):
-        svg.scatter_chart(np.zeros((3, 2)), np.zeros(2, int), ["a"], "t", "x", "y")
-    with pytest.raises(DataError, match="label list"):
-        svg.scatter_chart(np.zeros((3, 2)), np.array([0, 0, 1]), ["a"], "t", "x", "y")
+        svg.scatter_chart([("a", np.zeros((3, 2))), ("b", np.zeros((3, 3)))], "t", "x", "y")
+    with pytest.raises(DataError, match="n x 2"):
+        svg.scatter_chart([("a", np.zeros(4))], "t", "x", "y")
+    with pytest.raises(DataError, match="at least one value"):
+        svg.scatter_chart([("a", np.zeros((0, 2)))], "t", "x", "y")
 
 
 def test_boxplot_jitter_is_seeded():
