@@ -35,7 +35,6 @@ _HOME = {
     **dict.fromkeys(
         (
             "CellAnnotation",
-            "attach_annotations",
             "read_cell_annotations",
             "read_gene_annotations",
             "read_matrix_market",

@@ -18,6 +18,7 @@ not depend on OPENBLAS_NUM_THREADS either.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
@@ -30,7 +31,7 @@ from ._util import canonical_json, fmt_float, single_threaded_blas, worker_count
 from .errors import DataError
 from .ingest import (
     CellAnnotation,
-    attach_annotations,
+    _open_text,
     read_cell_annotations,
     read_gene_annotations,
     read_matrix_market,
@@ -84,12 +85,13 @@ def _safe(name: str) -> str:
 
 
 def _load_inputs(args):
-    """Matrix in cells x genes orientation plus row-aligned annotations."""
+    """The matrix in cells x genes orientation, its cell annotations and its
+    gene ids, as split_by_method_replicate takes them."""
     m = read_matrix_market(args.matrix)
     if not args.transpose:
         m = m.transpose()
-    # the reader's synthetic ids name the file's rows and columns; each axis
-    # gets its ids once, synthetic ones unless an annotation file gives them
+    # the reader's synthetic ids name the file's rows and columns; the split
+    # names each axis once, by synthetic ids unless an annotation file gives them
     cell_ids = default_cell_ids(m.n_cells)
     if args.join_by_id:
         # annotations are matched to the synthetic cell ids
@@ -99,9 +101,7 @@ def _load_inputs(args):
     else:
         annotations = [CellAnnotation(cid, "all", "r1", None) for cid in cell_ids]
     gene_ids = read_gene_annotations(args.genes) if args.genes else default_gene_ids(m.n_genes)
-    return attach_annotations(
-        m, annotations, gene_ids=gene_ids, join_by_id=args.join_by_id
-    )
+    return m, annotations, gene_ids
 
 
 def _compute_split(args, key, sub, annotations, depth: str) -> SplitResult:
@@ -211,16 +211,26 @@ def _stage_splits(args, depth: str) -> list[SplitResult]:
 
     The whole input matrix is dropped once the splits are made, so neither
     this process nor a forked worker holds it while the splits run. A stage
-    that clusters checks --k against every split's cell count before any
-    split runs.
+    that embeds checks --perplexity, and one that clusters --k, against
+    every split's cell count before any split runs. A NaN perplexity passes
+    this check and fails in tsne.
     """
     global _job
-    _bind(GROUP_MODULES[: DEPTH_GROUPS[depth]])
-    groups = split_by_method_replicate(*_load_inputs(args))
-    if "cluster" in GROUP_MODULES[: DEPTH_GROUPS[depth]]:
+    modules = GROUP_MODULES[: DEPTH_GROUPS[depth]]
+    _bind(modules)
+    groups = split_by_method_replicate(*_load_inputs(args), join_by_id=args.join_by_id)
+    too_few = {}  # flag -> the most cells a split can have and be too small for it
+    if "embed" in modules:
+        if args.perplexity <= 0:
+            raise DataError(f"--perplexity {args.perplexity} must be positive")
+        # t-SNE needs at least 3 points and 3 * perplexity < n
+        too_few[f"--perplexity {args.perplexity}"] = max(2, 3 * args.perplexity)
+    if "cluster" in modules:
+        too_few[f"--k {args.k}"] = args.k
+    for flag, most in too_few.items():
         for (method, replicate), (sub, _) in groups.items():
-            if sub.n_cells <= args.k:
-                raise DataError(f"--k {args.k} needs more than {args.k} cells; "
+            if sub.n_cells <= most:
+                raise DataError(f"{flag} needs more than {most} cells; "
                                 f"split {method}/{replicate} has {sub.n_cells}")
     _job = (args, groups, depth)
     try:
@@ -360,6 +370,15 @@ def _run_synth(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
+def _sample(text: str) -> str:
+    # every table holds the name in a field, which the csv module reads back
+    # only up to its field size limit
+    limit = csv.field_size_limit()
+    if len(text) > limit:
+        raise argparse.ArgumentTypeError(f"expected at most {limit} characters, got {len(text)}")
+    return text
+
+
 def _add_input_flags(p):
     p.add_argument("--matrix", required=True, help="count matrix (.mtx, optionally gzipped)")
     p.add_argument("--cells", help="cell annotation CSV (cell_id,method,replicate[,cell_type])")
@@ -368,7 +387,8 @@ def _add_input_flags(p):
                    help="the matrix file already has cells as rows")
     p.add_argument("--join-by-id", action="store_true",
                    help="match annotation rows to matrix cell ids instead of file order")
-    p.add_argument("--sample", default="sample", help="sample name used in output tables")
+    p.add_argument("--sample", type=_sample, default="sample",
+                   help="sample name used in output tables")
 
 
 def _ranged(kind, lo, hi=None):
@@ -498,7 +518,7 @@ def _with_config(table, argv):
     actions = {a.dest: a for a in subparser._actions if a.dest not in ("config", "help")}
     flags = {}
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with _open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 s = line.strip()
                 if not s or s.startswith("#"):
@@ -520,6 +540,8 @@ def _with_config(table, argv):
                     raise ValueError(f"line {lineno}: expected a boolean, got {raw!r}")
     except (OSError, ValueError) as exc:
         subparser.error(f"--config {path}: {exc}")
+    except DataError as exc:  # the opener's FormatError, which names the file
+        subparser.error(f"--config {exc}")
     return [argv[0], *flags.values(), *argv[1:]]
 
 

@@ -2,7 +2,8 @@
 
 Matrix Market coordinate files are parsed strictly: the header must declare
 ``matrix coordinate integer|real general``, real values must be integral, and
-duplicate coordinates are rejected. Gzipped files are detected by magic bytes.
+duplicate coordinates are rejected. Every file scbench reads, here, in `cli`
+and in `report`, is opened by `_open_text` under one rule.
 """
 from __future__ import annotations
 
@@ -29,21 +30,23 @@ class CellAnnotation(NamedTuple):
 
 @contextlib.contextmanager
 def _open_text(path):
-    """The file as text, gunzipped if it starts with the gzip magic, past a
-    UTF-8 byte-order mark if it has one (Excel's "CSV UTF-8" writes one).
+    """The file as text: the one way scbench opens a file it reads.
 
-    Corrupt gzip data and text the csv module cannot parse, such as a field
-    above its size limit, raise FormatError naming the file.
+    The file is gunzipped if it starts with the gzip magic and decoded as
+    UTF-8 past a byte-order mark if it has one (Excel's "CSV UTF-8" writes
+    one). It is opened with newline="", as the csv module asks: a line may
+    end in LF, CRLF or CR and keeps its ending. Text that is not UTF-8,
+    corrupt or truncated gzip data, and text the csv module cannot parse,
+    such as a field above its size limit, raise FormatError naming the file.
     """
     with open(path, "rb") as fh:
         gz = fh.read(2) == b"\x1f\x8b"
-    encoding = "utf-8-sig"
-    with gzip.open(path, "rt", encoding=encoding) if gz else open(path, encoding=encoding) as fh:
+    with (gzip.open if gz else open)(path, "rt", encoding="utf-8-sig", newline="") as fh:
         try:
             yield fh
         except EOFError:
             raise FormatError(f"{path}: gzip stream ends early; the file is truncated") from None
-        except (zlib.error, csv.Error) as exc:
+        except (UnicodeDecodeError, zlib.error, csv.Error) as exc:
             raise FormatError(f"{path}: {exc}") from None
 
 
@@ -193,9 +196,10 @@ def read_matrix_market(path) -> CountMatrix:
     """Parse a Matrix Market coordinate file into a CountMatrix.
 
     File rows map to cells and columns to genes, exactly as stored; callers
-    handle orientation. Ids are synthetic until attach_annotations runs. The
-    entry body is read and checked as whole arrays; a body that fails any
-    check is re-read line by line for the error message.
+    handle orientation. Ids are synthetic, cell_i for the rows and gene_j for
+    the columns, until split_by_method_replicate names them. The entry body
+    is read and checked as whole arrays; a body that fails any check is
+    re-read line by line for the error message.
     """
     with _open_text(path) as fh:
         field, n_rows, n_cols, nnz, _ = _read_header(fh)
@@ -248,46 +252,52 @@ def write_matrix_market(m: CountMatrix, path) -> None:
             fh.write(np.compress(text != 0, text).tobytes())
 
 
-def _csv_columns(fh, names: Sequence[str]):
-    """Header positions of the named columns (None if absent), and the rows.
+def _annotation_rows(fh, kind: str, names: Sequence[str], optional: int = 0):
+    """Header positions of the columns `names` of a `kind` annotation CSV,
+    and its rows as (id, fields) pairs.
 
-    Read as csv.DictReader reads: a name given twice in the header is its
-    last column, blank rows are skipped and a short row's missing fields
-    are empty.
+    The first name is the id column, and all but the last `optional` names
+    must be in the header. A row's id is stripped, and an empty or repeated
+    id raises FormatError when the row is reached. Read as csv.DictReader
+    reads: a name given twice in the header is its last column, blank rows
+    are skipped and a short row's missing fields are empty.
     """
     reader = csv.reader(fh)
     where = {name: i for i, name in enumerate(next(reader, []))}
     cols = [where.get(name) for name in names]
-    width = max((c + 1 for c in cols if c is not None), default=0)
-    return cols, (row + [""] * (width - len(row)) for row in reader if row)
+    for name, col in zip(names[: len(names) - optional], cols):
+        if col is None:
+            raise FormatError(f"{kind} annotation file lacks column {name!r}")
+    width = max(c for c in cols if c is not None) + 1
+
+    def rows():
+        seen: set[str] = set()
+        for row in filter(None, reader):  # blank rows are empty lists
+            row += [""] * (width - len(row))
+            row_id = row[cols[0]].strip()
+            if not row_id:
+                raise FormatError(f"empty {names[0]}")
+            if row_id in seen:
+                raise FormatError(f"duplicate {names[0]} {row_id!r}")
+            seen.add(row_id)
+            yield row_id, row
+
+    return cols, rows()
 
 
 def read_cell_annotations(path) -> list[CellAnnotation]:
     """Read the cell annotation CSV (cell_id, method, replicate[, cell_type])."""
     names = ("cell_id", "method", "replicate", "cell_type")
     with _open_text(path) as fh:
-        cols, rows = _csv_columns(fh, names)
-        for name, col in zip(names[:3], cols):
-            if col is None:
-                raise FormatError(f"cell annotation file lacks column {name!r}")
-        id_col, method_col, replicate_col, type_col = cols
+        (_, method_col, replicate_col, type_col), rows = _annotation_rows(fh, "cell", names, 1)
         out: list[CellAnnotation] = []
-        ids: set[str] = set()
-        for row in rows:
-            cell_id = row[id_col].strip()
+        for cell_id, row in rows:
             method = row[method_col].strip()
             replicate = row[replicate_col].strip()
-            if not cell_id:
-                raise FormatError("empty cell_id")
-            if cell_id in ids:
-                raise FormatError(f"duplicate cell_id {cell_id!r}")
             if not method or not replicate:
                 raise FormatError(f"cell {cell_id!r}: empty method or replicate")
-            ids.add(cell_id)
             cell_type = row[type_col].strip() if type_col is not None else ""
-            out.append(
-                CellAnnotation(cell_id, method, replicate, cell_type or None)
-            )
+            out.append(CellAnnotation(cell_id, method, replicate, cell_type or None))
     return out
 
 
@@ -302,20 +312,8 @@ def write_cell_annotations(annotations: Sequence[CellAnnotation], path) -> None:
 def read_gene_annotations(path) -> list[str]:
     """Read the gene annotation CSV; returns gene ids in file order."""
     with _open_text(path) as fh:
-        (col,), rows = _csv_columns(fh, ("gene_id",))
-        if col is None:
-            raise FormatError("gene annotation file lacks column 'gene_id'")
-        out: list[str] = []
-        seen: set[str] = set()
-        for row in rows:
-            gene_id = row[col].strip()
-            if not gene_id:
-                raise FormatError("empty gene_id")
-            if gene_id in seen:
-                raise FormatError(f"duplicate gene_id {gene_id!r}")
-            seen.add(gene_id)
-            out.append(gene_id)
-    return out
+        _, rows = _annotation_rows(fh, "gene", ("gene_id",))
+        return [gene_id for gene_id, _ in rows]
 
 
 def write_gene_annotations(gene_ids: Sequence[str], path) -> None:
@@ -326,23 +324,24 @@ def write_gene_annotations(gene_ids: Sequence[str], path) -> None:
             writer.writerow([gid])
 
 
-def attach_annotations(
+def split_by_method_replicate(
     m: CountMatrix,
-    cell_annotations: Sequence[CellAnnotation],
+    annotations: Sequence[CellAnnotation],
     gene_ids: Sequence[str] | None = None,
     join_by_id: bool = False,
-) -> tuple[CountMatrix, list[CellAnnotation]]:
-    """Attach ids from annotation records to a matrix.
+) -> dict[tuple[str, str], tuple[CountMatrix, list[CellAnnotation]]]:
+    """Name the matrix's cells (and genes) and partition the cells by
+    (method, replicate), in sorted key order.
 
-    Positional mode (default) pairs annotation row i with matrix row i.
-    join_by_id instead matches annotations to the matrix's existing cell ids,
-    so a reordered annotation file still lines up.
-
-    Returns the re-identified matrix and the annotations in matrix row order.
+    Positional mode (default) pairs annotation row i with matrix row i, and
+    the cells take the annotations' ids. join_by_id instead matches the
+    annotations to the matrix's own cell ids, so a reordered annotation file
+    still lines up. gene_ids, if given, name the genes. Each split gets its
+    sub-matrix (all genes kept) and its annotations, both in matrix row order.
     """
     if join_by_id:
-        by_id = {a.cell_id: a for a in cell_annotations}
-        if len(by_id) != len(cell_annotations):
+        by_id = {a.cell_id: a for a in annotations}
+        if len(by_id) != len(annotations):
             raise DataError("duplicate cell_id in annotations")
         missing = [cid for cid in m.cell_ids if cid not in by_id]
         if missing:
@@ -350,38 +349,17 @@ def attach_annotations(
                 f"{len(missing)} matrix cells missing from annotations, "
                 f"first: {missing[0]!r}"
             )
-        ordered = [by_id[cid] for cid in m.cell_ids]
-    else:
-        if len(cell_annotations) != m.n_cells:
-            raise DataError(
-                f"annotation rows ({len(cell_annotations)}) do not match "
-                f"matrix cells ({m.n_cells})"
-            )
-        ordered = list(cell_annotations)
+        annotations = [by_id[cid] for cid in m.cell_ids]
+    elif len(annotations) != m.n_cells:
+        raise DataError(
+            f"annotation rows ({len(annotations)}) do not match matrix cells ({m.n_cells})"
+        )
     if gene_ids is not None and len(gene_ids) != m.n_genes:
         raise DataError(
             f"gene annotations ({len(gene_ids)}) do not match matrix genes ({m.n_genes})"
         )
-    annotated = m.with_ids(
-        # joined annotations are in the order of the matrix's own ids
-        cell_ids=None if join_by_id else [a.cell_id for a in ordered],
-        gene_ids=gene_ids,
-    )
-    return annotated, ordered
-
-
-def split_by_method_replicate(
-    m: CountMatrix, annotations: Sequence[CellAnnotation]
-) -> dict[tuple[str, str], tuple[CountMatrix, list[CellAnnotation]]]:
-    """Partition cells by (method, replicate), in sorted key order.
-
-    Each split gets its sub-matrix (all genes kept) and its annotations, both
-    in matrix row order.
-    """
-    if len(annotations) != m.n_cells:
-        raise DataError(
-            f"annotation rows ({len(annotations)}) do not match matrix cells ({m.n_cells})"
-        )
+    # joined annotations are in the order of the matrix's own ids
+    m = m.with_ids(None if join_by_id else [a.cell_id for a in annotations], gene_ids)
     groups: dict[tuple[str, str], list[int]] = {}
     for i, a in enumerate(annotations):
         groups.setdefault((a.method, a.replicate), []).append(i)

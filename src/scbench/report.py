@@ -18,7 +18,7 @@ import numpy as np
 
 from ._util import canonical_json, fmt_float
 from .errors import DataError, FormatError
-from .ingest import CellAnnotation
+from .ingest import CellAnnotation, _open_text
 from .matrix import CountMatrix, ExpressionMatrix
 from .qc import CumulativeCurve, DetectionStats, DropoutReport
 
@@ -72,33 +72,30 @@ def read_table(path) -> tuple[list[str], list[dict]]:
     """Read back an emitted CSV, skipping its leading `# config: ` line.
 
     Any other line is data, so a value may start with `#`. Values stay
-    strings; callers convert the columns they use. A UTF-8 byte-order mark is
-    skipped. A row with more or fewer fields than the header raises
-    FormatError naming the file and line, and so does text the csv module
-    cannot parse, such as a field above its size limit.
+    strings; callers convert the columns they use. The file is opened as
+    every input is (`ingest._open_text`): gzip, a byte-order mark and any
+    line ending are read, and text that is not UTF-8 or that the csv module
+    cannot parse, such as a field above its size limit, raises FormatError
+    naming the file. So does a row with more or fewer fields than the
+    header, naming its line too.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        numbered = list(enumerate(fh, start=1))
-    if numbered and numbered[0][1].startswith(CONFIG_PREFIX):
-        numbered = numbered[1:]
-    reader = csv.reader(ln for _, ln in numbered)
-    try:
+    with _open_text(path) as fh:
+        lines = list(fh)
+        skipped = bool(lines) and lines[0].startswith(CONFIG_PREFIX)
+        reader = csv.reader(lines[skipped:])
         header = next(reader, None)
         if header is None:
             raise FormatError(f"{path}: no header line")
         rows = []
         for row in reader:
             if len(row) != len(header):
-                lineno = numbered[reader.line_num - 1][0]
-                raise FormatError(f"{path}:{lineno}: wrong field count")
+                raise FormatError(f"{path}:{reader.line_num + skipped}: wrong field count")
             rows.append(dict(zip(header, row)))
-    except csv.Error as exc:
-        raise FormatError(f"{path}: {exc}") from None
     return header, rows
 
 
 def read_config_comment(path) -> dict:
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         first = fh.readline()
     if not first.startswith(CONFIG_PREFIX):
         raise DataError(f"{path} has no config comment line")

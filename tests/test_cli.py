@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, stages, config files, exit codes."""
 import ast
 import builtins
+import csv
 import dataclasses
 import gzip
 import json
@@ -435,27 +436,6 @@ def test_one_pca_of_the_normalized_matrix_per_split(wide_dir, tmp_path, monkeypa
         assert [written[c] for c in normalized.cell_ids] == points[:, :2].tolist()
 
 
-def test_infeasible_perplexity_is_reported_after_the_reduction(tmp_path, capsys, monkeypatch):
-    data = tmp_path / "data"
-    assert cli_main(["synth", "--cells-per-cluster", "10", "--n-genes", "100",
-                     "--dropout-prob", "0.4", "--seed", "7", "-o", str(data)]) == 0
-    dims = []
-    pca = scbench.cli.pca_fit_transform
-
-    def recorded(x, d, *args, **kwargs):
-        dims.append(d)
-        return pca(x, d, *args, **kwargs)
-
-    monkeypatch.setattr(scbench.cli, "pca_fit_transform", recorded)
-    rc = cli_main(["embed", *input_args(data), "--perplexity", "30", "-o", str(tmp_path)])
-    assert rc == 1
-    assert dims == [29]  # 30 cells: the pre-reduction keeps n - 1 components
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "DataError",
-        "message": "perplexity 30.0 infeasible for 30 points (need 3*perplexity < n)",
-    }
-
-
 def test_a_split_of_few_genes_runs_tsne_on_its_full_rank_reduction(
     data_dir, tmp_path, monkeypatch
 ):
@@ -541,6 +521,48 @@ def test_report_on_tables_with_a_byte_order_mark_draws_the_same_figures(pipeline
         assert (out / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
+def test_inputs_with_crlf_line_endings_read_as_with_lf(data_dir, tmp_path, monkeypatch):
+    crlf = lambda blob: blob.replace(b"\n", b"\r\n")
+    for name, convert in (("lf", lambda blob: blob), ("crlf", crlf)):
+        d = tmp_path / name
+        d.mkdir()
+        for f in ("matrix.mtx", "cells.csv", "genes.csv"):
+            (d / f).write_bytes(convert((data_dir / f).read_bytes()))
+        (d / "run.cfg").write_bytes(convert(b"sample=ends\nlog1p=true\n"))
+        # relative paths: both runs' config comments name the same files
+        monkeypatch.chdir(d)
+        assert cli_main(["pipeline", "--matrix", "matrix.mtx", "--cells", "cells.csv",
+                         "--genes", "genes.csv", "--config", "run.cfg", *SPEED, "-o", "out"]) == 0
+    lf = tmp_path / "lf" / "out"
+    assert read_config_comment(lf / "dropout.csv")["sample"] == "ends"
+    assert same_tree(lf, tmp_path / "crlf" / "out") == []
+    tables = tmp_path / "crlf_tables"
+    tables.mkdir()
+    for name in TABLES:
+        (tables / name).write_bytes(crlf((lf / name).read_bytes()))
+    assert cli_main(["report", "--input-dir", str(tables), "-o", str(tmp_path / "figures")]) == 0
+    for name in FIGURES:
+        assert (tmp_path / "figures" / name).read_bytes() == (lf / name).read_bytes(), name
+
+
+def test_gzip_tables_and_config_files_read_as_plain_ones(data_dir, pipeline_dir, tmp_path):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for name in TABLES:
+        (tables / name).write_bytes(gzip.compress((pipeline_dir / name).read_bytes(), mtime=0))
+    assert cli_main(["report", "--input-dir", str(tables), "-o", str(tmp_path / "figures")]) == 0
+    for name in FIGURES:
+        assert (tmp_path / "figures" / name).read_bytes() == (pipeline_dir / name).read_bytes()
+    text = b"sample=packed\nseed=3\n"
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "packed.cfg").write_bytes(gzip.compress(text, mtime=0))
+    for name in ("plain", "packed"):
+        args = ["qc", *input_args(data_dir), "--config", str(tmp_path / f"{name}.cfg")]
+        assert cli_main([*args, "-o", str(tmp_path / name)]) == 0
+    assert read_config_comment(tmp_path / "packed" / "dropout.csv")["sample"] == "packed"
+    assert same_tree(tmp_path / "plain", tmp_path / "packed") == []
+
+
 @pytest.mark.parametrize("flag", ["--matrix", "--cells", "--genes"])
 def test_a_corrupt_gzip_input_is_a_format_error_that_writes_nothing(
     data_dir, tmp_path, capsys, flag
@@ -618,7 +640,27 @@ def test_a_k_not_below_a_splits_cell_count_fails_before_any_work(
     assert calls == []
 
 
-MUTATIONS = ["truncate", "flip", "nul", "long-field", "bom"]
+@pytest.mark.parametrize("command", ["embed", "cluster", "evaluate", "pipeline"])
+@pytest.mark.parametrize("perplexity, message", [
+    ("15", "--perplexity 15.0 needs more than 45.0 cells; split plate/r1 has 45"),
+    ("200", "--perplexity 200.0 needs more than 600.0 cells; split plate/r1 has 45"),
+    ("0", "--perplexity 0.0 must be positive"),
+], ids=["15", "200", "0"])
+def test_an_infeasible_perplexity_fails_before_any_work(
+    data_dir, tmp_path, capsys, monkeypatch, command, perplexity, message
+):
+    calls = []
+    monkeypatch.setattr(scbench.cli, "preprocess_pipeline", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    flags = SPEED[2:4] if command == "embed" else SPEED[2:]  # all but --perplexity
+    args = [command, *input_args(data_dir), *flags, "--perplexity", perplexity, "-o", str(out)]
+    assert cli_main(args) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "DataError", "message": message}
+    assert not out.exists()
+    assert calls == []
+
+
+MUTATIONS = ["truncate", "flip", "nul", "long-field", "bom", "0xff"]
 MUTATED = [
     *[(flag, packing) for flag in ("--matrix", "--cells", "--genes")
       for packing in ("plain", "gzip")],
@@ -632,7 +674,7 @@ def mutated(text: bytes, how: str, packing: str, rng) -> bytes:
 
     Truncation and flipped bytes break the packed file, so a gzip file is cut
     or flipped inside its compressed body; the other mutations break the text
-    before it is packed.
+    before it is packed. "0xff" sets one byte to 0xff, which UTF-8 never holds.
     """
     pack = (lambda b: gzip.compress(b, mtime=0)) if packing == "gzip" else (lambda b: b)
     if how in ("truncate", "flip"):
@@ -646,6 +688,8 @@ def mutated(text: bytes, how: str, packing: str, rng) -> bytes:
     if how == "bom":
         return pack(b"\xef\xbb\xbf" + text)
     at = int(rng.integers(0, len(text)))
+    if how == "0xff":
+        return pack(text[:at] + b"\xff" + text[at + 1:])
     insert = b"\x00" if how == "nul" else b"x" * 200_000
     return pack(text[:at] + insert + text[at:])
 
@@ -656,31 +700,40 @@ def test_a_malformed_input_ends_in_an_exit_code_and_never_a_traceback(
     data_dir, pipeline_dir, tmp_path, capsys, target, packing, how
 ):
     rng = np.random.default_rng([MUTATED.index((target, packing)), MUTATIONS.index(how)])
-    runs = []
+    runs = []  # (argv, the mutated file)
     if target == "report":
         for name in TABLES:
             tables = tmp_path / f"tables_{name}"
             shutil.copytree(pipeline_dir, tables)
             (tables / name).write_bytes(mutated((tables / name).read_bytes(), how, packing, rng))
-            runs.append(["report", "--input-dir", str(tables), "-o", str(tmp_path / name)])
+            runs.append((["report", "--input-dir", str(tables), "-o", str(tmp_path / name)],
+                         tables / name))
     elif target == "--config":
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(mutated(b"sample=fuzz\nseed=3\nzero-threshold=0.5\n", how, packing, rng))
-        runs.append(["qc", *input_args(data_dir), "--config", str(cfg), "-o", str(tmp_path / "o")])
+        runs.append((["qc", *input_args(data_dir), "--config", str(cfg), "-o", str(tmp_path / "o")],
+                     cfg))
     else:
         args = input_args(data_dir)
         i = args.index(target) + 1
         bad = tmp_path / Path(args[i]).name
         bad.write_bytes(mutated(Path(args[i]).read_bytes(), how, packing, rng))
         args[i] = str(bad)
-        runs.append(["qc", *args, "-o", str(tmp_path / "o")])
-    for argv in runs:
+        runs.append((["qc", *args, "-o", str(tmp_path / "o")], bad))
+    for argv, path in runs:
         rc = cli_main(argv)
         err = capsys.readouterr().err
         assert rc in (0, 1, 2), argv
         if rc == 1:
             [line] = err.splitlines()
             assert set(json.loads(line)) == {"error", "message"}
+        if how == "0xff" and target == "--config":
+            # not UTF-8: a usage error naming the file
+            assert rc == 2 and f"--config {path}: " in err
+        elif how == "0xff":
+            envelope = json.loads(err)
+            assert rc == 1 and envelope["error"] == "FormatError", argv
+            assert envelope["message"].startswith(f"{path}: 'utf-8' codec can't decode"), argv
 
 
 # every command that takes each ranged flag, and a value out of its range
@@ -732,6 +785,43 @@ def test_a_negative_seed_is_a_usage_error_that_writes_nothing(
     assert cli_main([command, *args, "-o", str(out)]) == 2
     assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "split", "qc", "filter", "normalize", "embed", "cluster", "evaluate", "pipeline",
+])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_a_sample_name_above_the_csv_field_limit_is_a_usage_error_that_writes_nothing(
+    data_dir, tmp_path, capsys, command, how
+):
+    # every table holds the sample name in a field the csv module must read back
+    sample = "s" * (csv.field_size_limit() + 1)
+    args = input_args(data_dir)
+    if how == "flag":
+        args += ["--sample", sample]
+    else:
+        (tmp_path / "sample.cfg").write_text(f"sample={sample}\n")
+        args += ["--config", str(tmp_path / "sample.cfg")]
+    out = tmp_path / "out"
+    assert cli_main([command, *args, "-o", str(out)]) == 2
+    limit = csv.field_size_limit()
+    assert (f"argument --sample: expected at most {limit} characters, got {limit + 1}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_sample_name_at_the_csv_field_limit_reads_back(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli_main(["synth", "--n-clusters", "2", "--cells-per-cluster", "5", "--n-genes", "20",
+                     "--marker-genes", "3", "--seed", "3", "-o", str(data)]) == 0
+    sample = "s" * csv.field_size_limit()
+    assert cli_main(["pipeline", *input_args(data), "--perplexity", "2", "--iters", "30",
+                     "--k", "2", "--sample", sample, "-o", str(out)]) == 0
+    assert read_table(out / "detection.csv")[1][0]["sample"] == sample
+    figures = tmp_path / "figures"
+    assert cli_main(["report", "--input-dir", str(out), "-o", str(figures)]) == 0
+    for name in FIGURES:
+        assert (figures / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_a_negative_marker_gene_count_is_a_data_error_that_writes_nothing(tmp_path, capsys):

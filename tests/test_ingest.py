@@ -1,4 +1,5 @@
 """File parsing, annotation joins, and per-(method, replicate) splitting."""
+import ast
 import gzip
 import json
 import os
@@ -18,7 +19,6 @@ from scbench import (
     CountMatrix,
     DataError,
     FormatError,
-    attach_annotations,
     preprocess_pipeline,
     read_cell_annotations,
     read_gene_annotations,
@@ -429,29 +429,29 @@ def test_gene_annotation_round_trip(tmp_path):
     assert read_gene_annotations(path) == ids
 
 
-def test_attach_annotations_positional():
+def test_split_names_cells_and_genes_by_position():
     m = random_matrix(30, 3, 4)
     anns = [CellAnnotation(f"x{i}", "m", "r") for i in range(3)]
-    annotated, ordered = attach_annotations(m, anns, gene_ids=list("abcd"))
+    [(annotated, ordered)] = split_by_method_replicate(m, anns, gene_ids=list("abcd")).values()
     assert annotated.cell_ids == ("x0", "x1", "x2")
     assert annotated.gene_ids == ("a", "b", "c", "d")
     assert ordered == anns
     with pytest.raises(DataError, match="do not match"):
-        attach_annotations(m, anns[:2])
+        split_by_method_replicate(m, anns[:2])
 
 
-def test_attach_annotations_join_by_id():
+def test_split_joins_annotations_by_cell_id():
     m = random_matrix(31, 3, 2).with_ids(cell_ids=("a", "b", "c"))
     anns = [
-        CellAnnotation("c", "m", "r3"),
-        CellAnnotation("a", "m", "r1"),
-        CellAnnotation("b", "m", "r2"),
+        CellAnnotation("c", "m", "r", "t3"),
+        CellAnnotation("a", "m", "r", "t1"),
+        CellAnnotation("b", "m", "r", "t2"),
     ]
-    annotated, ordered = attach_annotations(m, anns, join_by_id=True)
-    assert [a.replicate for a in ordered] == ["r1", "r2", "r3"]
+    [(annotated, ordered)] = split_by_method_replicate(m, anns, join_by_id=True).values()
+    assert [a.cell_type for a in ordered] == ["t1", "t2", "t3"]
     assert annotated.cell_ids == ("a", "b", "c")
     with pytest.raises(DataError, match="missing"):
-        attach_annotations(m, anns[:2], join_by_id=True)
+        split_by_method_replicate(m, anns[:2], join_by_id=True)
 
 
 def test_split_partitions_cells():
@@ -569,3 +569,30 @@ def test_dense_csv_rejects_garbage(tmp_path):
     p3 = write(tmp_path / "empty.csv", "# config: {}\n")
     with pytest.raises(FormatError, match="no header line"):
         read_table(p3)
+
+
+def test_every_input_file_is_opened_by_open_text():
+    # one opener decides how every input is read: gzip, byte-order mark,
+    # line endings and the errors that name the file
+    def opens_to_read(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        callees = [f.body, f.orelse] if isinstance(f, ast.IfExp) else [f]
+        if not any(ast.unparse(f) in ("open", "gzip.open") for f in callees):
+            return False
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        return not set(mode.value) & set("wax+")
+
+    outside, inside = [], 0
+    for path in sorted(Path(scbench.ingest.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        opener = {id(n) for d in tree.body if getattr(d, "name", None) == "_open_text"
+                  for n in ast.walk(d)} if path.stem == "ingest" else set()
+        for node in filter(opens_to_read, ast.walk(tree)):
+            if id(node) in opener:
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert outside == [] and inside > 0
